@@ -4,6 +4,7 @@ use crate::args::Flags;
 use bb_callsim::{background, BackgroundId, CallSim, ProfilePreset, SoftwareProfile, VbMode};
 use bb_core::pipeline::{MaskRetention, Reconstructor, ReconstructorConfig, VbSource};
 use bb_core::session::ReconstructionSession;
+use bb_imaging::filter::MAX_BLUR_RADIUS;
 use bb_synth::{Action, Lighting, Room, Scenario};
 use bb_telemetry::{chrome_trace, Journal, MetricsExporter, MetricsHub, SloRule, Telemetry};
 use bb_video::mmap::{ContainerVersion, MmapSource};
@@ -290,8 +291,10 @@ fn vb_by_name(name: &str, w: usize, h: usize) -> Result<VbMode, String> {
         let radius: usize = radius
             .parse()
             .map_err(|_| format!("bad blur radius in {name:?}"))?;
-        if radius == 0 {
-            return Err("blur radius must be at least 1".to_string());
+        if !(1..=MAX_BLUR_RADIUS).contains(&radius) {
+            return Err(format!(
+                "blur radius must be in 1..={MAX_BLUR_RADIUS}, got {radius}"
+            ));
         }
         return Ok(VbMode::Blur { radius });
     }
@@ -655,6 +658,8 @@ mod tests {
             Ok(VbMode::Blur { radius: 3 })
         ));
         assert!(vb_by_name("blur:0", 8, 6).is_err());
+        assert!(vb_by_name("blur:127", 8, 6).is_ok());
+        assert!(vb_by_name("blur:128", 8, 6).is_err());
         assert!(vb_by_name("matrix", 8, 6).is_err());
     }
 

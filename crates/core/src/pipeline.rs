@@ -16,6 +16,7 @@ use crate::vbmask::{
 use crate::vcmask::VcMaskParams;
 use crate::workers::CollectMode;
 use crate::CoreError;
+use bb_imaging::filter::MAX_BLUR_RADIUS;
 use bb_imaging::{Frame, Mask};
 use bb_telemetry::Telemetry;
 use bb_video::VideoStream;
@@ -271,8 +272,9 @@ impl ReconstructorConfigBuilder {
     ///
     /// [`CoreError::InvalidConfig`] when any field is degenerate:
     /// `phi == 0`, `parallelism == 0`, `stability_threshold == 0`,
-    /// `min_observations == 0`, `warmup_frames == 0`, refine bits outside
-    /// `1..=8`, or a frequency threshold outside `[0, 1]`.
+    /// `min_observations == 0`, `warmup_frames == 0`, a blur-residue radius
+    /// outside `1..=MAX_BLUR_RADIUS`, refine bits outside `1..=8`, or a
+    /// frequency threshold outside `[0, 1]`.
     pub fn build(self) -> Result<ReconstructorConfig, CoreError> {
         let c = &self.config;
         if c.phi == 0 {
@@ -300,10 +302,17 @@ impl ReconstructorConfigBuilder {
                 "warmup_frames must be at least 1".into(),
             ));
         }
-        if c.mode == (ReconMode::BlurResidue { radius: 0 }) {
-            return Err(CoreError::InvalidConfig(
-                "BlurResidue radius must be at least 1 (radius 0 is ColorResidue)".into(),
-            ));
+        if let ReconMode::BlurResidue { radius } = c.mode {
+            if radius == 0 {
+                return Err(CoreError::InvalidConfig(
+                    "BlurResidue radius must be at least 1 (radius 0 is ColorResidue)".into(),
+                ));
+            }
+            if radius > MAX_BLUR_RADIUS {
+                return Err(CoreError::InvalidConfig(format!(
+                    "BlurResidue radius must be at most {MAX_BLUR_RADIUS}, got {radius}"
+                )));
+            }
         }
         if c.vc.refine_bits == 0 || c.vc.refine_bits > 8 {
             return Err(CoreError::InvalidConfig(format!(
@@ -818,6 +827,12 @@ mod tests {
             (
                 ReconstructorConfig::builder().mode(ReconMode::BlurResidue { radius: 0 }),
                 "blur radius 0",
+            ),
+            (
+                ReconstructorConfig::builder().mode(ReconMode::BlurResidue {
+                    radius: MAX_BLUR_RADIUS + 1,
+                }),
+                "blur radius above MAX_BLUR_RADIUS",
             ),
             (
                 ReconstructorConfig::builder().vc(crate::vcmask::VcMaskParams {

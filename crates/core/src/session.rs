@@ -47,6 +47,7 @@ use crate::vbmask::{vb_mask, VirtualReference};
 use crate::vcmask::{vc_mask_with_model, CallerColorModel};
 use crate::workers::{run_stage, CollectMode};
 use crate::CoreError;
+use bb_imaging::filter::MAX_BLUR_RADIUS;
 use bb_imaging::hist::ColorHistogram;
 use bb_imaging::pool::FramePool;
 use bb_imaging::{Frame, Mask, Rgb};
@@ -1165,8 +1166,10 @@ fn read_config(r: &mut Reader) -> Result<ReconstructorConfig, CoreError> {
             0 => ReconMode::ColorResidue,
             1 => {
                 let radius = r.count()?;
-                if radius == 0 {
-                    return Err(corrupt("blur-residue radius 0"));
+                if radius == 0 || radius > MAX_BLUR_RADIUS {
+                    return Err(corrupt(format!(
+                        "blur-residue radius {radius} outside 1..={MAX_BLUR_RADIUS}"
+                    )));
                 }
                 ReconMode::BlurResidue { radius }
             }
@@ -1422,6 +1425,21 @@ mod tests {
             let rec = resumed.finalize().unwrap();
             assert_same(&full, &rec);
         }
+        // A checkpoint claiming a radius past MAX_BLUR_RADIUS is corrupt: the
+        // deblur kernel's u16 lanes are only exact up to it.
+        let oversized = Reconstructor::new(
+            VbSource::UnknownImage,
+            ReconstructorConfig {
+                mode: ReconMode::BlurResidue {
+                    radius: MAX_BLUR_RADIUS + 1,
+                },
+                ..cfg
+            },
+        );
+        assert!(matches!(
+            oversized.resume_session(&oversized.session().checkpoint()),
+            Err(CoreError::CheckpointCorrupt(_))
+        ));
         // A color-residue reconstructor refuses a blur-residue checkpoint.
         let session = reconstructor.session();
         let bytes = session.checkpoint();

@@ -12,92 +12,303 @@ use crate::frame::Frame;
 use crate::mask::Mask;
 use crate::pixel::Rgb;
 
-/// Separable box blur with a `(2·radius+1)`-wide kernel, edge-clamped.
+/// The largest radius the box kernels ([`box_blur`], [`deblur_box`])
+/// accept. They hold `(2·radius+1)`-tap window sums of bytes in `u16`
+/// lanes, and a vertical slide adds the entering row before it drops the
+/// leaving one, so a lane peaks at `255·(2·radius+2)` — at most `65_535`
+/// exactly when `radius ≤ 127`. Every entry point that takes a blur radius
+/// from outside (VB specs, the CLI, reconstructor configs, checkpoints)
+/// rejects larger radii with its typed error.
+pub const MAX_BLUR_RADIUS: usize = 127;
+
+/// Separable box blur with a `(2·radius+1)`-wide kernel, edge-clamped. Each
+/// pass rounds its channel means to nearest ([`round_div`]).
 ///
 /// `radius = 0` returns a copy.
+///
+/// # Panics
+///
+/// If `radius` exceeds [`MAX_BLUR_RADIUS`].
 pub fn box_blur(frame: &Frame, radius: usize) -> Frame {
     if radius == 0 {
         return frame.clone();
     }
-    let horizontal = directional_box(frame, radius, true);
-    directional_box(&horizontal, radius, false)
-}
-
-/// One separable box pass as a sliding-window accumulator: the window sum at
-/// `x+1` is the sum at `x` minus the tap leaving the window plus the tap
-/// entering it — O(1) per pixel regardless of radius, and exactly the same
-/// integer sums as the naive O(radius) taps (edge-clamped windows are
-/// multisets; the slide only moves elements in and out).
-fn directional_box(frame: &Frame, radius: usize, horizontal: bool) -> Frame {
     let (w, h) = frame.dims();
+    let mut src = vec![0; 3 * w * h];
+    pack(&mut src, frame.pixels());
     let mut out = Frame::new(w, h);
-    let n = (2 * radius + 1) as u32;
-    if horizontal {
-        for y in 0..h {
-            let src = frame.row(y);
-            let dst = out.row_mut(y);
-            let last = w - 1;
-            let (mut sr, mut sg, mut sb) = (0u32, 0u32, 0u32);
-            for d in -(radius as i64)..=(radius as i64) {
-                let p = src[d.clamp(0, last as i64) as usize];
-                sr += p.r as u32;
-                sg += p.g as u32;
-                sb += p.b as u32;
-            }
-            for x in 0..w {
-                dst[x] = Rgb::new(round_div(sr, n), round_div(sg, n), round_div(sb, n));
-                if x < last {
-                    let add = src[(x + 1 + radius).min(last)];
-                    let sub = src[x.saturating_sub(radius)];
-                    sr += add.r as u32;
-                    sr -= sub.r as u32;
-                    sg += add.g as u32;
-                    sg -= sub.g as u32;
-                    sb += add.b as u32;
-                    sb -= sub.b as u32;
-                }
-            }
+    let mut rows = BoxRows::new(w, h, radius);
+    let mut row = vec![0; rows.stride];
+    rows.start(&src);
+    for y in 0..h {
+        let recip = rows.recip;
+        for (d, &s) in row.iter_mut().zip(&rows.vsum) {
+            *d = recip.round_div(s);
         }
-    } else {
-        // Vertical pass slides whole rows through a per-column accumulator:
-        // the inner loops are straight runs over contiguous rows.
-        let last = h - 1;
-        let mut acc = vec![[0u32; 3]; w];
-        for d in -(radius as i64)..=(radius as i64) {
-            let src = frame.row(d.clamp(0, last as i64) as usize);
-            for (a, p) in acc.iter_mut().zip(src) {
-                a[0] += p.r as u32;
-                a[1] += p.g as u32;
-                a[2] += p.b as u32;
-            }
-        }
-        for y in 0..h {
-            let dst = out.row_mut(y);
-            for (d, a) in dst.iter_mut().zip(&acc) {
-                *d = Rgb::new(round_div(a[0], n), round_div(a[1], n), round_div(a[2], n));
-            }
-            if y < last {
-                let add = frame.row((y + 1 + radius).min(last));
-                let sub = frame.row(y.saturating_sub(radius));
-                for ((a, pa), ps) in acc.iter_mut().zip(add).zip(sub) {
-                    a[0] += pa.r as u32;
-                    a[0] -= ps.r as u32;
-                    a[1] += pa.g as u32;
-                    a[1] -= ps.g as u32;
-                    a[2] += pa.b as u32;
-                    a[2] -= ps.b as u32;
-                }
-            }
+        unpack(out.row_mut(y), &row);
+        if y + 1 < h {
+            rows.slide(y, &src);
         }
     }
     out
+}
+
+/// Van Cittert deconvolution against [`box_blur`]: starting from the blurred
+/// observation `y`, iterate `x ← clamp(x + y − blur(x))`. Each step adds back
+/// the residual the current estimate fails to explain, sharpening edges that
+/// a `(2·radius+1)`-box kernel smeared. All arithmetic is integer (channel
+/// math clamped to `0..=255`), so the result is bit-deterministic — the
+/// blur-residue reconstruction mode accumulates these frames as evidence.
+///
+/// One fused pass per iteration: the vertical window slides down the
+/// estimate and each row is updated in place as soon as its reblurred value
+/// is known. The update never feeds back into the current iteration: every
+/// row the window still needs is already horizontally blurred in
+/// [`BoxRows`]' ring, and rows below the window are read before they are
+/// updated — the output is exactly that of reblurring whole frames.
+///
+/// `radius = 0` or `iterations = 0` returns a copy (nothing to invert).
+///
+/// # Panics
+///
+/// If `radius` exceeds [`MAX_BLUR_RADIUS`].
+pub fn deblur_box(frame: &Frame, radius: usize, iterations: usize) -> Frame {
+    if radius == 0 || iterations == 0 {
+        return frame.clone();
+    }
+    let (w, h) = frame.dims();
+    let mut estimate = vec![0; 3 * w * h];
+    pack(&mut estimate, frame.pixels());
+    let mut rows = BoxRows::new(w, h, radius);
+    let stride = rows.stride;
+    let mut observed = vec![0; stride];
+    for _ in 0..iterations {
+        rows.start(&estimate);
+        for y in 0..h {
+            pack(&mut observed, frame.row(y));
+            let recip = rows.recip;
+            for ((e, &o), &s) in estimate[y * stride..(y + 1) * stride]
+                .iter_mut()
+                .zip(&observed)
+                .zip(&rows.vsum)
+            {
+                let step = i16::from(*e) + i16::from(o) - i16::from(recip.round_div(s));
+                *e = step.clamp(0, 255) as u8;
+            }
+            if y + 1 < h {
+                rows.slide(y, &estimate);
+            }
+        }
+    }
+    let mut out = Frame::new(w, h);
+    unpack(out.pixels_mut(), &estimate);
+    out
+}
+
+/// Round-to-nearest division by a fixed window size `n` without a division:
+/// [`Reciprocal::round_div`] equals [`round_div`]`(sum, n)` for every
+/// `sum ∈ 0..=255·n` — the range of an `n`-tap window sum of bytes.
+///
+/// This is Granlund and Montgomery's round-up reciprocal for 16-bit
+/// dividends ("Division by Invariant Integers using Multiplication", PLDI
+/// 1994, Fig. 4.1): with `l = ⌈log2 n⌉` and the 17-bit multiplier
+/// `2^16 + mul = ⌊2^(16+l) / n⌋ + 1`, the quotient `⌊x / n⌋` of any `x < 2^16`
+/// is `(t + ((x − t) >> 1)) >> (l − 1)` where `t = (x · mul) >> 16`. Every
+/// step stays in `u16` lanes, so the kernel loops vectorise to 16-bit
+/// multiply-high instructions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reciprocal {
+    half: u16,
+    mul: u16,
+    pre: u16,
+    post: u16,
+}
+
+impl Reciprocal {
+    /// The reciprocal of `n`.
+    ///
+    /// # Panics
+    ///
+    /// If `n` is not in `1..=255` (`2·MAX_BLUR_RADIUS + 1`).
+    pub fn new(n: u16) -> Self {
+        assert!(
+            (1..=2 * MAX_BLUR_RADIUS as u16 + 1).contains(&n),
+            "reciprocal window {n} outside 1..=255"
+        );
+        let l = u32::from(n).next_power_of_two().trailing_zeros();
+        let mul = ((1u32 << 16) * ((1 << l) - u32::from(n))) / u32::from(n) + 1;
+        Reciprocal {
+            half: n / 2,
+            mul: mul as u16,
+            pre: l.min(1) as u16,
+            post: l.saturating_sub(1) as u16,
+        }
+    }
+
+    /// `round_div(sum, n)` for a window sum `sum ≤ 255·n`.
+    #[inline]
+    pub fn round_div(self, sum: u16) -> u8 {
+        let x = sum + self.half;
+        let t = ((u32::from(x) * u32::from(self.mul)) >> 16) as u16;
+        ((t + ((x - t) >> self.pre)) >> self.post) as u8
+    }
+}
+
+/// The separable `(2·radius+1)`-box over an interleaved RGB byte image, one
+/// output row at a time, with all scratch allocated once.
+///
+/// Both passes are straight tap sums over byte lanes in `u16` accumulators,
+/// loops the compiler vectorises. The horizontal pass reads a copy of the
+/// row padded with `radius` replicated edge pixels on each side, so every
+/// lane — edge ones included — sums the same `2·radius+1` taps, and rounds
+/// through the [`Reciprocal`]. Its rows go to a ring of `2·radius+2` slots
+/// (row `y` in slot `y mod slots`), computed only when the vertical window
+/// first reaches them; `vsum` holds the vertical window sums of the current
+/// output row, slid down one row at a time.
+struct BoxRows {
+    radius: usize,
+    recip: Reciprocal,
+    /// Bytes per row (`3·width`).
+    stride: usize,
+    last: usize,
+    /// The row being horizontally blurred, edge-padded.
+    padded: Vec<u8>,
+    hsum: Vec<u16>,
+    ring: RowRing,
+    vsum: Vec<u16>,
+    /// The next row whose horizontal pass has not run yet.
+    next: usize,
+}
+
+impl BoxRows {
+    fn new(width: usize, height: usize, radius: usize) -> Self {
+        assert!(
+            radius <= MAX_BLUR_RADIUS,
+            "box radius {radius} exceeds MAX_BLUR_RADIUS ({MAX_BLUR_RADIUS})"
+        );
+        let stride = 3 * width;
+        let slots = (2 * radius + 2).min(height);
+        BoxRows {
+            radius,
+            recip: Reciprocal::new(2 * radius as u16 + 1),
+            stride,
+            last: height - 1,
+            padded: vec![0; stride + 6 * radius],
+            hsum: vec![0; stride],
+            ring: RowRing {
+                rows: vec![0; slots * stride],
+                stride,
+                slots,
+            },
+            vsum: vec![0; stride],
+            next: 0,
+        }
+    }
+
+    /// Horizontally blurs row `self.next` of `img` into its ring slot.
+    fn push_row(&mut self, img: &[u8]) {
+        let (stride, edge) = (self.stride, 3 * self.radius);
+        let src = &img[self.next * stride..(self.next + 1) * stride];
+        let (left, rest) = self.padded.split_at_mut(edge);
+        let (body, right) = rest.split_at_mut(stride);
+        body.copy_from_slice(src);
+        for px in left.chunks_exact_mut(3) {
+            px.copy_from_slice(&src[..3]);
+        }
+        for px in right.chunks_exact_mut(3) {
+            px.copy_from_slice(&src[stride - 3..]);
+        }
+        for (s, &b) in self.hsum.iter_mut().zip(&self.padded) {
+            *s = u16::from(b);
+        }
+        for tap in 1..=2 * self.radius {
+            for (s, &b) in self.hsum.iter_mut().zip(&self.padded[3 * tap..]) {
+                *s += u16::from(b);
+            }
+        }
+        let recip = self.recip;
+        for (d, &s) in self.ring.row_mut(self.next).iter_mut().zip(&self.hsum) {
+            *d = recip.round_div(s);
+        }
+        self.next += 1;
+    }
+
+    /// Positions the window on output row 0 of `img`.
+    fn start(&mut self, img: &[u8]) {
+        self.next = 0;
+        while self.next <= self.radius.min(self.last) {
+            self.push_row(img);
+        }
+        for (v, &b) in self.vsum.iter_mut().zip(self.ring.row(0)) {
+            *v = u16::from(b);
+        }
+        for d in 1..=2 * self.radius {
+            let row = self.ring.row(d.saturating_sub(self.radius).min(self.last));
+            for (v, &b) in self.vsum.iter_mut().zip(row) {
+                *v += u16::from(b);
+            }
+        }
+    }
+
+    /// Slides the window from output row `y` to `y + 1` (`y < last`). Row
+    /// `y + 1 + radius` of `img` is read for the first time here, so rows
+    /// above it may already have been overwritten.
+    fn slide(&mut self, y: usize, img: &[u8]) {
+        let add = (y + 1 + self.radius).min(self.last);
+        if add == self.next {
+            self.push_row(img);
+        }
+        let sub = y.saturating_sub(self.radius);
+        for ((v, &a), &s) in self
+            .vsum
+            .iter_mut()
+            .zip(self.ring.row(add))
+            .zip(self.ring.row(sub))
+        {
+            *v = *v + u16::from(a) - u16::from(s);
+        }
+    }
+}
+
+/// Horizontally blurred rows, row `y` in slot `y mod slots`.
+struct RowRing {
+    rows: Vec<u8>,
+    stride: usize,
+    slots: usize,
+}
+
+impl RowRing {
+    fn row(&self, y: usize) -> &[u8] {
+        let slot = y % self.slots;
+        &self.rows[slot * self.stride..(slot + 1) * self.stride]
+    }
+
+    fn row_mut(&mut self, y: usize) -> &mut [u8] {
+        let slot = y % self.slots;
+        &mut self.rows[slot * self.stride..(slot + 1) * self.stride]
+    }
+}
+
+/// Writes `pixels` into `bytes` as interleaved `r, g, b` byte lanes.
+fn pack(bytes: &mut [u8], pixels: &[Rgb]) {
+    for (b, p) in bytes.chunks_exact_mut(3).zip(pixels) {
+        b.copy_from_slice(&[p.r, p.g, p.b]);
+    }
+}
+
+/// The inverse of [`pack`].
+fn unpack(pixels: &mut [Rgb], bytes: &[u8]) {
+    for (p, b) in pixels.iter_mut().zip(bytes.chunks_exact(3)) {
+        *p = Rgb::new(b[0], b[1], b[2]);
+    }
 }
 
 /// Round-to-nearest integer division for channel means. Truncating here
 /// (`(sum / n) as u8`) darkens every averaged pixel by up to 1 LSB — a
 /// systematic bias that leaks into the BBM detection thresholds. Public so
 /// every channel-averaging site in the workspace (blur kernels, pyramid
-/// levels, the matting estimator's region means) shares one rounding rule.
+/// levels, the matting estimator's region means) shares one rounding rule;
+/// the box kernels apply it through [`Reciprocal`].
 #[inline]
 pub fn round_div(sum: u32, n: u32) -> u8 {
     ((sum + n / 2) / n) as u8
@@ -109,36 +320,6 @@ pub fn round_div(sum: u32, n: u32) -> u8 {
 #[inline]
 pub fn round_div_u64(sum: u64, n: u64) -> u8 {
     ((sum + n / 2) / n) as u8
-}
-
-/// Van Cittert deconvolution against [`box_blur`]: starting from the blurred
-/// observation `y`, iterate `x ← clamp(x + y − blur(x))`. Each step adds back
-/// the residual the current estimate fails to explain, sharpening edges that
-/// a `(2·radius+1)`-box kernel smeared. All arithmetic is integer (`i32`
-/// channel math clamped to `0..=255`), so the result is bit-deterministic —
-/// the blur-residue reconstruction mode accumulates these frames as
-/// evidence.
-///
-/// `radius = 0` or `iterations = 0` returns a copy (nothing to invert).
-pub fn deblur_box(frame: &Frame, radius: usize, iterations: usize) -> Frame {
-    if radius == 0 || iterations == 0 {
-        return frame.clone();
-    }
-    let step = |acc: u8, observed: u8, reblurred: u8| -> u8 {
-        (acc as i32 + observed as i32 - reblurred as i32).clamp(0, 255) as u8
-    };
-    let mut estimate = frame.clone();
-    for _ in 0..iterations {
-        let reblurred = box_blur(&estimate, radius);
-        let observed = frame.pixels();
-        let re = reblurred.pixels();
-        for (i, p) in estimate.pixels_mut().iter_mut().enumerate() {
-            p.r = step(p.r, observed[i].r, re[i].r);
-            p.g = step(p.g, observed[i].g, re[i].g);
-            p.b = step(p.b, observed[i].b, re[i].b);
-        }
-    }
-    estimate
 }
 
 /// Builds a normalised 1-D Gaussian kernel with the given `sigma`, truncated

@@ -6,9 +6,14 @@
 //! formulation the kernel replaced. Dimensions are drawn around the 64-bit
 //! word boundaries (sub-word, exact multiples, partial last words) and radii
 //! span `0..=7`, the regimes where window clamping and tail-bit handling can
-//! go wrong.
+//! go wrong. The box kernels are also checked at `MAX_BLUR_RADIUS`, the
+//! widest window their `u16` lanes hold, and their division-free rounding
+//! is checked exhaustively against [`round_div`].
 
-use bb_imaging::filter::{box_blur, gaussian_blur, gaussian_kernel, motion_blur, round_div};
+use bb_imaging::filter::{
+    box_blur, deblur_box, gaussian_blur, gaussian_kernel, motion_blur, round_div, Reciprocal,
+    MAX_BLUR_RADIUS,
+};
 use bb_imaging::morph::dilate;
 use bb_imaging::{Frame, Mask, Rgb};
 
@@ -79,17 +84,89 @@ fn naive_box_pass(frame: &Frame, radius: usize, horizontal: bool) -> Frame {
     })
 }
 
+/// Box radii under test: every small window and the widest one the `u16`
+/// lanes allow.
+const BOX_RADII: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, MAX_BLUR_RADIUS];
+
+/// Frame sizes for a box of radius `r`: the word-boundary sizes, heights
+/// around 64, and widths and heights straddling the window span `2r` and
+/// `2r+1`, where edge clamping stops covering the whole row or column.
+fn box_dims(radius: usize) -> Vec<(usize, usize)> {
+    let mut dims = DIMS.to_vec();
+    dims.extend([(3, 63), (2, 64), (3, 65)]);
+    for span in [2 * radius, 2 * radius + 1, 2 * radius + 2] {
+        if span > 0 {
+            dims.extend([(span, 3), (2, span)]);
+        }
+    }
+    dims
+}
+
 #[test]
 fn box_blur_matches_naive_taps() {
     let mut rng = Rng(0x1357_9bdf_2468_ace1);
-    for &(w, h) in DIMS {
-        let frame = rng.frame(w, h);
-        for radius in 0..=7 {
+    for radius in [0].into_iter().chain(BOX_RADII) {
+        for (w, h) in box_dims(radius) {
+            let frame = rng.frame(w, h);
             let expect = naive_box_pass(&naive_box_pass(&frame, radius, true), radius, false);
             assert_eq!(
                 box_blur(&frame, radius),
                 expect,
                 "box_blur diverged at {w}x{h} radius {radius}"
+            );
+        }
+    }
+}
+
+/// One naive Van Cittert step: reblur the whole estimate with the naive box
+/// taps, then `x ← clamp(x + y − blur(x))` pixel by pixel.
+fn naive_van_cittert_step(estimate: &Frame, observed: &Frame, radius: usize) -> Frame {
+    let step =
+        |x: u8, y: u8, b: u8| (i32::from(x) + i32::from(y) - i32::from(b)).clamp(0, 255) as u8;
+    let reblurred = naive_box_pass(&naive_box_pass(estimate, radius, true), radius, false);
+    let (w, h) = estimate.dims();
+    Frame::from_fn(w, h, |x, y| {
+        let (e, o, b) = (estimate.get(x, y), observed.get(x, y), reblurred.get(x, y));
+        Rgb::new(
+            step(e.r, o.r, b.r),
+            step(e.g, o.g, b.g),
+            step(e.b, o.b, b.b),
+        )
+    })
+}
+
+#[test]
+fn deblur_box_matches_naive_van_cittert() {
+    let mut rng = Rng(0x7531_fdb9_8642_eca0);
+    for radius in BOX_RADII {
+        for (w, h) in box_dims(radius) {
+            // A blurred observation (the kernel's real input) and raw noise
+            // (which drives the clamp at both ends).
+            let noise = rng.frame(w, h);
+            for observed in [box_blur(&noise, radius), noise] {
+                let mut expect = observed.clone();
+                for iterations in 0..=4 {
+                    assert_eq!(
+                        deblur_box(&observed, radius, iterations),
+                        expect,
+                        "deblur_box diverged at {w}x{h} radius {radius} iterations {iterations}"
+                    );
+                    expect = naive_van_cittert_step(&expect, &observed, radius);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn reciprocal_equals_round_div_for_every_window_sum() {
+    for n in 1..=2 * MAX_BLUR_RADIUS as u16 + 1 {
+        let recip = Reciprocal::new(n);
+        for sum in 0..=255 * n {
+            assert_eq!(
+                recip.round_div(sum),
+                round_div(u32::from(sum), u32::from(n)),
+                "reciprocal of {n} diverged at sum {sum}"
             );
         }
     }

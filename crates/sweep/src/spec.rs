@@ -11,6 +11,7 @@
 //! formatting — the same writer the bench reports diff with).
 
 use bb_callsim::{BackgroundId, ProfilePreset};
+use bb_imaging::filter::MAX_BLUR_RADIUS;
 use bb_synth::{Action, Lighting, Speed};
 use bb_telemetry::json::{self, Json};
 use std::collections::BTreeMap;
@@ -50,8 +51,10 @@ impl FromStr for VbSpec {
             let radius: usize = radius
                 .parse()
                 .map_err(|_| format!("bad blur radius in {s:?}"))?;
-            if radius == 0 {
-                return Err("blur radius must be at least 1".to_string());
+            if !(1..=MAX_BLUR_RADIUS).contains(&radius) {
+                return Err(format!(
+                    "blur radius must be in 1..={MAX_BLUR_RADIUS}, got {radius}"
+                ));
             }
             return Ok(VbSpec::Blur(radius));
         }
@@ -584,6 +587,12 @@ mod tests {
         assert_eq!(VbSpec::from_str("blur:3").unwrap(), VbSpec::Blur(3));
         assert_eq!(VbSpec::Blur(3).to_string(), "blur:3");
         assert!(VbSpec::from_str("blur:0").is_err());
+        assert_eq!(
+            VbSpec::from_str("blur:127").unwrap(),
+            VbSpec::Blur(MAX_BLUR_RADIUS)
+        );
+        assert!(VbSpec::from_str("blur:128").is_err());
+        assert!(VbSpec::from_str("blur:18446744073709551615").is_err());
         assert!(VbSpec::from_str("blur:x").is_err());
         assert!(VbSpec::from_str("matrix").is_err());
     }

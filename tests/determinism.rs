@@ -12,8 +12,8 @@
 //!   actually did, round-trips through JSON, and stays completely empty when
 //!   disabled.
 
-use bb_callsim::{background, BackgroundId, CallSim, ProfilePreset, SoftwareProfile};
-use bb_core::pipeline::{Reconstruction, Reconstructor, ReconstructorConfig, VbSource};
+use bb_callsim::{background, BackgroundId, CallSim, ProfilePreset, SoftwareProfile, VbMode};
+use bb_core::pipeline::{ReconMode, Reconstruction, Reconstructor, ReconstructorConfig, VbSource};
 use bb_core::CollectMode;
 use bb_imaging::{Frame, Mask};
 use bb_synth::{Action, Lighting, Room, Scenario};
@@ -28,6 +28,11 @@ const FRAMES: usize = 30;
 
 /// The shared seeded scenario: one composited call, deterministic in `SEED`.
 fn seeded_call() -> VideoStream {
+    seeded_call_behind(BackgroundId::Beach.realize(W, H).into())
+}
+
+/// The seeded scenario composited behind an arbitrary VB.
+fn seeded_call_behind(vb: VbMode) -> VideoStream {
     let room = Room::sample(SEED, W, H, 4, &mut StdRng::seed_from_u64(SEED));
     let gt = Scenario {
         action: Action::ArmWaving,
@@ -40,7 +45,7 @@ fn seeded_call() -> VideoStream {
     .render()
     .expect("scenario renders");
     CallSim::new(&gt)
-        .vb(BackgroundId::Beach.realize(W, H))
+        .vb(vb)
         .profile(SoftwareProfile::preset(ProfilePreset::ZoomLike))
         .lighting(Lighting::On)
         .seed(SEED)
@@ -450,4 +455,76 @@ fn disabled_telemetry_stays_empty_through_a_real_run() {
     let telemetry = Telemetry::disabled();
     let _ = reconstruct(&video, 4, CollectMode::WorkerLocal, &telemetry);
     assert_eq!(telemetry.report(), RunReport::default());
+}
+
+/// The blur VB's box radius, composited and inverted alike.
+const BLUR_RADIUS: usize = 2;
+
+/// Pinned output hash of the blur-residue path: the seeded scenario behind
+/// a `VbMode::Blur` compositor, reconstructed by Van Cittert deblurring
+/// against the same radius. The warmup is short enough that both the lock
+/// and the post-lock streamed block deblur frames. Pinned before the fused
+/// deblur kernel landed; that rewrite is hash-neutral by construction.
+const BLUR_GOLDEN_HASH: u64 = 0xcd1d_0e59_89ec_f3c7;
+
+fn blur_reconstructor(parallelism: usize) -> Reconstructor {
+    Reconstructor::new(
+        VbSource::UnknownImage,
+        ReconstructorConfig {
+            phi: 3,
+            parallelism,
+            warmup_frames: 12,
+            mode: ReconMode::BlurResidue {
+                radius: BLUR_RADIUS,
+            },
+            ..Default::default()
+        },
+    )
+}
+
+fn assert_blur_golden(recon: &Reconstruction, what: &str) {
+    let hash = fnv1a_of(recon);
+    assert_eq!(
+        hash, BLUR_GOLDEN_HASH,
+        "{what}: blur-residue output drifted: got {hash:#018x}, pinned {BLUR_GOLDEN_HASH:#018x}"
+    );
+}
+
+#[test]
+fn blur_residue_golden_hash_holds_across_parallelism_streaming_and_resume() {
+    let video = seeded_call_behind(VbMode::Blur {
+        radius: BLUR_RADIUS,
+    });
+    for parallelism in [1usize, 8] {
+        let reconstructor = blur_reconstructor(parallelism);
+        let batch = reconstructor.reconstruct(&video).expect("reconstruct");
+        assert!(
+            batch.recovered.count_set() > 0,
+            "blur residue recovered nothing"
+        );
+        assert_blur_golden(&batch, &format!("batch at parallelism {parallelism}"));
+
+        let mut session = reconstructor.session();
+        for frame in video.iter() {
+            session.push_frame(frame).expect("push");
+        }
+        let streamed = session.finalize().expect("finalize");
+        assert_blur_golden(
+            &streamed,
+            &format!("streaming at parallelism {parallelism}"),
+        );
+    }
+    // Checkpoint during warmup (6 < 12) and after the lock (20 > 12).
+    let reconstructor = blur_reconstructor(8);
+    for cut in [6usize, 20] {
+        let mut session = reconstructor.session();
+        session.push_frames(&video.frames()[..cut]).expect("push");
+        let bytes = session.checkpoint();
+        let mut resumed = reconstructor.resume_session(&bytes).expect("resume");
+        resumed
+            .push_frames(&video.frames()[cut..])
+            .expect("push rest");
+        let recon = resumed.finalize().expect("finalize");
+        assert_blur_golden(&recon, &format!("checkpoint cut at {cut}"));
+    }
 }
