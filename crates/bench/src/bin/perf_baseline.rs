@@ -1,13 +1,12 @@
 //! Deterministic performance baseline for the reconstruction pipeline.
 //!
-//! Renders a seeded synthetic call, composites it, and reconstructs it once
-//! per [`CollectMode`] (the legacy mutex collector vs the lock-free
-//! worker-local collector), emitting `BENCH_pipeline.json`:
+//! Renders a seeded synthetic call, composites it, and reconstructs it,
+//! emitting `BENCH_pipeline.json`:
 //!
-//! * wall time and throughput (frames/sec, Mpix/sec) per mode,
+//! * wall time and throughput (frames/sec, Mpix/sec) under
+//!   `modes.worker_local`,
 //! * the telemetry per-stage breakdown (`reconstruct/pass1`, …),
-//! * reconstruction quality (RBRR) — identical across modes by construction,
-//! * the locked→worker-local speedup,
+//! * reconstruction quality (RBRR),
 //! * the telemetry hot-path overhead (`telemetry_overhead`): the same
 //!   reconstruction with observability fully off vs sink + journal on,
 //!   against a 5% budget,
@@ -28,13 +27,11 @@
 
 use bb_callsim::{background, BackgroundId, CallSim, ProfilePreset, SoftwareProfile};
 use bb_core::pipeline::{MaskRetention, Reconstructor, ReconstructorConfig, VbSource};
-use bb_core::CollectMode;
-use bb_imaging::Mask;
 use bb_synth::{Action, GroundTruth, Lighting, Room, Scenario};
 use bb_telemetry::json::{self, Json};
 use bb_telemetry::{Journal, MetricsHub, Telemetry};
 use bb_video::VideoStream;
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, SeedableRng};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
@@ -70,7 +67,7 @@ fn render_call(w: &Workload) -> (GroundTruth, VideoStream) {
     (gt, call.video)
 }
 
-struct ModeResult {
+struct ReconResult {
     wall_secs: f64,
     frames_per_sec: f64,
     mpix_per_sec: f64,
@@ -78,12 +75,11 @@ struct ModeResult {
     report: bb_telemetry::RunReport,
 }
 
-fn run_mode(video: &VideoStream, mode: CollectMode) -> ModeResult {
+fn run_reconstruction(video: &VideoStream) -> ReconResult {
     let (w, h) = video.dims();
     let config = ReconstructorConfig {
         phi: (h / 24).max(2),
         parallelism: PARALLELISM,
-        collect_mode: mode,
         ..Default::default()
     };
     let telemetry = Telemetry::enabled();
@@ -96,7 +92,7 @@ fn run_mode(video: &VideoStream, mode: CollectMode) -> ModeResult {
     let reconstruction = reconstructor.reconstruct(video).expect("reconstruction");
     let wall_secs = started.elapsed().as_secs_f64();
     let frames = video.len() as f64;
-    ModeResult {
+    ReconResult {
         wall_secs,
         frames_per_sec: frames / wall_secs,
         mpix_per_sec: frames * (w * h) as f64 / 1e6 / wall_secs,
@@ -105,12 +101,12 @@ fn run_mode(video: &VideoStream, mode: CollectMode) -> ModeResult {
     }
 }
 
-/// Serializes one mode's result. `workload_mpix` is the total pixel volume
+/// Serializes the reconstruction result. `workload_mpix` is the total pixel volume
 /// of the call (frames × width × height, in megapixels); each stage gets a
 /// `mpix_per_sec` = workload volume over the stage's total time — the
 /// per-stage analogue of the end-to-end throughput, so a regression in any
 /// single stage is visible in the same unit the 5x acceptance bar uses.
-fn mode_json(r: &ModeResult, workload_mpix: f64) -> Json {
+fn recon_json(r: &ReconResult, workload_mpix: f64) -> Json {
     let mut stages = BTreeMap::new();
     for (name, s) in &r.report.stages {
         let mut stage = BTreeMap::new();
@@ -139,154 +135,6 @@ fn mode_json(r: &ModeResult, workload_mpix: f64) -> Json {
     obj.insert("stages".into(), Json::Object(stages));
     obj.insert("counters".into(), Json::Object(counters));
     Json::Object(obj)
-}
-
-/// The pre-bit-packing mask shape: one `bool` per pixel, row-major. Kept
-/// here (not in `bb-imaging`) purely as the microbenchmark's "before" side.
-struct BoolMask {
-    width: usize,
-    bits: Vec<bool>,
-}
-
-impl BoolMask {
-    fn seeded(width: usize, height: usize, density: f64, rng: &mut StdRng) -> BoolMask {
-        BoolMask {
-            width,
-            bits: (0..width * height).map(|_| rng.gen_bool(density)).collect(),
-        }
-    }
-
-    fn union(&self, other: &BoolMask) -> BoolMask {
-        BoolMask {
-            width: self.width,
-            bits: self
-                .bits
-                .iter()
-                .zip(&other.bits)
-                .map(|(&a, &b)| a | b)
-                .collect(),
-        }
-    }
-
-    fn intersect(&self, other: &BoolMask) -> BoolMask {
-        BoolMask {
-            width: self.width,
-            bits: self
-                .bits
-                .iter()
-                .zip(&other.bits)
-                .map(|(&a, &b)| a & b)
-                .collect(),
-        }
-    }
-
-    fn count_set(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
-    }
-
-    fn iter_set_sum(&self) -> usize {
-        self.bits
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| (i % self.width) + (i / self.width))
-            .sum()
-    }
-
-    fn to_packed(&self) -> Mask {
-        Mask::from_fn(self.width, self.bits.len() / self.width, |x, y| {
-            self.bits[y * self.width + x]
-        })
-    }
-}
-
-/// Times `op` over `reps` iterations and returns mean nanoseconds per call.
-fn time_ns(reps: usize, mut op: impl FnMut()) -> f64 {
-    // One warm-up call keeps first-touch page faults out of the numbers.
-    op();
-    let started = Instant::now();
-    for _ in 0..reps {
-        op();
-    }
-    started.elapsed().as_nanos() as f64 / reps as f64
-}
-
-/// Benchmarks the bit-packed mask ops against the historical `Vec<bool>`
-/// shape on seeded full-HD masks (the resolution class of a real call),
-/// returning the per-op JSON section.
-fn mask_ops_bench() -> Json {
-    const W: usize = 1920;
-    const H: usize = 1080;
-    let mut rng = StdRng::seed_from_u64(SEED);
-    // Dense operands for the algebra/count ops, a sparse one for iter_set
-    // (the word-skipping path the residue scan actually exercises).
-    let na = BoolMask::seeded(W, H, 0.5, &mut rng);
-    let nb = BoolMask::seeded(W, H, 0.5, &mut rng);
-    let ns = BoolMask::seeded(W, H, 0.03, &mut rng);
-    let (pa, pb, ps) = (na.to_packed(), nb.to_packed(), ns.to_packed());
-    assert_eq!(
-        na.count_set(),
-        pa.count_set(),
-        "packed mask must match naive"
-    );
-
-    let reps = 100;
-    let ops: [(&str, f64, f64); 4] = [
-        (
-            "union",
-            time_ns(reps, || {
-                black_box(black_box(&na).union(black_box(&nb)));
-            }),
-            time_ns(reps, || {
-                black_box(black_box(&pa).union(black_box(&pb)).unwrap());
-            }),
-        ),
-        (
-            "intersect",
-            time_ns(reps, || {
-                black_box(black_box(&na).intersect(black_box(&nb)));
-            }),
-            time_ns(reps, || {
-                black_box(black_box(&pa).intersect(black_box(&pb)).unwrap());
-            }),
-        ),
-        (
-            "count_set",
-            time_ns(reps, || {
-                black_box(black_box(&na).count_set());
-            }),
-            time_ns(reps, || {
-                black_box(black_box(&pa).count_set());
-            }),
-        ),
-        (
-            "iter_set_sparse",
-            time_ns(reps, || {
-                black_box(black_box(&ns).iter_set_sum());
-            }),
-            time_ns(reps, || {
-                let sum: usize = black_box(&ps).iter_set().map(|(x, y)| x + y).sum();
-                black_box(sum);
-            }),
-        ),
-    ];
-
-    let mut section = BTreeMap::new();
-    let mut shape = BTreeMap::new();
-    shape.insert("width".into(), Json::Number(W as f64));
-    shape.insert("height".into(), Json::Number(H as f64));
-    shape.insert("reps".into(), Json::Number(reps as f64));
-    section.insert("workload".into(), Json::Object(shape));
-    for (name, naive_ns, packed_ns) in ops {
-        let speedup = naive_ns / packed_ns;
-        eprintln!("  mask {name}: {naive_ns:.0}ns naive → {packed_ns:.0}ns packed ({speedup:.1}x)");
-        let mut op = BTreeMap::new();
-        op.insert("naive_ns".into(), Json::Number(naive_ns));
-        op.insert("packed_ns".into(), Json::Number(packed_ns));
-        op.insert("speedup".into(), Json::Number(speedup));
-        section.insert(name.into(), Json::Object(op));
-    }
-    Json::Object(section)
 }
 
 /// Measures the observability hot-path cost: the same reconstruction, once
@@ -776,32 +624,6 @@ fn blur_recon_bench(gt: &GroundTruth, quick: bool) -> Json {
     Json::Object(section)
 }
 
-/// Pulls `modes.worker_local.wall_secs` out of a previously written baseline
-/// at `path`, provided its scenario matches the current one (same schema,
-/// same quick flag) — otherwise the comparison would be meaningless.
-fn previous_wall_secs(path: &str, quick: bool) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let root = json::parse(&text).ok()?;
-    let obj = root.as_object("baseline root").ok()?;
-    if obj.get("schema")?.as_string("schema").ok()? != "bb-bench/pipeline-baseline/v1" {
-        return None;
-    }
-    let scenario = obj.get("scenario")?.as_object("scenario").ok()?;
-    match scenario.get("quick")? {
-        Json::Bool(prev_quick) if *prev_quick == quick => {}
-        _ => return None,
-    }
-    obj.get("modes")?
-        .as_object("modes")
-        .ok()?
-        .get("worker_local")?
-        .as_object("worker_local")
-        .ok()?
-        .get("wall_secs")?
-        .as_f64("wall_secs")
-        .ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -830,21 +652,11 @@ fn main() {
     );
     let (gt, video) = render_call(&workload);
 
-    eprintln!("reconstructing with CollectMode::LockedVec (before)…");
-    let locked = run_mode(&video, CollectMode::LockedVec);
+    eprintln!("reconstructing…");
+    let recon = run_reconstruction(&video);
     eprintln!(
         "  {:.2}s wall, {:.1} frames/s, RBRR {:.2}%",
-        locked.wall_secs, locked.frames_per_sec, locked.rbrr_percent
-    );
-    eprintln!("reconstructing with CollectMode::WorkerLocal (after)…");
-    let worker_local = run_mode(&video, CollectMode::WorkerLocal);
-    eprintln!(
-        "  {:.2}s wall, {:.1} frames/s, RBRR {:.2}%",
-        worker_local.wall_secs, worker_local.frames_per_sec, worker_local.rbrr_percent
-    );
-    assert_eq!(
-        locked.rbrr_percent, worker_local.rbrr_percent,
-        "collect modes must not change the reconstruction"
+        recon.wall_secs, recon.frames_per_sec, recon.rbrr_percent
     );
 
     let mut scenario = BTreeMap::new();
@@ -856,15 +668,9 @@ fn main() {
     scenario.insert("quick".into(), Json::Bool(quick));
 
     let workload_mpix = (workload.frames * workload.width * workload.height) as f64 / 1e6;
+    // `bbuster report --diff` reads the stage totals at `modes.worker_local`.
     let mut modes = BTreeMap::new();
-    modes.insert("locked_vec".into(), mode_json(&locked, workload_mpix));
-    modes.insert(
-        "worker_local".into(),
-        mode_json(&worker_local, workload_mpix),
-    );
-
-    eprintln!("benchmarking mask ops (packed vs naive Vec<bool>)…");
-    let mask_ops = mask_ops_bench();
+    modes.insert("worker_local".into(), recon_json(&recon, workload_mpix));
 
     eprintln!("benchmarking telemetry overhead (off vs sink+journal)…");
     let telemetry_overhead = telemetry_overhead_bench(&video);
@@ -891,39 +697,13 @@ fn main() {
     );
     root.insert("scenario".into(), Json::Object(scenario));
     root.insert("modes".into(), Json::Object(modes));
-    root.insert("mask_ops".into(), mask_ops);
     root.insert("telemetry_overhead".into(), telemetry_overhead);
     root.insert("metrics_plane".into(), metrics_plane);
     root.insert("streaming".into(), streaming);
     root.insert("ingest".into(), ingest);
     root.insert("serve".into(), serve);
     root.insert("blur".into(), blur);
-    root.insert(
-        "speedup_worker_local_vs_locked".into(),
-        Json::Number(locked.wall_secs / worker_local.wall_secs),
-    );
-    // End-to-end comparison against the baseline committed by the previous
-    // run (read before we overwrite it below).
-    match previous_wall_secs(&out, quick) {
-        Some(prev) => {
-            let speedup = prev / worker_local.wall_secs;
-            eprintln!(
-                "end-to-end vs previous baseline: {prev:.2}s → {:.2}s ({speedup:.2}x)",
-                worker_local.wall_secs
-            );
-            root.insert("previous_wall_secs".into(), Json::Number(prev));
-            root.insert("speedup_vs_previous".into(), Json::Number(speedup));
-        }
-        None => {
-            eprintln!("no comparable previous baseline at {out}; skipping comparison");
-            root.insert("speedup_vs_previous".into(), Json::Null);
-        }
-    }
-
     let text = json::to_pretty_string(&Json::Object(root));
     std::fs::write(&out, format!("{text}\n")).expect("write baseline");
-    eprintln!(
-        "wrote {out} (speedup worker-local vs locked: {:.2}x)",
-        locked.wall_secs / worker_local.wall_secs
-    );
+    eprintln!("wrote {out}");
 }

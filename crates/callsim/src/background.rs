@@ -157,7 +157,7 @@ impl BackgroundId {
     /// videos").
     pub const VIDEOS: [BackgroundId; 2] = [BackgroundId::DriftingClouds, BackgroundId::LavaLamp];
 
-    /// Stable lowercase identifier (round-trips through [`FromStr`]).
+    /// Stable lowercase identifier (round-trips through [`FromStr`](std::str::FromStr)).
     pub fn name(self) -> &'static str {
         match self {
             BackgroundId::Beach => "beach",
@@ -238,48 +238,7 @@ pub fn catalog_videos(w: usize, h: usize) -> Vec<VideoStream> {
 /// The built-in gallery names, in gallery order.
 pub const GALLERY_NAMES: [&str; 3] = ["beach", "office", "space"];
 
-/// The three built-in virtual images.
-#[deprecated(note = "use `catalog_images` (or `BackgroundId::IMAGES`)")]
-pub fn builtin_images(w: usize, h: usize) -> Vec<Frame> {
-    catalog_images(w, h)
-}
-
-/// The two built-in virtual videos.
-#[deprecated(note = "use `catalog_videos` (or `BackgroundId::VIDEOS`)")]
-pub fn builtin_videos(w: usize, h: usize) -> Vec<VideoStream> {
-    catalog_videos(w, h)
-}
-
 /// A sunny beach: sky gradient, sea band, sand, sun.
-#[deprecated(note = "use `BackgroundId::Beach.realize(w, h)`")]
-pub fn beach(w: usize, h: usize) -> Frame {
-    draw_beach(w, h)
-}
-
-/// A tidy office: wall, desk line, shelf block, window.
-#[deprecated(note = "use `BackgroundId::Office.realize(w, h)`")]
-pub fn office(w: usize, h: usize) -> Frame {
-    draw_office(w, h)
-}
-
-/// Deep space: dark gradient plus a deterministic star field and a planet.
-#[deprecated(note = "use `BackgroundId::Space.realize(w, h)`")]
-pub fn space(w: usize, h: usize) -> Frame {
-    draw_space(w, h)
-}
-
-/// A looping virtual video: clouds drifting across a sky, period = `frames`.
-#[deprecated(note = "use `BackgroundId::DriftingClouds.realize(w, h)`")]
-pub fn drifting_clouds(w: usize, h: usize, frames: usize) -> VideoStream {
-    draw_drifting_clouds(w, h, frames)
-}
-
-/// A looping "lava lamp": two blobs orbiting with period = `frames`.
-#[deprecated(note = "use `BackgroundId::LavaLamp.realize(w, h)`")]
-pub fn lava_lamp(w: usize, h: usize, frames: usize) -> VideoStream {
-    draw_lava_lamp(w, h, frames)
-}
-
 fn draw_beach(w: usize, h: usize) -> Frame {
     let mut f = Frame::new(w, h);
     draw::vertical_gradient(&mut f, Rgb::new(118, 183, 236), Rgb::new(188, 224, 245));
@@ -303,6 +262,7 @@ fn draw_beach(w: usize, h: usize) -> Frame {
     f
 }
 
+/// A tidy office: wall, desk line, shelf block, window.
 fn draw_office(w: usize, h: usize) -> Frame {
     let mut f = Frame::new(w, h);
     draw::vertical_gradient(&mut f, Rgb::new(214, 210, 200), Rgb::new(180, 176, 168));
@@ -344,6 +304,7 @@ fn draw_office(w: usize, h: usize) -> Frame {
     f
 }
 
+/// Deep space: dark gradient plus a deterministic star field and a planet.
 fn draw_space(w: usize, h: usize) -> Frame {
     let mut f = Frame::new(w, h);
     draw::vertical_gradient(&mut f, Rgb::new(8, 10, 28), Rgb::new(20, 14, 44));
@@ -364,6 +325,7 @@ fn draw_space(w: usize, h: usize) -> Frame {
     f
 }
 
+/// A looping virtual video: clouds drifting across a sky, period = `frames`.
 fn draw_drifting_clouds(w: usize, h: usize, frames: usize) -> VideoStream {
     assert!(frames >= 2, "a looping video needs at least 2 frames");
     VideoStream::generate(frames, 30.0, |i| {
@@ -389,6 +351,7 @@ fn draw_drifting_clouds(w: usize, h: usize, frames: usize) -> VideoStream {
     .expect("clouds video construction is infallible for frames >= 2")
 }
 
+/// A looping "lava lamp": two blobs orbiting with period = `frames`.
 fn draw_lava_lamp(w: usize, h: usize, frames: usize) -> VideoStream {
     assert!(frames >= 2, "a looping video needs at least 2 frames");
     VideoStream::generate(frames, 30.0, |i| {
@@ -528,13 +491,6 @@ mod tests {
             assert!(id.is_video());
             assert!(matches!(id.realize(16, 12), VirtualBackground::Video(_)));
         }
-    }
-
-    #[test]
-    fn deprecated_wrappers_match_the_catalog() {
-        #![allow(deprecated)]
-        assert_eq!(builtin_images(32, 24), catalog_images(32, 24));
-        assert_eq!(beach(32, 24), catalog_images(32, 24)[0]);
     }
 
     #[test]

@@ -45,8 +45,6 @@ pub use blend::BlendMode;
 pub use matting::MattingParams;
 pub use mitigation::Mitigation;
 pub use profile::{ProfilePreset, SoftwareProfile};
-#[allow(deprecated)]
-pub use session::{run_session, run_session_traced};
 pub use session::{CallSim, CallTruth, CompositedCall, DEFAULT_BLUR_RADIUS};
 
 /// Errors from the call simulator.

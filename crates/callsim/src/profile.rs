@@ -61,7 +61,7 @@ impl ProfilePreset {
         ProfilePreset::Perfect,
     ];
 
-    /// Stable lowercase identifier (round-trips through [`FromStr`]).
+    /// Stable lowercase identifier (round-trips through [`FromStr`](std::str::FromStr)).
     pub fn name(self) -> &'static str {
         match self {
             ProfilePreset::ZoomLike => "zoom_like",
@@ -238,24 +238,6 @@ fn preset_perfect() -> SoftwareProfile {
     }
 }
 
-/// The Zoom-like profile.
-#[deprecated(note = "use `SoftwareProfile::preset(ProfilePreset::ZoomLike)`")]
-pub fn zoom_like() -> SoftwareProfile {
-    preset_zoom_like()
-}
-
-/// The Skype-like profile.
-#[deprecated(note = "use `SoftwareProfile::preset(ProfilePreset::SkypeLike)`")]
-pub fn skype_like() -> SoftwareProfile {
-    preset_skype_like()
-}
-
-/// A hypothetical perfect matting engine.
-#[deprecated(note = "use `SoftwareProfile::preset(ProfilePreset::Perfect)`")]
-pub fn perfect() -> SoftwareProfile {
-    preset_perfect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,14 +316,6 @@ mod tests {
         assert_eq!(p.initial_leak_frames, 0);
         assert_eq!(p.motion_lag_frames, 0);
         assert_eq!(p.color_confusion_prob, 0.0);
-    }
-
-    #[test]
-    fn deprecated_wrappers_match_the_presets() {
-        #![allow(deprecated)]
-        assert_eq!(zoom_like(), preset(ProfilePreset::ZoomLike));
-        assert_eq!(skype_like(), preset(ProfilePreset::SkypeLike));
-        assert_eq!(perfect(), preset(ProfilePreset::Perfect));
     }
 
     #[test]

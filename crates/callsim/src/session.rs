@@ -23,7 +23,7 @@
 //! # assert_eq!(call.len(), 4);
 //! ```
 
-use crate::background::{VbMode, VirtualBackground};
+use crate::background::VbMode;
 use crate::blend::{blend_band, composite};
 use crate::matting::{estimate_mask, MattingInput};
 use crate::mitigation::{adapt_virtual_background, deepfake_frame, Mitigation};
@@ -119,7 +119,7 @@ impl<'a> CallSim<'a> {
     }
 
     /// Sets the compositor mode (image, video, or blur). Accepts a
-    /// [`VirtualBackground`] directly.
+    /// [`VirtualBackground`](crate::VirtualBackground) directly.
     #[must_use]
     pub fn vb(mut self, vb: impl Into<VbMode>) -> Self {
         self.vb = vb.into();
@@ -323,86 +323,10 @@ impl<'a> CallSim<'a> {
     }
 }
 
-/// Runs a ground-truth capture through the virtual-background feature.
-///
-/// # Errors
-///
-/// Same contract as [`CallSim::run`].
-#[deprecated(note = "use `CallSim::new(gt).vb(…).profile(…).run()`")]
-pub fn run_session(
-    gt: &GroundTruth,
-    virtual_bg: &VirtualBackground,
-    profile: &SoftwareProfile,
-    mitigation: Mitigation,
-    lighting: Lighting,
-    seed: u64,
-) -> Result<CompositedCall, CallSimError> {
-    CallSim::new(gt)
-        .vb(VbMode::from(virtual_bg.clone()))
-        .profile(profile.clone())
-        .mitigation(mitigation)
-        .lighting(lighting)
-        .seed(seed)
-        .run()
-}
-
-/// [`run_session`] with instrumentation.
-///
-/// # Errors
-///
-/// Same contract as [`CallSim::run`].
-#[allow(clippy::too_many_arguments)]
-#[deprecated(note = "use `CallSim::new(gt).telemetry(t).…run()`")]
-pub fn run_session_traced(
-    gt: &GroundTruth,
-    virtual_bg: &VirtualBackground,
-    profile: &SoftwareProfile,
-    mitigation: Mitigation,
-    lighting: Lighting,
-    seed: u64,
-    telemetry: &Telemetry,
-) -> Result<CompositedCall, CallSimError> {
-    CallSim::new(gt)
-        .vb(VbMode::from(virtual_bg.clone()))
-        .profile(profile.clone())
-        .mitigation(mitigation)
-        .lighting(lighting)
-        .seed(seed)
-        .telemetry(telemetry)
-        .run()
-}
-
-/// [`run_session_traced`] with a live frame feed.
-///
-/// # Errors
-///
-/// Same contract as [`CallSim::run_streamed`].
-#[allow(clippy::too_many_arguments)]
-#[deprecated(note = "use `CallSim::new(gt).…run_streamed(sink)`")]
-pub fn run_session_streamed(
-    gt: &GroundTruth,
-    virtual_bg: &VirtualBackground,
-    profile: &SoftwareProfile,
-    mitigation: Mitigation,
-    lighting: Lighting,
-    seed: u64,
-    telemetry: &Telemetry,
-    sink: impl FnMut(usize, &Frame) -> Result<(), CallSimError>,
-) -> Result<CompositedCall, CallSimError> {
-    CallSim::new(gt)
-        .vb(VbMode::from(virtual_bg.clone()))
-        .profile(profile.clone())
-        .mitigation(mitigation)
-        .lighting(lighting)
-        .seed(seed)
-        .telemetry(telemetry)
-        .run_streamed(sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::background::BackgroundId;
+    use crate::background::{BackgroundId, VirtualBackground};
     use bb_imaging::filter;
     use bb_synth::{Action, Room, Scenario};
     use rand::{rngs::StdRng, SeedableRng};
@@ -424,31 +348,12 @@ mod tests {
         BackgroundId::Beach.realize(80, 60).into()
     }
 
-    fn zoom() -> SoftwareProfile {
-        SoftwareProfile::preset(ProfilePreset::ZoomLike)
-    }
-
     #[test]
     fn session_is_deterministic() {
         let gt = ground_truth(Action::ArmWaving, 15);
         let a = CallSim::new(&gt).vb(image_bg()).seed(5).run().unwrap();
         let b = CallSim::new(&gt).vb(image_bg()).seed(5).run().unwrap();
         assert_eq!(a.video, b.video);
-    }
-
-    #[test]
-    fn deprecated_wrappers_match_the_builder() {
-        #![allow(deprecated)]
-        let gt = ground_truth(Action::ArmWaving, 10);
-        let vb = BackgroundId::Beach.realize(80, 60);
-        let old = run_session(&gt, &vb, &zoom(), Mitigation::None, Lighting::On, 5).unwrap();
-        let new = CallSim::new(&gt)
-            .vb(vb)
-            .profile(zoom())
-            .seed(5)
-            .run()
-            .unwrap();
-        assert_eq!(old, new);
     }
 
     #[test]

@@ -337,9 +337,8 @@ fn load_baseline_stages(path: &str) -> Result<BTreeMap<String, u64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let value = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let root = value.as_object(path).map_err(|e| e.to_string())?;
-    // Bench-baseline detection comes first: `RunReport::from_json` ignores
-    // unknown keys, so it would happily read the bench file as an empty
-    // report.
+    // Bench-baseline detection comes first: the bench file carries no
+    // `version`, so `RunReport::from_json` would reject it.
     let Some(modes_value) = root.get("modes") else {
         let report = RunReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
         return Ok(report
@@ -348,12 +347,11 @@ fn load_baseline_stages(path: &str) -> Result<BTreeMap<String, u64>, String> {
             .map(|(k, v)| (k, v.total_ns))
             .collect());
     };
-    let modes = modes_value.as_object("modes").map_err(|e| e.to_string())?;
-    // Prefer the default collection mode's numbers; fall back to any mode.
-    let mode = modes
+    let mode = modes_value
+        .as_object("modes")
+        .map_err(|e| e.to_string())?
         .get("worker_local")
-        .or_else(|| modes.values().next())
-        .ok_or(format!("{path}: baseline has no modes"))?;
+        .ok_or(format!("{path}: baseline has no modes.worker_local"))?;
     let stages = mode
         .as_object("mode")
         .map_err(|e| e.to_string())?

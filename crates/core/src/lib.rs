@@ -60,7 +60,6 @@ pub use pipeline::{
 };
 pub use recon::ReconstructionCanvas;
 pub use session::{FrameOutcome, ReconstructionSession, SessionSnapshot};
-pub use workers::CollectMode;
 
 /// Errors produced by the reconstruction framework.
 #[derive(Debug, Clone, PartialEq)]

@@ -140,9 +140,8 @@ pub struct ReconstructorConfig {
     /// (1 keeps everything; higher values harden against the dynamic-VB
     /// mitigation's one-frame artifacts).
     pub min_observations: u32,
-    /// How parallel passes collect per-frame results; the default lock-free
-    /// mode is the one to use, [`CollectMode::LockedVec`] exists so
-    /// `perf_baseline` can keep measuring the difference.
+    /// How parallel passes collect per-frame results (one strategy; see
+    /// [`CollectMode`] for why the field remains).
     pub collect_mode: CollectMode,
     /// Frames a [`ReconstructionSession`] buffers before locking its
     /// VB reference, person segmenter and caller color model. Everything
@@ -235,13 +234,6 @@ impl ReconstructorConfigBuilder {
     #[must_use]
     pub fn min_observations(mut self, min: u32) -> Self {
         self.config.min_observations = min;
-        self
-    }
-
-    /// Result-collection strategy for parallel passes.
-    #[must_use]
-    pub fn collect_mode(mut self, mode: CollectMode) -> Self {
-        self.config.collect_mode = mode;
         self
     }
 

@@ -584,7 +584,6 @@ impl ReconstructionSession {
             telemetry.set_meta("width", w);
             telemetry.set_meta("height", h);
             telemetry.set_meta("parallelism", workers);
-            telemetry.set_meta("collect_mode", format!("{:?}", self.config.collect_mode));
         }
         let segmenter = {
             let _span = telemetry.time("reconstruct/segmenter_fit");
@@ -1058,9 +1057,10 @@ fn put_config(buf: &mut Vec<u8>, c: &ReconstructorConfig) {
     put_u64(buf, c.stability_threshold as u64);
     put_u64(buf, c.parallelism as u64);
     put_u32(buf, c.min_observations);
+    // The collect-mode byte predates the single collector; it stays so the
+    // checkpoint format does not change, and is always 0.
     buf.push(match c.collect_mode {
         CollectMode::WorkerLocal => 0,
-        CollectMode::LockedVec => 1,
     });
     put_u64(buf, c.warmup_frames as u64);
     buf.push(match c.mask_retention {
@@ -1147,7 +1147,6 @@ fn read_config(r: &mut Reader) -> Result<ReconstructorConfig, CoreError> {
         min_observations: r.u32()?,
         collect_mode: match r.u8()? {
             0 => CollectMode::WorkerLocal,
-            1 => CollectMode::LockedVec,
             t => return Err(corrupt(format!("unknown collect mode {t}"))),
         },
         warmup_frames: r.count()?,

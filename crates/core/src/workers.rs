@@ -1,36 +1,30 @@
 //! The pipeline's worker pool: runs a fallible per-frame job over every
 //! frame index and collects the results in frame order.
 //!
-//! Two result-collection strategies exist so the perf baseline can keep
-//! measuring the win:
-//!
-//! * [`CollectMode::WorkerLocal`] (default) — workers pull indices from an
-//!   atomic dispenser and append `(index, value)` pairs to a thread-local
-//!   vector; results merge into the ordered output after the join. The hot
-//!   loop takes **no lock**.
-//! * [`CollectMode::LockedVec`] — the seed implementation's shape: every
-//!   completed frame locks a shared `Mutex<Vec<Option<T>>>` to deposit its
-//!   result. Kept only as the `perf_baseline` before-case.
-//!
-//! Both strategies catch worker panics and surface them as
-//! [`CoreError::WorkerPanic`] instead of aborting the process, and both
-//! record per-worker job counts and busy time into a [`Telemetry`] handle
-//! under `workers/<stage>/…`.
+//! Workers pull indices from an atomic dispenser and append `(index, value)`
+//! pairs to a thread-local vector; results merge into the ordered output
+//! after the join, so the hot loop takes **no lock**. Worker panics are
+//! caught and surfaced as [`CoreError::WorkerPanic`] instead of aborting the
+//! process, and per-worker job counts and busy time are recorded into a
+//! [`Telemetry`] handle under `workers/<stage>/…`.
 
 use crate::CoreError;
 use bb_telemetry::Telemetry;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
-/// How [`run_stage`] collects per-frame results (see module docs).
+/// How [`run_stage`] collects per-frame results. There is one strategy,
+/// the lock-free worker-local collector.
+///
+/// The type survives only because the external benchmark crate
+/// (`benchmark/src/batch.rs`) passes `ReconstructorConfig::collect_mode` to
+/// [`run_stage`]; once that benchmark stops doing so, this type, the config
+/// field and `run_stage`'s `mode` parameter can be removed together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CollectMode {
-    /// Lock-free worker-local collection, merged after the join (default).
+    /// Lock-free worker-local collection, merged after the join.
     #[default]
     WorkerLocal,
-    /// The legacy whole-`Vec` mutex, kept for before/after benchmarking.
-    LockedVec,
 }
 
 /// Caps a requested worker count at the machine's available parallelism
@@ -93,24 +87,8 @@ where
         }
         return Ok(out);
     }
-    match mode {
-        CollectMode::WorkerLocal => run_worker_local(n, workers, telemetry, stage, &job),
-        CollectMode::LockedVec => run_locked_vec(n, workers, telemetry, stage, &job),
-    }
-}
-
-/// Lock-free strategy: atomic index dispenser + per-worker result vectors.
-fn run_worker_local<T, F>(
-    n: usize,
-    workers: usize,
-    telemetry: &Telemetry,
-    stage: &str,
-    job: &F,
-) -> Result<Vec<T>, CoreError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, CoreError> + Sync,
-{
+    let CollectMode::WorkerLocal = mode;
+    let job = &job;
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let per_worker: Vec<WorkerOutcome<T>> = std::thread::scope(|scope| {
@@ -146,73 +124,6 @@ where
         handles.into_iter().map(join_worker).collect()
     });
     collect_outcomes(n, per_worker, telemetry, stage)
-}
-
-/// Legacy strategy: strided indices, results deposited through one mutex.
-fn run_locked_vec<T, F>(
-    n: usize,
-    workers: usize,
-    telemetry: &Telemetry,
-    stage: &str,
-    job: &F,
-) -> Result<Vec<T>, CoreError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, CoreError> + Sync,
-{
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    let stop = AtomicBool::new(false);
-    let per_worker: Vec<WorkerOutcome<()>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let slots = &slots;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let started = Instant::now();
-                    let mut jobs = Vec::new();
-                    let mut error = None;
-                    let mut i = worker;
-                    while i < n {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        match job(i) {
-                            Ok(v) => {
-                                slots.lock().expect("result vector poisoned")[i] = Some(v);
-                                // Record the slot index as a stand-in for
-                                // the value (merged from `slots` later).
-                                jobs.push((i, ()));
-                            }
-                            Err(e) => {
-                                stop.store(true, Ordering::Relaxed);
-                                error = Some(e);
-                                break;
-                            }
-                        }
-                        i += workers;
-                    }
-                    (jobs, error, started, started.elapsed())
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-    // Surface panics/errors and telemetry exactly like the lock-free path…
-    collect_outcomes(n, per_worker, telemetry, stage)?;
-    // …then drain the mutex-guarded slots into the ordered output.
-    let slots = slots.into_inner().expect("result vector poisoned");
-    let mut out = Vec::with_capacity(n);
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(v) => out.push(v),
-            None => {
-                return Err(CoreError::WorkerPanic(format!(
-                    "frame {i} produced no result"
-                )))
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// What one worker thread produced: `(index, value)` pairs, the first error
@@ -300,66 +211,58 @@ fn collect_outcomes<T>(
 mod tests {
     use super::*;
 
-    const MODES: [CollectMode; 2] = [CollectMode::WorkerLocal, CollectMode::LockedVec];
+    const MODE: CollectMode = CollectMode::WorkerLocal;
 
     #[test]
     fn results_are_index_ordered() {
-        for mode in MODES {
-            for workers in [1, 2, 8] {
-                let out = run_stage(
-                    37,
-                    workers,
-                    mode,
-                    &Telemetry::disabled(),
-                    "t",
-                    |i| Ok(i * 3),
-                )
-                .unwrap();
-                assert_eq!(out, (0..37).map(|i| i * 3).collect::<Vec<_>>());
-            }
+        for workers in [1, 2, 8] {
+            let out = run_stage(
+                37,
+                workers,
+                MODE,
+                &Telemetry::disabled(),
+                "t",
+                |i| Ok(i * 3),
+            )
+            .unwrap();
+            assert_eq!(out, (0..37).map(|i| i * 3).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        for mode in MODES {
-            let out: Vec<usize> = run_stage(0, 4, mode, &Telemetry::disabled(), "t", Ok).unwrap();
-            assert!(out.is_empty());
-        }
+        let out: Vec<usize> = run_stage(0, 4, MODE, &Telemetry::disabled(), "t", Ok).unwrap();
+        assert!(out.is_empty());
     }
 
     #[test]
     fn job_error_is_propagated() {
-        for mode in MODES {
-            for workers in [1, 4] {
-                let r = run_stage(20, workers, mode, &Telemetry::disabled(), "t", |i| {
-                    if i == 11 {
-                        Err(CoreError::NoPeriodFound)
-                    } else {
-                        Ok(i)
-                    }
-                });
-                assert_eq!(r.unwrap_err(), CoreError::NoPeriodFound);
-            }
+        for workers in [1, 4] {
+            let r = run_stage(20, workers, MODE, &Telemetry::disabled(), "t", |i| {
+                if i == 11 {
+                    Err(CoreError::NoPeriodFound)
+                } else {
+                    Ok(i)
+                }
+            });
+            assert_eq!(r.unwrap_err(), CoreError::NoPeriodFound);
         }
     }
 
     #[test]
     fn worker_panic_becomes_core_error() {
-        for mode in MODES {
-            for workers in [2, 8] {
-                let r = run_stage(16, workers, mode, &Telemetry::disabled(), "t", |i| {
-                    if i == 7 {
-                        panic!("injected failure in frame {i}");
-                    }
-                    Ok(i)
-                });
-                match r {
-                    Err(CoreError::WorkerPanic(msg)) => {
-                        assert!(msg.contains("injected failure"), "message: {msg}");
-                    }
-                    other => panic!("expected WorkerPanic, got {other:?}"),
+        for workers in [2, 8] {
+            let r = run_stage(16, workers, MODE, &Telemetry::disabled(), "t", |i| {
+                if i == 7 {
+                    panic!("injected failure in frame {i}");
                 }
+                Ok(i)
+            });
+            match r {
+                Err(CoreError::WorkerPanic(msg)) => {
+                    assert!(msg.contains("injected failure"), "message: {msg}");
+                }
+                other => panic!("expected WorkerPanic, got {other:?}"),
             }
         }
     }
@@ -369,19 +272,12 @@ mod tests {
         // workers == 1 runs inline: a panic propagates to the caller like
         // any other function call (no thread boundary to absorb it).
         let caught = std::panic::catch_unwind(|| {
-            let _ = run_stage(
-                4,
-                1,
-                CollectMode::WorkerLocal,
-                &Telemetry::disabled(),
-                "t",
-                |i| {
-                    if i == 2 {
-                        panic!("inline");
-                    }
-                    Ok(i)
-                },
-            );
+            let _ = run_stage(4, 1, MODE, &Telemetry::disabled(), "t", |i| {
+                if i == 2 {
+                    panic!("inline");
+                }
+                Ok(i)
+            });
         });
         assert!(caught.is_err());
     }
@@ -389,7 +285,7 @@ mod tests {
     #[test]
     fn telemetry_records_worker_jobs() {
         let t = Telemetry::enabled();
-        run_stage(24, 3, CollectMode::WorkerLocal, &t, "stage", Ok).unwrap();
+        run_stage(24, 3, MODE, &t, "stage", Ok).unwrap();
         let report = t.report();
         let total: u64 = (0..3)
             .map(|w| {
@@ -412,7 +308,7 @@ mod tests {
     #[test]
     fn serial_fallback_is_labelled_serial_not_w0() {
         let t = Telemetry::enabled();
-        run_stage(6, 1, CollectMode::WorkerLocal, &t, "stage", Ok).unwrap();
+        run_stage(6, 1, MODE, &t, "stage", Ok).unwrap();
         let report = t.report();
         assert_eq!(report.counters["workers/stage/jobs/serial"], 6);
         assert_eq!(report.stages["workers/stage/busy/serial"].calls, 1);
@@ -423,7 +319,7 @@ mod tests {
     #[test]
     fn journal_only_telemetry_still_records_worker_spans() {
         let t = Telemetry::disabled().with_journal(bb_telemetry::Journal::with_capacity(1024));
-        run_stage(12, 3, CollectMode::WorkerLocal, &t, "stage", Ok).unwrap();
+        run_stage(12, 3, MODE, &t, "stage", Ok).unwrap();
         let journal = t.journal().expect("journal attached");
         let lanes: std::collections::BTreeSet<String> = journal
             .events()

@@ -64,7 +64,7 @@ pub fn box_blur(frame: &Frame, radius: usize) -> Frame {
 /// estimate and each row is updated in place as soon as its reblurred value
 /// is known. The update never feeds back into the current iteration: every
 /// row the window still needs is already horizontally blurred in
-/// [`BoxRows`]' ring, and rows below the window are read before they are
+/// `BoxRows`' ring, and rows below the window are read before they are
 /// updated — the output is exactly that of reblurring whole frames.
 ///
 /// `radius = 0` or `iterations = 0` returns a copy (nothing to invert).

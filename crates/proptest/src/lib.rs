@@ -209,7 +209,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: an exact length or a range.
+    /// Length specification for [`vec()`]: an exact length or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -234,7 +234,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

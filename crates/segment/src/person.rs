@@ -53,7 +53,7 @@ impl Default for SegmenterParams {
 ///
 /// Decided in integer arithmetic on the hot path; the handful of colors
 /// sitting exactly on a rational threshold boundary (where f32 rounding in
-/// the HSV conversion picks the side) defer to [`is_skin_hsv`]. The two
+/// the HSV conversion picks the side) defer to `is_skin_hsv`. The two
 /// agree on every one of the 2^24 RGB values — `skin_prior_is_exact` spot
 /// checks the strict regions, and the boundary cases are float by
 /// construction. The thresholds map as: `v >= 0.25` ⇔ `max >= 64`;

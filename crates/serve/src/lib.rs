@@ -14,8 +14,7 @@
 //!   checkpoints and dropped from memory, then resumed transparently on
 //!   their next pushed frame;
 //! * **panic isolation** — a session whose frame processing (or observer
-//!   callback) panics is reaped with
-//!   [`CoreError::WorkerPanic`](bb_core::CoreError::WorkerPanic) without
+//!   callback) panics is reaped with [`CoreError::WorkerPanic`] without
 //!   stalling or corrupting sibling sessions;
 //! * **a wire protocol** ([`wire`], magic `BBWS`) — length-prefixed
 //!   messages carrying open/frame/close events for any number of

@@ -3,16 +3,13 @@
 //! # Format versions
 //!
 //! The JSON document carries a `version` field ([`FORMAT_VERSION`], written
-//! by [`RunReport::to_json`]):
+//! by [`RunReport::to_json`]). Version 2 holds `meta`, `stages`, `counters`
+//! and `histograms`: per-stage log-bucketed latency [`Histogram`]s (the
+//! tail-latency source of truth; `StageStats` keeps only call counts,
+//! totals, and exact extrema).
 //!
-//! * **v1** (no `version` field, or `1`) — `meta` + `stages` + `counters`.
-//!   Still parsed by [`RunReport::from_json`]; histograms come back empty.
-//! * **v2** — adds `histograms`: per-stage log-bucketed latency
-//!   [`Histogram`]s (the tail-latency source of truth; `StageStats` keeps
-//!   only call counts, totals, and exact extrema).
-//!
-//! Documents claiming a version newer than [`FORMAT_VERSION`] are rejected
-//! rather than silently mis-read.
+//! [`RunReport::from_json`] reads only [`FORMAT_VERSION`]; a document with
+//! no `version` or any other version is rejected rather than mis-read.
 
 use crate::hist::Histogram;
 use crate::json::{self, Json, JsonError};
@@ -65,7 +62,7 @@ pub struct RunReport {
     pub stages: BTreeMap<String, StageStats>,
     /// Monotone counters.
     pub counters: BTreeMap<String, u64>,
-    /// Per-stage latency histograms (empty when parsed from a v1 report).
+    /// Per-stage latency histograms.
     pub histograms: BTreeMap<String, Histogram>,
 }
 
@@ -89,7 +86,7 @@ impl RunReport {
 
     /// The estimated `q`-quantile span duration of `stage` in nanoseconds,
     /// from its latency histogram (see [`Histogram::quantile`] for the
-    /// error bound). `None` when the stage has no histogram (v1 reports).
+    /// error bound). `None` when the stage has no histogram.
     pub fn stage_quantile(&self, stage: &str, q: f64) -> Option<u64> {
         let h = self.histograms.get(stage)?;
         (h.count() > 0).then(|| h.quantile(q))
@@ -164,28 +161,28 @@ impl RunReport {
         json::to_pretty_string(&Json::Object(root))
     }
 
-    /// Parses a document produced by [`RunReport::to_json`] — the current
-    /// v2 shape or the historical v1 shape (no `version` field, no
-    /// histograms).
+    /// Parses a document produced by [`RunReport::to_json`].
+    ///
+    /// The document must carry `"version": FORMAT_VERSION`; only that
+    /// version parses. Reports written before the `version` field existed
+    /// are not read.
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] on malformed JSON, a shape mismatch, a version
-    /// newer than [`FORMAT_VERSION`], or a stage/counter key that violates
-    /// the `/`-hierarchy naming invariant.
+    /// Returns [`JsonError`] on malformed JSON, a shape mismatch, a missing
+    /// `version` field or one other than [`FORMAT_VERSION`], or a
+    /// stage/counter key that violates the `/`-hierarchy naming invariant.
     pub fn from_json(text: &str) -> Result<RunReport, JsonError> {
         let value = json::parse(text)?;
         let root = value.as_object("root")?;
-        match root.get("version") {
-            None => {} // v1 predates the version field
-            Some(v) => {
-                let version = v.as_u64("version")?;
-                if version == 0 || version > FORMAT_VERSION {
-                    return Err(JsonError::shape(format!(
-                        "unsupported report version {version} (this build reads <= {FORMAT_VERSION})"
-                    )));
-                }
-            }
+        let version = root
+            .get("version")
+            .ok_or_else(|| JsonError::shape("missing version field"))?
+            .as_u64("version")?;
+        if version != FORMAT_VERSION {
+            return Err(JsonError::shape(format!(
+                "unsupported report version {version} (this build reads {FORMAT_VERSION})"
+            )));
         }
         let valid_key = |k: &str| -> Result<(), JsonError> {
             validate_stage_name(k).map_err(|e| JsonError::shape(format!("stage name {k:?}: {e}")))
@@ -346,7 +343,9 @@ mod tests {
     fn malformed_json_is_rejected() {
         assert!(RunReport::from_json("{").is_err());
         assert!(RunReport::from_json("[]").is_err());
-        assert!(RunReport::from_json(r#"{"stages": {"s": {"calls": "x"}}}"#).is_err());
+        assert!(
+            RunReport::from_json(r#"{"version": 2, "stages": {"s": {"calls": "x"}}}"#).is_err()
+        );
     }
 
     #[test]
@@ -372,21 +371,22 @@ mod tests {
         assert!(RunReport::from_json(r#"{"version": 3}"#).is_err());
         assert!(RunReport::from_json(r#"{"version": 0}"#).is_err());
         assert!(RunReport::from_json(r#"{"version": 2}"#).is_ok());
-        assert!(RunReport::from_json(r#"{"version": 1}"#).is_ok());
-        assert!(
-            RunReport::from_json("{}").is_ok(),
-            "v1 has no version field"
-        );
+        // Only FORMAT_VERSION parses: no writer ever emitted version 1.
+        assert!(RunReport::from_json(r#"{"version": 1}"#).is_err());
+        match RunReport::from_json(r#"{"stages": {}}"#) {
+            Err(JsonError::Shape(msg)) => assert!(msg.contains("version"), "message: {msg}"),
+            other => panic!("expected a shape error naming `version`, got {other:?}"),
+        }
     }
 
     #[test]
     fn invalid_stage_names_are_rejected_on_parse() {
         for bad in ["", "/x", "x/", "a//b"] {
             let doc = format!(
-                r#"{{"stages": {{"{bad}": {{"calls": 1, "total_ns": 1, "min_ns": 1, "max_ns": 1}}}}}}"#
+                r#"{{"version": 2, "stages": {{"{bad}": {{"calls": 1, "total_ns": 1, "min_ns": 1, "max_ns": 1}}}}}}"#
             );
             assert!(RunReport::from_json(&doc).is_err(), "accepted {bad:?}");
-            let doc = format!(r#"{{"counters": {{"{bad}": 1}}}}"#);
+            let doc = format!(r#"{{"version": 2, "counters": {{"{bad}": 1}}}}"#);
             assert!(
                 RunReport::from_json(&doc).is_err(),
                 "accepted counter {bad:?}"

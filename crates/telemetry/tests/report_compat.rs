@@ -1,83 +1,7 @@
-//! Report format compatibility: the committed golden v1 fixture must keep
-//! parsing, and the current v2 format must round-trip byte-stably.
+//! Report format stability: the current format must round-trip
+//! byte-stably, quantiles included.
 
 use bb_telemetry::{Histogram, RunReport, StageStats};
-
-/// A verbatim PR-1-era (v1) report: no `version` field, no histograms.
-/// This exact text shape is what `--telemetry-out` wrote before the
-/// observability layer landed; it must parse forever.
-const GOLDEN_V1: &str = r#"{
-  "counters": {
-    "frames/input": 30,
-    "frames/pass1": 30,
-    "pixels/recovered": 1184,
-    "workers/pass1/jobs/w0": 16,
-    "workers/pass1/jobs/w1": 14
-  },
-  "meta": {
-    "collect_mode": "WorkerLocal",
-    "frames": "30",
-    "height": "72",
-    "parallelism": "2",
-    "width": "96"
-  },
-  "stages": {
-    "reconstruct": {
-      "calls": 1,
-      "max_ns": 181103361,
-      "min_ns": 181103361,
-      "total_ns": 181103361
-    },
-    "reconstruct/pass1": {
-      "calls": 1,
-      "max_ns": 60920166,
-      "min_ns": 60920166,
-      "total_ns": 60920166
-    },
-    "workers/pass1/busy": {
-      "calls": 2,
-      "max_ns": 30541725,
-      "min_ns": 29941725,
-      "total_ns": 60483450
-    }
-  }
-}
-"#;
-
-#[test]
-fn golden_v1_fixture_still_parses() {
-    let report = RunReport::from_json(GOLDEN_V1).expect("v1 report parses");
-    assert_eq!(report.counters["frames/input"], 30);
-    assert_eq!(report.meta["collect_mode"], "WorkerLocal");
-    assert_eq!(
-        report.stages["reconstruct"],
-        StageStats {
-            calls: 1,
-            total_ns: 181_103_361,
-            min_ns: 181_103_361,
-            max_ns: 181_103_361,
-        }
-    );
-    // v1 carries no histograms; quantile queries degrade gracefully.
-    assert!(report.histograms.is_empty());
-    assert_eq!(report.stage_quantile("reconstruct", 0.99), None);
-    // The hierarchy math still works on v1 data.
-    assert_eq!(report.children_total_ns("reconstruct"), 60_920_166);
-}
-
-#[test]
-fn v1_reparse_upgrades_to_v2_stably() {
-    let report = RunReport::from_json(GOLDEN_V1).unwrap();
-    let v2 = report.to_json();
-    assert!(v2.contains("\"version\": 2"));
-    let reparsed = RunReport::from_json(&v2).expect("upgraded report parses");
-    assert_eq!(reparsed, report);
-    assert_eq!(
-        reparsed.to_json(),
-        v2,
-        "upgrade is byte-stable after one hop"
-    );
-}
 
 fn sample_v2() -> RunReport {
     let mut report = RunReport::default();

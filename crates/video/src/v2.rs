@@ -25,7 +25,7 @@
 //! frame is a **delta** (kind 1): a list of spans `(skip u16 LE,
 //! copy u16 LE, copy bytes)` walking the frame front to back — `skip`
 //! bytes are unchanged since frame `i−1`, `copy` bytes are the new frame's
-//! literal values. Unchanged gaps of at most [`GAP_ABSORB`] bytes are
+//! literal values. Unchanged gaps of at most `GAP_ABSORB` bytes are
 //! copied through rather than split (a span header costs 4 bytes); longer
 //! skips and copies chain across spans; bytes after the final span are an
 //! implicit skip.
