@@ -235,9 +235,6 @@ pub fn catalog_videos(w: usize, h: usize) -> Vec<VideoStream> {
         .collect()
 }
 
-/// The built-in gallery names, in gallery order.
-pub const GALLERY_NAMES: [&str; 3] = ["beach", "office", "space"];
-
 /// A sunny beach: sky gradient, sea band, sand, sun.
 fn draw_beach(w: usize, h: usize) -> Frame {
     let mut f = Frame::new(w, h);

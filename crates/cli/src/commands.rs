@@ -72,18 +72,14 @@ COMMANDS:
               --metrics-out snapshot (sweep default rules apply)
     report    summarize a RunReport, or gate on a regression
               summary: bbuster report run.json
-              diff:    bbuster report --diff NEW.json [BASELINE.json]
+              diff:    bbuster report --diff NEW.json BASELINE.json
                          --fail-over-pct N (default 15)  --min-ms N (default 1)
-              floor:   bbuster report --ingest-floor X [BENCH.json]
-                       (fails when the baseline's ingest speedup_vs_v1_reader
-                        is below X)
               slo:     bbuster report --slo SNAPSHOT.json [--rules \"R1;R2\"]
                        (gates on a MetricsSnapshot's health block; --rules
                         re-evaluates with an explicit rule list)
-              BASELINE defaults to BENCH_pipeline.json; both RunReport JSON
-              and the perf-baseline schema are accepted. Exit code 3 means a
-              stage slowed down past the threshold (or the ingest floor was
-              missed, or the SLO health is failing).
+              NEW and BASELINE are both RunReport JSON (--telemetry-out).
+              Exit code 3 means a stage slowed down past the threshold (or
+              the SLO health is failing).
     metrics   live metrics tooling
               watch:   bbuster metrics watch SNAPSHOT.json
                          --interval-ms N (default 1000)  --iterations N (0 =
@@ -124,7 +120,7 @@ EXAMPLES:
     bbuster sweep merge shard0.json shard1.json --out report.json
     bbuster metrics watch metrics.json
     bbuster report run.json
-    bbuster report --diff run.json BENCH_pipeline.json --fail-over-pct 25
+    bbuster report --diff run.json baseline.json --fail-over-pct 25
     bbuster report --slo metrics.json
 ";
 
@@ -804,6 +800,17 @@ mod tests {
         // Unreadable inputs are hard errors (exit 2 at the binary level).
         assert!(run(&["report", "--diff", "/nonexistent.json", &baseline]).is_err());
         assert!(run(&["report"]).is_err());
+        // The baseline is required and must itself be a RunReport: the
+        // old perf-baseline schema (no `version`) is rejected by name.
+        assert!(run(&["report", "--diff", &slight]).is_err());
+        let bench_schema = dir.join("bench.json").to_string_lossy().to_string();
+        std::fs::write(
+            &bench_schema,
+            r#"{"modes": {"worker_local": {"stages": {}}}}"#,
+        )
+        .unwrap();
+        let err = run(&["report", "--diff", &slight, &bench_schema]).unwrap_err();
+        assert!(err.contains("version"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1018,35 +1025,6 @@ mod tests {
             std::fs::read(&resumed).unwrap(),
             "v2 interrupt + resume diverged from the v1 streaming run"
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn report_ingest_floor_exit_codes_are_pinned() {
-        let dir = std::env::temp_dir().join("bbuster_cli_floor_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let write = |name: &str, speedup: &str| -> String {
-            let p = dir.join(name).to_string_lossy().to_string();
-            std::fs::write(
-                &p,
-                format!("{{\"ingest\": {{\"speedup_vs_v1_reader\": {speedup}}}}}"),
-            )
-            .unwrap();
-            p
-        };
-        let fast = write("fast.json", "3.5");
-        let slow = write("slow.json", "1.2");
-        assert_eq!(run(&["report", "--ingest-floor", "2.0", &fast]).unwrap(), 0);
-        assert_eq!(
-            run(&["report", "--ingest-floor", "2.0", &slow]).unwrap(),
-            crate::report_cmd::EXIT_REGRESSION
-        );
-        // Missing section / unreadable file / bad floor are hard errors.
-        let empty = write("empty.json", "1.0");
-        std::fs::write(&empty, "{}").unwrap();
-        assert!(run(&["report", "--ingest-floor", "2.0", &empty]).is_err());
-        assert!(run(&["report", "--ingest-floor", "2.0", "/nonexistent.json"]).is_err());
-        assert!(run(&["report", "--ingest-floor", &fast]).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,22 +4,15 @@
 //! Summary mode prints the stage tree (with each stage's share of its
 //! parent), histogram quantiles where present, and the counter table.
 //!
-//! Diff mode (`--diff NEW.json [BASELINE.json]`) compares per-stage totals
-//! and exits with code [`EXIT_REGRESSION`] when any shared stage slowed
-//! down by more than `--fail-over-pct`. The baseline may be another
-//! RunReport or a committed `BENCH_pipeline.json` perf baseline — the
-//! bench schema is detected and its `worker_local` stage totals (in ms)
-//! are normalized to nanoseconds.
+//! Diff mode (`--diff NEW.json BASELINE.json`) compares the per-stage
+//! totals of two RunReports and exits with code [`EXIT_REGRESSION`] when
+//! any shared stage slowed down by more than `--fail-over-pct`.
 //!
-//! Ingest-floor mode (`--ingest-floor X BENCH.json`) gates on the perf
-//! baseline's `ingest` section: the parallel BBV v2 decode must be at
-//! least `X` times the bandwidth of the historical v1 `BbvReader`
-//! (`speedup_vs_v1_reader`), otherwise the command exits with
-//! [`EXIT_REGRESSION`].
+//! SLO mode (`--slo SNAPSHOT.json`) gates on a MetricsSnapshot's health
+//! block.
 
 use crate::args::Flags;
-use bb_telemetry::{json, HealthState, MetricsSnapshot, RunReport, SloRule};
-use std::collections::BTreeMap;
+use bb_telemetry::{HealthState, MetricsSnapshot, RunReport, SloRule};
 
 /// Exit code for "the new run regressed past the threshold".
 pub const EXIT_REGRESSION: i32 = 3;
@@ -32,8 +25,6 @@ pub const EXIT_REGRESSION: i32 = 3;
 pub fn report(flags: &Flags) -> Result<i32, String> {
     if flags.get("slo").is_some() || flags.has("slo") {
         slo_gate(flags)
-    } else if flags.get("ingest-floor").is_some() || flags.has("ingest-floor") {
-        ingest_floor(flags)
     } else if flags.get("diff").is_some() || flags.has("diff") {
         diff(flags)
     } else {
@@ -91,46 +82,6 @@ fn slo_gate(flags: &Flags) -> Result<i32, String> {
             Ok(0)
         }
     }
-}
-
-/// `bbuster report --ingest-floor X BENCH.json`: reads the perf baseline's
-/// `ingest` section and fails (exit [`EXIT_REGRESSION`]) when the measured
-/// `speedup_vs_v1_reader` falls below the floor.
-fn ingest_floor(flags: &Flags) -> Result<i32, String> {
-    let floor: f64 = flags
-        .get("ingest-floor")
-        .ok_or("report --ingest-floor requires a minimum speedup value")?
-        .parse()
-        .map_err(|e| format!("--ingest-floor: {e}"))?;
-    let path = flags
-        .positional()
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or("BENCH_pipeline.json");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let value = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let root = value.as_object(path).map_err(|e| e.to_string())?;
-    let ingest = root
-        .get("ingest")
-        .ok_or(format!("{path}: no ingest section (old baseline?)"))?
-        .as_object("ingest")
-        .map_err(|e| e.to_string())?;
-    let speedup = ingest
-        .get("speedup_vs_v1_reader")
-        .ok_or(format!(
-            "{path}: ingest section has no speedup_vs_v1_reader"
-        ))?
-        .as_f64("speedup_vs_v1_reader")
-        .map_err(|e| e.to_string())?;
-    if !speedup.is_finite() {
-        return Err(format!("{path}: ingest speedup is not finite"));
-    }
-    if speedup < floor {
-        println!("REGRESSION: ingest speedup {speedup:.2}x below the {floor:.2}x floor");
-        return Ok(EXIT_REGRESSION);
-    }
-    println!("ok: ingest speedup {speedup:.2}x (floor {floor:.2}x)");
-    Ok(0)
 }
 
 fn load_report(path: &str) -> Result<RunReport, String> {
@@ -277,13 +228,12 @@ fn diff(flags: &Flags) -> Result<i32, String> {
     let base_path = flags
         .positional()
         .get(1)
-        .map(String::as_str)
-        .unwrap_or("BENCH_pipeline.json");
+        .ok_or("report --diff requires a baseline report path (--diff NEW BASELINE)")?;
     let fail_over_pct: f64 = flags.get_num("fail-over-pct", 15.0)?;
     let min_ms: f64 = flags.get_num("min-ms", 1.0)?;
 
     let new_report = load_report(new_path)?;
-    let baseline = load_baseline_stages(base_path)?;
+    let baseline = load_report(base_path)?;
 
     println!("diff: {new_path} vs {base_path} (fail over +{fail_over_pct}%, stages ≥ {min_ms}ms)");
     println!(
@@ -292,19 +242,20 @@ fn diff(flags: &Flags) -> Result<i32, String> {
     );
     let mut worst: Option<(String, f64)> = None;
     let mut compared = 0usize;
-    for (name, base_ns) in &baseline {
+    for (name, base) in &baseline.stages {
         let Some(stats) = new_report.stages.get(name) else {
             continue;
         };
-        if (*base_ns as f64) < min_ms * 1e6 {
+        let base_ns = base.total_ns;
+        if (base_ns as f64) < min_ms * 1e6 {
             continue;
         }
         compared += 1;
-        let delta_pct = (stats.total_ns as f64 - *base_ns as f64) * 100.0 / *base_ns as f64;
+        let delta_pct = (stats.total_ns as f64 - base_ns as f64) * 100.0 / base_ns as f64;
         println!(
             "  {:<40} {:>12} {:>12} {:>+8.1}%",
             name,
-            fmt_ns(*base_ns),
+            fmt_ns(base_ns),
             fmt_ns(stats.total_ns),
             delta_pct
         );
@@ -328,47 +279,4 @@ fn diff(flags: &Flags) -> Result<i32, String> {
         }
         None => Ok(0),
     }
-}
-
-/// Loads baseline per-stage totals in nanoseconds from either a RunReport
-/// or a `BENCH_pipeline.json` perf baseline (detected by its `modes` map,
-/// stage totals in milliseconds).
-fn load_baseline_stages(path: &str) -> Result<BTreeMap<String, u64>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let value = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let root = value.as_object(path).map_err(|e| e.to_string())?;
-    // Bench-baseline detection comes first: the bench file carries no
-    // `version`, so `RunReport::from_json` would reject it.
-    let Some(modes_value) = root.get("modes") else {
-        let report = RunReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        return Ok(report
-            .stages
-            .into_iter()
-            .map(|(k, v)| (k, v.total_ns))
-            .collect());
-    };
-    let mode = modes_value
-        .as_object("modes")
-        .map_err(|e| e.to_string())?
-        .get("worker_local")
-        .ok_or(format!("{path}: baseline has no modes.worker_local"))?;
-    let stages = mode
-        .as_object("mode")
-        .map_err(|e| e.to_string())?
-        .get("stages")
-        .ok_or(format!("{path}: baseline mode has no stages"))?
-        .as_object("stages")
-        .map_err(|e| e.to_string())?;
-    let mut out = BTreeMap::new();
-    for (name, entry) in stages {
-        let ms = entry
-            .as_object(name)
-            .map_err(|e| e.to_string())?
-            .get("total_ms")
-            .ok_or(format!("{path}: stage {name} has no total_ms"))?
-            .as_f64("total_ms")
-            .map_err(|e| e.to_string())?;
-        out.insert(name.clone(), (ms * 1e6) as u64);
-    }
-    Ok(out)
 }

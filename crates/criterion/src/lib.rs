@@ -4,8 +4,8 @@
 //! shape used by the workspace's benches. Each bench runs a short warmup,
 //! then `sample_size` timed iterations, and prints min/median/mean wall
 //! times. No statistical machinery, plots, or baselines — for tracked
-//! numbers use the `perf_baseline` binary, which emits machine-readable
-//! JSON.
+//! numbers use the repository's `benchmark/` package, which runs repeated,
+//! layer-attributed workloads and emits machine-readable JSON.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

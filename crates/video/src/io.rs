@@ -69,25 +69,24 @@ pub fn encode(stream: &VideoStream) -> Result<Bytes, VideoError> {
     Ok(buf.freeze())
 }
 
-/// Deserializes a stream from a buffer produced by [`encode`].
-///
-/// # Errors
-///
-/// Returns [`VideoError::Decode`] on bad magic, implausible headers or
-/// truncated frame data.
-pub fn decode(mut data: impl Buf) -> Result<VideoStream, VideoError> {
-    if data.remaining() < 24 {
+/// Length of the v1 header in bytes.
+pub(crate) const HEADER_LEN: usize = 24;
+
+/// Parses the v1 header at the start of `data` into `(fps, width, height,
+/// count)`: the magic, then dimensions and frame count within `MAX_DIM` /
+/// `MAX_FRAMES`. The frame rate is returned as stored; each caller decides
+/// when to reject it. Shared by [`decode`] and [`crate::mmap::MmapSource`].
+pub(crate) fn parse_header(data: &[u8]) -> Result<(f64, usize, usize, usize), VideoError> {
+    if data.len() < HEADER_LEN {
         return Err(VideoError::Decode("header truncated".into()));
     }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(VideoError::Decode(format!("bad magic {magic:?}")));
+    if &data[..4] != MAGIC {
+        return Err(VideoError::Decode(format!("bad magic {:?}", &data[..4])));
     }
-    let fps = data.get_f64_le();
-    let w = data.get_u32_le();
-    let h = data.get_u32_le();
-    let count = data.get_u32_le();
+    let fps = f64::from_le_bytes(data[4..12].try_into().expect("an 8-byte slice"));
+    let le_u32 =
+        |at: usize| u32::from_le_bytes(data[at..at + 4].try_into().expect("a 4-byte slice"));
+    let (w, h, count) = (le_u32(12), le_u32(16), le_u32(20));
     if w == 0 || h == 0 || w > MAX_DIM || h > MAX_DIM {
         return Err(VideoError::Decode(format!(
             "implausible dimensions {w}x{h}"
@@ -98,15 +97,29 @@ pub fn decode(mut data: impl Buf) -> Result<VideoStream, VideoError> {
             "implausible frame count {count}"
         )));
     }
-    let frame_bytes = w as usize * h as usize * 3;
-    if data.remaining() < frame_bytes * count as usize {
+    Ok((fps, w as usize, h as usize, count as usize))
+}
+
+/// Deserializes a stream from a buffer produced by [`encode`].
+///
+/// # Errors
+///
+/// Returns [`VideoError::Decode`] on bad magic, implausible headers or
+/// truncated frame data.
+pub fn decode(mut data: impl Buf) -> Result<VideoStream, VideoError> {
+    let mut header = [0u8; HEADER_LEN];
+    let got = data.remaining().min(HEADER_LEN);
+    data.copy_to_slice(&mut header[..got]);
+    let (fps, w, h, count) = parse_header(&header[..got])?;
+    let frame_bytes = w * h * 3;
+    if data.remaining() < frame_bytes * count {
         return Err(VideoError::Decode(format!(
             "payload truncated: need {} bytes, have {}",
-            frame_bytes * count as usize,
+            frame_bytes * count,
             data.remaining()
         )));
     }
-    let mut frames = Vec::with_capacity(count as usize);
+    let mut frames = Vec::with_capacity(count);
     let mut raw = vec![0u8; frame_bytes];
     for _ in 0..count {
         data.copy_to_slice(&mut raw);
@@ -114,7 +127,7 @@ pub fn decode(mut data: impl Buf) -> Result<VideoStream, VideoError> {
             .chunks_exact(3)
             .map(|c| Rgb::new(c[0], c[1], c[2]))
             .collect();
-        frames.push(Frame::from_pixels(w as usize, h as usize, pixels)?);
+        frames.push(Frame::from_pixels(w, h, pixels)?);
     }
     VideoStream::from_frames(frames, fps)
 }

@@ -16,8 +16,7 @@
 //! * [`io`] — a minimal `.bbv` container (length-prefixed raw frames) so
 //!   corpora can be cached on disk between experiment runs.
 //! * [`source`] — the pull-based [`source::FrameSource`] trait for
-//!   streaming ingestion, with an in-memory source and a chunked `.bbv`
-//!   file reader.
+//!   streaming ingestion, with an in-memory source.
 //! * [`v2`] — the compressed BBV v2 container (raw keyframes + sparse
 //!   span deltas on a striped schedule, so stripes decode independently).
 //! * [`mmap`] — memory-mapped file access and [`mmap::MmapSource`], a

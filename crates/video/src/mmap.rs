@@ -11,7 +11,7 @@
 
 use crate::source::{FrameSource, FrameView};
 use crate::v2::V2Index;
-use crate::{VideoError, VideoStream};
+use crate::VideoError;
 use bb_imaging::Frame;
 use std::io::Read;
 use std::path::Path;
@@ -170,9 +170,6 @@ impl MmapFile {
     }
 }
 
-const V1_MAGIC: &[u8; 4] = b"BBV1";
-const V1_HEADER_LEN: usize = 24;
-
 /// Which container a source is reading — exposed for `bbuster inspect`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContainerVersion {
@@ -243,8 +240,11 @@ impl MmapSource {
                 },
             });
         }
-        let (fps, width, height, count) = parse_v1_header(data)?;
-        let need = V1_HEADER_LEN + width * height * 3 * count;
+        let (fps, width, height, count) = crate::io::parse_header(data)?;
+        if !fps.is_finite() || fps <= 0.0 {
+            return Err(VideoError::BadFrameRate(fps));
+        }
+        let need = crate::io::HEADER_LEN + width * height * 3 * count;
         if data.len() < need {
             return Err(VideoError::Decode(format!(
                 "payload truncated: header claims {need} bytes, file has {}",
@@ -259,7 +259,7 @@ impl MmapSource {
             count,
             next: 0,
             container: Container::V1 {
-                payload: V1_HEADER_LEN,
+                payload: crate::io::HEADER_LEN,
             },
         })
     }
@@ -330,33 +330,6 @@ impl MmapSource {
     }
 }
 
-fn parse_v1_header(data: &[u8]) -> Result<(f64, usize, usize, usize), VideoError> {
-    if data.len() < V1_HEADER_LEN {
-        return Err(VideoError::Decode("header truncated".into()));
-    }
-    if &data[..4] != V1_MAGIC {
-        return Err(VideoError::Decode(format!("bad magic {:?}", &data[..4])));
-    }
-    let fps = f64::from_le_bytes(data[4..12].try_into().unwrap());
-    let w = u32::from_le_bytes(data[12..16].try_into().unwrap());
-    let h = u32::from_le_bytes(data[16..20].try_into().unwrap());
-    let count = u32::from_le_bytes(data[20..24].try_into().unwrap());
-    if w == 0 || h == 0 || w > crate::io::MAX_DIM || h > crate::io::MAX_DIM {
-        return Err(VideoError::Decode(format!(
-            "implausible dimensions {w}x{h}"
-        )));
-    }
-    if count == 0 || count > crate::io::MAX_FRAMES {
-        return Err(VideoError::Decode(format!(
-            "implausible frame count {count}"
-        )));
-    }
-    if !fps.is_finite() || fps <= 0.0 {
-        return Err(VideoError::BadFrameRate(fps));
-    }
-    Ok((fps, w as usize, h as usize, count as usize))
-}
-
 impl FrameSource for MmapSource {
     fn next_frame(&mut self) -> Result<Option<Frame>, VideoError> {
         Ok(self.next_view()?.map(|v| v.to_frame()))
@@ -393,21 +366,10 @@ impl FrameSource for MmapSource {
     }
 }
 
-/// Loads a whole stream through the mapped source (serial; the parallel
-/// v2 path lives in `bb_core::ingest`).
-///
-/// # Errors
-///
-/// Propagates open/decode failures; [`VideoError::EmptyStream`] on a
-/// frameless source.
-pub fn load(path: impl AsRef<Path>) -> Result<VideoStream, VideoError> {
-    let mut source = MmapSource::open(path)?;
-    crate::source::collect(&mut source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VideoStream;
     use bb_imaging::Rgb;
 
     fn sample(frames: usize) -> VideoStream {
@@ -517,11 +479,15 @@ mod tests {
         let v = sample(3);
         let path = tmp("cut.bbv");
         let bytes = crate::io::encode(&v).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        assert!(matches!(
-            MmapSource::open(&path),
-            Err(VideoError::Decode(_))
-        ));
+        // A cut payload, and a cut at every byte of the header.
+        let cuts = std::iter::once(bytes.len() - 5).chain(0..crate::io::HEADER_LEN);
+        for cut in cuts {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert!(
+                matches!(MmapSource::open(&path), Err(VideoError::Decode(_))),
+                "cut at {cut}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -2,36 +2,17 @@
 //!
 //! A [`FrameSource`] yields frames one at a time so a consumer (e.g.
 //! `bb_core`'s `ReconstructionSession`) never has to hold a whole call in
-//! memory. Two implementations ship here:
+//! memory. Two implementations ship in this crate:
 //!
 //! * [`MemorySource`] — wraps an in-memory [`VideoStream`] (tests, callsim
 //!   live feeds).
-//! * [`BbvReader`] — incrementally decodes the `.bbv` container from any
-//!   [`Read`], one frame-sized chunk per pull, so arbitrarily long files
-//!   stream with O(frame) memory. [`BbvReader::open`] is the file-backed
-//!   convenience constructor.
-//!
-//! A third, [`crate::mmap::MmapSource`], memory-maps `.bbv` files (either
-//! container version) and yields borrowed [`FrameView`]s with no per-frame
-//! heap traffic.
+//! * [`crate::mmap::MmapSource`] — memory-maps a `.bbv` file (either
+//!   container version) and yields borrowed [`FrameView`]s with no
+//!   per-frame heap traffic.
 
 use crate::stream::STANDARD_FPS;
 use crate::{VideoError, VideoStream};
-use bb_imaging::{Frame, Rgb};
-use std::io::Read;
-use std::path::Path;
-
-/// Maps a failed read to the right error class: an early end of stream is
-/// a container problem ([`VideoError::Decode`]); anything else (permissions,
-/// disk faults, interrupted transports) is a real I/O failure that callers
-/// like `bb-serve` must be able to distinguish from corrupt files.
-pub(crate) fn classify_read(e: std::io::Error, what: &str) -> VideoError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        VideoError::Decode(format!("{what} truncated"))
-    } else {
-        VideoError::Io(e.to_string())
-    }
-}
+use bb_imaging::Frame;
 
 /// A borrowed view of one decoded frame: `width × height` RGB24 bytes in
 /// row-major order, living inside a source's buffer (or directly inside a
@@ -225,206 +206,9 @@ impl FrameSource for MemorySource {
     }
 }
 
-// Header sanity bounds, mirrored from the batch `.bbv` decoder in `io`.
-const MAGIC: &[u8; 4] = b"BBV1";
-const MAX_DIM: u32 = 1 << 14;
-const MAX_FRAMES: u32 = 1 << 20;
-
-/// When the stream length is unknown the header dimensions are untrusted:
-/// grow the frame buffer in chunks of at most this many bytes as payload
-/// actually arrives, so a hostile header claiming huge dimensions costs one
-/// chunk of memory before the missing payload surfaces as an error.
-const EAGER_CHUNK: usize = 1 << 22;
-
-/// Incremental `.bbv` decoder: parses the 24-byte header eagerly, then
-/// reads one `width × height × 3`-byte chunk per [`FrameSource::next_frame`]
-/// call — memory stays O(frame size) regardless of file length.
-#[derive(Debug)]
-pub struct BbvReader<R: Read> {
-    reader: R,
-    fps: f64,
-    width: usize,
-    height: usize,
-    remaining: usize,
-    raw: Vec<u8>,
-}
-
-impl BbvReader<std::io::BufReader<std::fs::File>> {
-    /// Opens a `.bbv` file for streaming decode. The file length validates
-    /// the header before any frame buffer is allocated.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures and header validation errors.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, VideoError> {
-        let file = std::fs::File::open(path)?;
-        let len = file.metadata().map(|m| m.len()).ok();
-        BbvReader::with_len(std::io::BufReader::new(file), len)
-    }
-}
-
-impl<R: Read> BbvReader<R> {
-    /// Wraps any reader positioned at the start of a `.bbv` payload and
-    /// validates the header. The stream length is unknown, so the frame
-    /// buffer is grown lazily as payload bytes arrive (see
-    /// [`BbvReader::with_len`] for the validated fast path).
-    ///
-    /// # Errors
-    ///
-    /// [`VideoError::Decode`] on bad magic or implausible headers,
-    /// [`VideoError::Io`] on read failures.
-    pub fn new(reader: R) -> Result<Self, VideoError> {
-        BbvReader::with_len(reader, None)
-    }
-
-    /// Like [`BbvReader::new`], but when the total stream length is known
-    /// (file metadata, a received buffer's size) the header's claimed
-    /// payload is validated against it up front — a header whose
-    /// `width × height × count` exceeds the stream is rejected before a
-    /// single payload byte is read or a frame buffer allocated.
-    ///
-    /// # Errors
-    ///
-    /// [`VideoError::Decode`] on bad magic, implausible headers, or a
-    /// header that claims more payload than `stream_len` holds;
-    /// [`VideoError::Io`] on read failures.
-    pub fn with_len(mut reader: R, stream_len: Option<u64>) -> Result<Self, VideoError> {
-        let mut header = [0u8; 24];
-        reader
-            .read_exact(&mut header)
-            .map_err(|e| classify_read(e, "header"))?;
-        if &header[..4] != MAGIC {
-            return Err(VideoError::Decode(format!("bad magic {:?}", &header[..4])));
-        }
-        let fps = f64::from_le_bytes(header[4..12].try_into().unwrap());
-        let w = u32::from_le_bytes(header[12..16].try_into().unwrap());
-        let h = u32::from_le_bytes(header[16..20].try_into().unwrap());
-        let count = u32::from_le_bytes(header[20..24].try_into().unwrap());
-        if w == 0 || h == 0 || w > MAX_DIM || h > MAX_DIM {
-            return Err(VideoError::Decode(format!(
-                "implausible dimensions {w}x{h}"
-            )));
-        }
-        if count == 0 || count > MAX_FRAMES {
-            return Err(VideoError::Decode(format!(
-                "implausible frame count {count}"
-            )));
-        }
-        if !fps.is_finite() || fps <= 0.0 {
-            return Err(VideoError::BadFrameRate(fps));
-        }
-        let width = w as usize;
-        let height = h as usize;
-        let frame_bytes = width * height * 3;
-        let raw = match stream_len {
-            Some(len) => {
-                let need = 24 + frame_bytes as u64 * count as u64;
-                if len < need {
-                    return Err(VideoError::Decode(format!(
-                        "payload truncated: header claims {need} bytes, stream has {len}"
-                    )));
-                }
-                // Header verified against real bytes on disk: the eager
-                // frame-sized allocation is safe.
-                vec![0u8; frame_bytes]
-            }
-            // Untrusted length: defer allocation to the first read, which
-            // grows the buffer in EAGER_CHUNK steps as data arrives.
-            None => Vec::new(),
-        };
-        Ok(BbvReader {
-            reader,
-            fps,
-            width,
-            height,
-            remaining: count as usize,
-            raw,
-        })
-    }
-
-    /// Reads the next frame's raw bytes into `self.raw`.
-    fn read_raw_frame(&mut self) -> Result<(), VideoError> {
-        let frame_bytes = self.width * self.height * 3;
-        if self.raw.len() < frame_bytes {
-            let mut filled = 0;
-            while filled < frame_bytes {
-                let want = (frame_bytes - filled).min(EAGER_CHUNK);
-                self.raw.resize(filled + want, 0);
-                self.reader
-                    .read_exact(&mut self.raw[filled..filled + want])
-                    .map_err(|e| classify_read(e, "payload"))?;
-                filled += want;
-            }
-        } else {
-            self.reader
-                .read_exact(&mut self.raw[..frame_bytes])
-                .map_err(|e| classify_read(e, "payload"))?;
-        }
-        Ok(())
-    }
-}
-
-impl<R: Read> FrameSource for BbvReader<R> {
-    fn next_frame(&mut self) -> Result<Option<Frame>, VideoError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        self.read_raw_frame()?;
-        self.remaining -= 1;
-        let pixels: Vec<Rgb> = self
-            .raw
-            .chunks_exact(3)
-            .map(|c| Rgb::new(c[0], c[1], c[2]))
-            .collect();
-        Ok(Some(Frame::from_pixels(self.width, self.height, pixels)?))
-    }
-
-    fn next_frame_into(&mut self, out: &mut Frame) -> Result<bool, VideoError> {
-        if self.remaining == 0 {
-            return Ok(false);
-        }
-        self.read_raw_frame()?;
-        self.remaining -= 1;
-        let view = FrameView::new(
-            self.width,
-            self.height,
-            &self.raw[..self.width * self.height * 3],
-        )
-        .expect("reader buffer matches header dims");
-        view.write_into(out);
-        Ok(true)
-    }
-
-    fn skip_frames(&mut self, n: usize) -> Result<usize, VideoError> {
-        let to_skip = n.min(self.remaining);
-        for _ in 0..to_skip {
-            self.read_raw_frame()?;
-            self.remaining -= 1;
-        }
-        Ok(to_skip)
-    }
-
-    fn fps(&self) -> f64 {
-        self.fps
-    }
-
-    fn dims_hint(&self) -> Option<(usize, usize)> {
-        Some((self.width, self.height))
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.remaining)
-    }
-}
-
-/// Collects any source into a [`VideoStream`] (convenience for tests and
-/// small inputs; defeats the purpose of streaming for long ones).
-///
-/// # Errors
-///
-/// Propagates source failures; [`VideoError::EmptyStream`] when the source
-/// yields nothing.
-pub fn collect<S: FrameSource + ?Sized>(source: &mut S) -> Result<VideoStream, VideoError> {
+/// Collects any source into a [`VideoStream`], for the round-trip tests.
+#[cfg(test)]
+pub(crate) fn collect<S: FrameSource + ?Sized>(source: &mut S) -> Result<VideoStream, VideoError> {
     let mut frames = Vec::new();
     while let Some(f) = source.next_frame()? {
         frames.push(f);
@@ -435,6 +219,7 @@ pub fn collect<S: FrameSource + ?Sized>(source: &mut S) -> Result<VideoStream, V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bb_imaging::Rgb;
 
     fn sample(frames: usize) -> VideoStream {
         VideoStream::generate(frames, 24.0, |i| {
@@ -492,143 +277,5 @@ mod tests {
         assert_eq!(frame.pixels(), &[Rgb::new(1, 2, 3), Rgb::new(4, 5, 6)]);
         assert!(FrameView::new(2, 2, &rgb).is_err());
         assert!(FrameView::new(0, 1, &[]).is_err());
-    }
-
-    #[test]
-    fn bbv_reader_round_trips_encode() {
-        let v = sample(7);
-        let bytes = crate::io::encode(&v).unwrap();
-        let mut reader = BbvReader::new(std::io::Cursor::new(bytes.to_vec())).unwrap();
-        assert_eq!(reader.dims_hint(), Some((5, 4)));
-        assert_eq!(reader.len_hint(), Some(7));
-        let collected = collect(&mut reader).unwrap();
-        assert_eq!(collected, v);
-    }
-
-    #[test]
-    fn bbv_reader_skip_then_read() {
-        let v = sample(7);
-        let bytes = crate::io::encode(&v).unwrap();
-        let mut reader = BbvReader::new(std::io::Cursor::new(bytes.to_vec())).unwrap();
-        assert_eq!(reader.skip_frames(3).unwrap(), 3);
-        assert_eq!(reader.len_hint(), Some(4));
-        let rest = collect(&mut reader).unwrap();
-        assert_eq!(rest.frames(), &v.frames()[3..]);
-        // Skipping past the end is clamped.
-        let mut reader = BbvReader::new(std::io::Cursor::new(bytes.to_vec())).unwrap();
-        assert_eq!(reader.skip_frames(100).unwrap(), 7);
-        assert!(reader.next_frame().unwrap().is_none());
-    }
-
-    #[test]
-    fn bbv_reader_rejects_bad_and_truncated_input() {
-        assert!(BbvReader::new(std::io::Cursor::new(b"XXXX".to_vec())).is_err());
-        let v = sample(3);
-        let bytes = crate::io::encode(&v).unwrap().to_vec();
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert!(BbvReader::new(std::io::Cursor::new(bad_magic)).is_err());
-        let cut = bytes[..bytes.len() - 5].to_vec();
-        let mut reader = BbvReader::new(std::io::Cursor::new(cut)).unwrap();
-        assert!(reader.next_frame().is_ok());
-        assert!(reader.next_frame().is_ok());
-        assert!(matches!(reader.next_frame(), Err(VideoError::Decode(_))));
-    }
-
-    /// A reader that fails with a non-EOF error after `ok_bytes` bytes.
-    struct FaultyReader {
-        data: Vec<u8>,
-        pos: usize,
-        ok_bytes: usize,
-    }
-
-    impl Read for FaultyReader {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.pos >= self.ok_bytes {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::PermissionDenied,
-                    "injected fault",
-                ));
-            }
-            let n = buf
-                .len()
-                .min(self.ok_bytes - self.pos)
-                .min(self.data.len() - self.pos);
-            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
-        }
-    }
-
-    #[test]
-    fn io_faults_surface_as_io_not_decode() {
-        let v = sample(3);
-        let bytes = crate::io::encode(&v).unwrap().to_vec();
-        // Fault inside the header: Io, not "header truncated".
-        let faulty = FaultyReader {
-            data: bytes.clone(),
-            pos: 0,
-            ok_bytes: 10,
-        };
-        assert!(matches!(
-            BbvReader::new(faulty),
-            Err(VideoError::Io(msg)) if msg.contains("injected fault")
-        ));
-        // Fault inside the payload: Io from next_frame and skip_frames.
-        for skip in [false, true] {
-            let faulty = FaultyReader {
-                data: bytes.clone(),
-                pos: 0,
-                ok_bytes: 24 + 5 * 4 * 3 + 7,
-            };
-            let mut reader = BbvReader::new(faulty).unwrap();
-            assert!(reader.next_frame().unwrap().is_some());
-            let err = if skip {
-                reader.skip_frames(1).unwrap_err()
-            } else {
-                reader.next_frame().unwrap_err()
-            };
-            assert!(matches!(err, VideoError::Io(_)), "got {err:?}");
-        }
-        // A plain truncation is still classified as Decode.
-        let cut = bytes[..bytes.len() - 5].to_vec();
-        let mut reader = BbvReader::new(std::io::Cursor::new(cut)).unwrap();
-        reader.next_frame().unwrap();
-        reader.next_frame().unwrap();
-        assert!(matches!(reader.next_frame(), Err(VideoError::Decode(_))));
-    }
-
-    #[test]
-    fn oversized_header_rejected_by_known_length() {
-        // Header claims MAX_DIM × MAX_DIM × MAX_FRAMES but the stream holds
-        // only the header: with a known length this is rejected up front,
-        // before any frame-sized allocation.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&30.0f64.to_le_bytes());
-        bytes.extend_from_slice(&MAX_DIM.to_le_bytes());
-        bytes.extend_from_slice(&MAX_DIM.to_le_bytes());
-        bytes.extend_from_slice(&MAX_FRAMES.to_le_bytes());
-        let len = bytes.len() as u64;
-        let err = BbvReader::with_len(std::io::Cursor::new(bytes.clone()), Some(len)).unwrap_err();
-        assert!(matches!(err, VideoError::Decode(msg) if msg.contains("truncated")));
-        // Unknown length: construction succeeds but the first read grows
-        // the buffer at most one bounded chunk before hitting EOF.
-        let mut reader = BbvReader::new(std::io::Cursor::new(bytes)).unwrap();
-        assert!(reader.raw.is_empty(), "allocation must be deferred");
-        assert!(reader.next_frame().is_err());
-        assert!(
-            reader.raw.len() <= EAGER_CHUNK,
-            "lying header must not commit a giant buffer ({} bytes)",
-            reader.raw.len()
-        );
-    }
-
-    #[test]
-    fn bbv_open_missing_file_is_io_error() {
-        assert!(matches!(
-            BbvReader::open("/nonexistent/nope.bbv"),
-            Err(VideoError::Io(_))
-        ));
     }
 }
