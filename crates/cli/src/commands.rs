@@ -8,7 +8,7 @@ use bb_imaging::filter::MAX_BLUR_RADIUS;
 use bb_synth::{Action, Lighting, Room, Scenario};
 use bb_telemetry::{chrome_trace, Journal, MetricsExporter, MetricsHub, SloRule, Telemetry};
 use bb_video::mmap::{ContainerVersion, MmapSource};
-use bb_video::source::FrameSource;
+use bb_video::VideoStream;
 use rand::{rngs::StdRng, SeedableRng};
 
 const HELP: &str = "\
@@ -347,7 +347,7 @@ fn encode_cmd(flags: &Flags) -> Result<(), String> {
     if stripe == 0 {
         return Err("--stripe must be at least 1".into());
     }
-    let video = bb_video::io::load(input).map_err(|e| format!("{input}: {e}"))?;
+    let video = load_bbv(input)?;
     save_stream(&video, output, format, stripe)?;
     let in_bytes = std::fs::metadata(input).map_err(|e| e.to_string())?.len();
     let out_bytes = std::fs::metadata(output).map_err(|e| e.to_string())?.len();
@@ -421,9 +421,22 @@ fn synth(flags: &Flags) -> Result<(), String> {
     flush_telemetry(&telemetry, telemetry_out)
 }
 
-fn load_call(flags: &Flags) -> Result<bb_video::VideoStream, String> {
+/// Loads a whole `.bbv` file of either container version through the batch
+/// loader, [`bb_core::ingest::load_video`], decoding v2 stripes on the
+/// default reconstruction worker count.
+pub(crate) fn load_bbv(path: &str) -> Result<VideoStream, String> {
+    let workers = ReconstructorConfig::default().parallelism;
+    bb_core::ingest::load_video(path, workers, &Telemetry::disabled()).map_err(|e| match e {
+        // Report file faults as `path: i/o error: …`, without the core
+        // layer's `video error:` prefix.
+        bb_core::CoreError::Video(e) => format!("{path}: {e}"),
+        e => format!("{path}: {e}"),
+    })
+}
+
+fn load_call(flags: &Flags) -> Result<VideoStream, String> {
     let path = flags.positional().get(1).ok_or("missing input .bbv file")?;
-    bb_video::io::load(path).map_err(|e| format!("{path}: {e}"))
+    load_bbv(path)
 }
 
 fn reconstruct(
@@ -487,7 +500,7 @@ fn reconstruct_cmd(flags: &Flags) -> Result<(), String> {
 
     let path = flags.positional().get(1).ok_or("missing input .bbv file")?;
     let mut reader = MmapSource::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let (w, h) = reader.dims_hint().expect("bbv header carries dimensions");
+    let (w, h) = reader.dims();
     let config = ReconstructorConfig::builder()
         .tau(flags.get_num("tau", 14u8)?)
         .phi(flags.get_num("phi", (h / 24).max(2))?)
@@ -512,9 +525,7 @@ fn reconstruct_cmd(flags: &Flags) -> Result<(), String> {
             .ok_or("--resume requires --checkpoint FILE")?;
         let bytes = std::fs::read(p).map_err(|e| format!("{p}: {e}"))?;
         let session = recon.resume_session(&bytes).map_err(|e| e.to_string())?;
-        let skipped = reader
-            .skip_frames(session.frames_seen())
-            .map_err(|e| e.to_string())?;
+        let skipped = reader.skip_frames(session.frames_seen());
         if skipped != session.frames_seen() {
             return Err(format!(
                 "checkpoint is ahead of the stream: {} frames checkpointed, {skipped} available",

@@ -3,7 +3,7 @@
 //!
 //! `watch` polls the JSON snapshot a `serve`/`loadgen` run rewrites on its
 //! `--metrics-interval-ms` cadence and renders a refreshing terminal table:
-//! session occupancy, push latency quantiles, throughput, RBRR, pool reuse,
+//! session occupancy, push latency quantiles, throughput, RBRR,
 //! evictions, journal drops, and the SLO health block. Reads tolerate the
 //! file being momentarily absent or torn mid-rotation (the exporter writes
 //! tmp+rename, so a well-formed file is the steady state).
@@ -135,19 +135,6 @@ fn render(path: &str, snap: &MetricsSnapshot, last_seq: Option<u64>) {
         rbrr.map(|h| fmt_bp(h.p50)),
         rbrr.filter(|h| h.window.count > 0)
             .map(|h| fmt_bp(h.window.p50)),
-    );
-    let reuses = snap.counters.get("session/pool/reuses");
-    let allocs = snap.counters.get("session/pool/allocs");
-    row(
-        "pool reuse",
-        match (reuses, allocs) {
-            (Some(r), Some(a)) if r.total + a.total > 0 => Some(format!(
-                "{:.1}%",
-                r.total as f64 * 100.0 / (r.total + a.total) as f64
-            )),
-            _ => None,
-        },
-        reuses.map(|c| format!("{:.1}/s", c.rate_per_sec)),
     );
     let counter = |name: &str| snap.counters.get(name);
     row(

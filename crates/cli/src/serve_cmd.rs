@@ -48,7 +48,7 @@ pub fn serve(flags: &Flags) -> Result<(), String> {
         .ok_or("missing input file (a .bbws stream, or a .bbv with --encode)")?;
 
     if let Some(out) = flags.get("encode") {
-        let video = bb_video::io::load(path).map_err(|e| format!("{path}: {e}"))?;
+        let video = crate::commands::load_bbv(path)?;
         let session: u64 = flags.get_num("session", 0u64)?;
         let bytes = wire::encode_call(session, &video);
         std::fs::write(out, &bytes).map_err(|e| format!("{out}: {e}"))?;

@@ -152,29 +152,12 @@ impl ReconstructionCanvas {
     /// colors, unknown pixels in `fill` (the paper renders them black).
     pub fn to_frame(&self, fill: Rgb) -> Frame {
         let mut f = Frame::filled(self.width, self.height, fill);
-        self.write_colors(&mut f);
-        f
-    }
-
-    /// Writes the recovered pixels into `frame` (which must already be
-    /// filled with the desired unknown-pixel color). Lets callers render
-    /// into a pooled buffer instead of allocating; [`Self::to_frame`] is
-    /// this over a fresh allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `frame`'s dimensions differ from the canvas's.
-    pub fn write_colors(&self, frame: &mut Frame) {
-        assert_eq!(
-            frame.dims(),
-            (self.width, self.height),
-            "canvas/frame dimension mismatch"
-        );
-        for (px, c) in frame.pixels_mut().iter_mut().zip(&self.colors) {
+        for (px, c) in f.pixels_mut().iter_mut().zip(&self.colors) {
             if let Some(color) = c {
                 *px = *color;
             }
         }
+        f
     }
 
     /// Observation count at `(x, y)`.

@@ -49,11 +49,9 @@ use crate::workers::{run_stage, CollectMode};
 use crate::CoreError;
 use bb_imaging::filter::MAX_BLUR_RADIUS;
 use bb_imaging::hist::ColorHistogram;
-use bb_imaging::pool::FramePool;
 use bb_imaging::{Frame, Mask, Rgb};
 use bb_segment::{PersonSegmenter, SegmenterParams};
 use bb_telemetry::Telemetry;
-use bb_video::source::FrameSource;
 use bb_video::stream::STANDARD_FPS;
 use bb_video::VideoStream;
 
@@ -150,11 +148,6 @@ pub struct ReconstructionSession {
     /// yet); the session keeps buffering and retries only at `finalize`,
     /// instead of re-running the expensive derivation on every push.
     lock_failed: bool,
-    /// Recycles frame pixel buffers between the warmup copies, the lock
-    /// hand-off and [`ReconstructionSession::ingest`]'s chunk buffer, so a
-    /// steady-state session performs no per-frame heap allocation on the
-    /// session side. Transient: never serialized into checkpoints.
-    pool: FramePool,
 }
 
 impl ReconstructionSession {
@@ -169,7 +162,6 @@ impl ReconstructionSession {
             telemetry,
             state: SessionState::Warmup(WarmupState { frames: Vec::new() }),
             lock_failed: false,
-            pool: FramePool::new(),
         }
     }
 
@@ -198,9 +190,8 @@ impl ReconstructionSession {
     /// Approximate heap bytes held by the session — the bounded-memory
     /// claim made measurable. After the lock, with
     /// [`MaskRetention::None`], this stays constant no matter how many
-    /// frames are pushed. Idle buffers in the internal frame pool are not
-    /// counted; they are capped at
-    /// [`DEFAULT_RETAIN`](bb_imaging::pool::DEFAULT_RETAIN) buffers.
+    /// frames are pushed. Every frame buffer the session keeps is counted:
+    /// the warmup copies until the lock, none after it.
     pub fn state_bytes(&self) -> usize {
         fn frame_bytes(w: usize, h: usize) -> usize {
             w * h * 3
@@ -235,14 +226,6 @@ impl ReconstructionSession {
                 canvas + reference + segmenter + model + masks
             }
         }
-    }
-
-    /// `(reuses, fresh allocations)` served by the session's internal
-    /// frame-buffer pool — observability for the zero-allocation
-    /// steady-state claim. Checkpoints do not carry the pool, so resumed
-    /// sessions start from `(0, 0)`.
-    pub fn pool_stats(&self) -> (u64, u64) {
-        self.pool.stats()
     }
 
     fn validate_dims(&self, frame: &Frame) -> Result<(), CoreError> {
@@ -280,14 +263,7 @@ impl ReconstructionSession {
         }
         let buffered = match &mut self.state {
             SessionState::Warmup(w) => {
-                // Pooled copy: once the pool has been primed (by a previous
-                // lock, or by `ingest` recycling its chunk buffers) this is
-                // a memcpy into an existing buffer, not an allocation.
-                let copy = self
-                    .pool
-                    .take_copy(frame)
-                    .expect("session frames are never zero-sized");
-                w.frames.push(copy);
+                w.frames.push(frame.clone());
                 Some(w.frames.len())
             }
             SessionState::Locked(_) => None,
@@ -343,91 +319,6 @@ impl ReconstructionSession {
         Ok(self.frames_seen())
     }
 
-    /// Drains a [`FrameSource`] into the session, pulling up to
-    /// `chunk_frames` frames at a time (so file readers stay bounded too).
-    /// Returns the total frames ingested so far.
-    ///
-    /// Before the lock, chunk frames are pulled by value and recycled into
-    /// the pool so the warmup copies reuse them; after the lock the chunk
-    /// slots are filled in place via [`FrameSource::next_frame_into`] —
-    /// steady-state ingest allocates nothing per frame on either side of
-    /// the source boundary.
-    ///
-    /// # Errors
-    ///
-    /// Propagates source read errors and processing failures.
-    pub fn ingest<S: FrameSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-        chunk_frames: usize,
-    ) -> Result<usize, CoreError> {
-        let chunk = chunk_frames.max(1);
-        let mut buf: Vec<Frame> = Vec::with_capacity(chunk);
-        while !self.is_locked() {
-            while buf.len() < chunk {
-                match source.next_frame()? {
-                    Some(f) => buf.push(f),
-                    None => break,
-                }
-            }
-            if buf.is_empty() {
-                return Ok(self.frames_seen());
-            }
-            let exhausted = buf.len() < chunk;
-            self.push_frames(&buf)?;
-            // Recycle the chunk's buffers instead of freeing them; warmup
-            // copies in `push_frames` draw from the same pool, so from the
-            // second chunk on the session side allocates nothing per frame.
-            for f in buf.drain(..) {
-                self.pool.recycle(f);
-            }
-            if exhausted {
-                return Ok(self.frames_seen());
-            }
-        }
-        // Locked: frames are processed by reference, so the chunk slots are
-        // reusable buffers filled in place. They come out of the pool (the
-        // warmup buffers recycled at lock) and go back when the source ends.
-        loop {
-            let mut filled = 0;
-            while filled < chunk {
-                if filled == buf.len() {
-                    let slot = match source.dims_hint() {
-                        Some((w, h)) if w > 0 && h > 0 => {
-                            self.pool.take_filled(w, h, Rgb::new(0, 0, 0))?
-                        }
-                        // Geometry unknown up front: let the source size
-                        // the first slot.
-                        _ => match source.next_frame()? {
-                            Some(f) => {
-                                buf.push(f);
-                                filled += 1;
-                                continue;
-                            }
-                            None => break,
-                        },
-                    };
-                    buf.push(slot);
-                }
-                if source.next_frame_into(&mut buf[filled])? {
-                    filled += 1;
-                } else {
-                    break;
-                }
-            }
-            if filled > 0 {
-                self.push_frames(&buf[..filled])?;
-            }
-            if filled < chunk {
-                break;
-            }
-        }
-        for f in buf.drain(..) {
-            self.pool.recycle(f);
-        }
-        Ok(self.frames_seen())
-    }
-
     /// A point-in-time view of the partial reconstruction (`None` before
     /// the first frame fixes the geometry). Before the lock the background
     /// is all black; afterwards it reflects everything accumulated so far,
@@ -472,7 +363,6 @@ impl ReconstructionSession {
         if !self.is_locked() {
             self.lock()?;
         }
-        let mut pool = self.pool;
         let telemetry = self.telemetry;
         let config = self.config;
         let locked = match self.state {
@@ -480,8 +370,6 @@ impl ReconstructionSession {
             SessionState::Warmup(_) => unreachable!("lock() left the session unlocked"),
         };
         let LockedState {
-            width,
-            height,
             frames_seen,
             reference,
             mut canvas,
@@ -501,22 +389,8 @@ impl ReconstructionSession {
         if telemetry.is_enabled() {
             telemetry.add("pixels/recovered", recovered.count_set() as u64);
         }
-        // Render the background through the pool: the batch path recycled
-        // its warmup buffers at lock, and this draw is what cashes them in
-        // (`session/pool/reuses` must be non-zero even for a pure-batch
-        // run). Stats are read only after the draw so the report includes
-        // it.
-        let mut background = pool
-            .take_filled(width, height, Rgb::BLACK)
-            .expect("locked session dimensions are non-zero");
-        canvas.write_colors(&mut background);
-        if telemetry.is_enabled() {
-            let (reuses, allocs) = pool.stats();
-            telemetry.add("session/pool/reuses", reuses);
-            telemetry.add("session/pool/allocs", allocs);
-        }
         Ok(Reconstruction {
-            background,
+            background: canvas.to_frame(Rgb::BLACK),
             recovered,
             canvas,
             vb_reference: reference,
@@ -527,8 +401,9 @@ impl ReconstructionSession {
     }
 
     /// Fits the models over the warmup buffer and processes it, moving the
-    /// session to the locked phase. On failure the buffer is kept so a
-    /// retry (at `finalize`, with more frames) is possible.
+    /// session to the locked phase and dropping the buffered frames. On
+    /// failure the buffer is kept so a retry (at `finalize`, with more
+    /// frames) is possible.
     fn lock(&mut self) -> Result<(), CoreError> {
         let frames = match &mut self.state {
             SessionState::Warmup(w) => std::mem::take(&mut w.frames),
@@ -543,12 +418,6 @@ impl ReconstructionSession {
             Ok(locked) => {
                 self.state = SessionState::Locked(Box::new(locked));
                 self.lock_failed = false;
-                // The warmup window is done with: return its buffers to the
-                // pool instead of freeing them, so later warmups (retry
-                // paths) and `ingest` copies reuse them.
-                for f in stream.into_frames() {
-                    self.pool.recycle(f);
-                }
                 Ok(())
             }
             Err(e) => {
@@ -864,7 +733,6 @@ impl ReconstructionSession {
             telemetry,
             state,
             lock_failed: false,
-            pool: FramePool::new(),
         })
     }
 }
@@ -1295,37 +1163,10 @@ mod tests {
     }
 
     #[test]
-    fn ingest_reuses_pooled_buffers_and_matches_batch() {
-        let video = toy_call(30);
-        let cfg = ReconstructorConfig {
-            warmup_frames: 10,
-            ..config()
-        };
-        let reconstructor = Reconstructor::new(VbSource::UnknownImage, cfg);
-        let batch = reconstructor.reconstruct(&video).unwrap();
-        let mut session = reconstructor.session();
-        let mut source = bb_video::source::MemorySource::new(video);
-        // Chunks smaller than the warmup window: from the second chunk on,
-        // warmup copies must come out of the recycled chunk buffers.
-        session.ingest(&mut source, 4).unwrap();
-        let (reuses, allocs) = session.pool_stats();
-        assert!(
-            reuses >= 6,
-            "warmup copies past the first chunk should reuse ({reuses} reuses, {allocs} allocs)"
-        );
-        assert!(
-            allocs <= 4,
-            "session-side allocations must stop after the first chunk ({allocs} allocs)"
-        );
-        let streamed = session.finalize().unwrap();
-        assert_same(&batch, &streamed);
-    }
-
-    #[test]
     fn ingest_from_mmap_sources_matches_batch() {
-        // Streaming through the zero-copy layer — both container versions,
-        // with the chunk slots filled in place — must stay byte-identical
-        // to the batch run.
+        // Streaming a file the way the CLI does — `MmapSource::next_frame`
+        // into `push_frame`, on both container versions — must stay
+        // byte-identical to the batch run.
         let video = toy_call(30);
         let cfg = ReconstructorConfig {
             warmup_frames: 10,
@@ -1342,32 +1183,13 @@ mod tests {
         for path in [&p1, &p2] {
             let mut source = bb_video::mmap::MmapSource::open(path).unwrap();
             let mut session = reconstructor.session();
-            session.ingest(&mut source, 7).unwrap();
+            while let Some(f) = source.next_frame().unwrap() {
+                session.push_frame(&f).unwrap();
+            }
             let streamed = session.finalize().unwrap();
             assert_same(&batch, &streamed);
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn batch_path_reuses_pooled_buffers() {
-        // The pure-batch path (every frame buffered, lock at finalize)
-        // recycles its warmup buffers at lock and must cash at least one in
-        // when the final background is drawn — `session/pool/reuses: 0` on
-        // a batch run means the pool is dead weight.
-        let video = toy_call(30);
-        let telemetry = bb_telemetry::Telemetry::enabled();
-        let _ = Reconstructor::new(VbSource::UnknownImage, config())
-            .with_telemetry(telemetry.clone())
-            .reconstruct(&video)
-            .unwrap();
-        let report = telemetry.report();
-        let reuses = report.counters["session/pool/reuses"];
-        let allocs = report.counters["session/pool/allocs"];
-        assert!(
-            reuses > 0,
-            "batch path must hit the pool ({reuses} reuses, {allocs} allocs)"
-        );
     }
 
     #[test]

@@ -206,24 +206,6 @@ impl Frame {
         self.data.chunks_exact(self.width)
     }
 
-    /// Overwrites this frame's pixels from `other` without reallocating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImagingError::DimensionMismatch`] when sizes differ.
-    pub fn copy_from(&mut self, other: &Frame) -> Result<(), ImagingError> {
-        self.check_same_dims(other)?;
-        self.data.copy_from_slice(&other.data);
-        Ok(())
-    }
-
-    /// Consumes the frame and returns its raw pixel buffer — the inverse of
-    /// [`Frame::from_pixels`], used by [`crate::pool::FramePool`] to recycle
-    /// allocations.
-    pub fn into_pixels(self) -> Vec<Rgb> {
-        self.data
-    }
-
     /// Mutable view of the raw pixel buffer, row-major.
     #[inline]
     pub fn pixels_mut(&mut self) -> &mut [Rgb] {

@@ -54,7 +54,6 @@ pub mod io;
 pub mod mask;
 pub mod morph;
 pub mod pixel;
-pub mod pool;
 
 pub use error::ImagingError;
 pub use filter::{round_div, round_div_u64};

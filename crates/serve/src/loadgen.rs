@@ -185,7 +185,6 @@ pub fn run(
     let serve_config = ServeConfig {
         budget_bytes: config.budget_bytes,
         max_sessions: config.concurrency.max(1),
-        spill_dir: config.spill_dir.clone(),
         scheduler_workers: config.scheduler_workers,
         ..ServeConfig::new(config.spill_dir.clone())
     };

@@ -62,29 +62,26 @@ pub struct ServeConfig {
     /// Scheduler worker threads for [`ReconServer::push_many`]
     /// (0 = the host's available parallelism).
     pub scheduler_workers: usize,
-    /// Frames buffered per session while draining a wire stream before a
-    /// scheduler round is dispatched ([`ReconServer::serve_wire`]): larger
-    /// batches amortize evict/resume churn and let interleaved sessions
-    /// progress in one parallel round; `1` reproduces the per-frame pushes
-    /// of the unbatched server (maximum eviction pressure, useful in
-    /// drills). Output is byte-identical at any value.
-    pub wire_batch_frames: usize,
 }
 
 impl ServeConfig {
     /// A config with the given spill directory and generous defaults:
-    /// 256 MiB budget, 4096-session cap, auto scheduler width, 8-frame
-    /// wire batches.
+    /// 256 MiB budget, 4096-session cap, auto scheduler width.
     pub fn new(spill_dir: impl Into<PathBuf>) -> ServeConfig {
         ServeConfig {
             budget_bytes: 256 << 20,
             max_sessions: 4096,
             spill_dir: spill_dir.into(),
             scheduler_workers: 0,
-            wire_batch_frames: 8,
         }
     }
 }
+
+/// Frames buffered per session while draining a wire stream before a
+/// scheduler round is dispatched ([`ReconServer::serve_wire`]): batches
+/// amortize evict/resume churn and let interleaved sessions progress in one
+/// parallel round. Output is byte-identical at any batch size.
+const WIRE_BATCH_FRAMES: usize = 8;
 
 /// Monotonic lifetime counters, readable at any point.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -738,12 +735,11 @@ impl ReconServer {
     /// for sequencing violations (out-of-order frames, wrong payload size,
     /// unknown session), plus any session/spill failure.
     pub fn serve_wire(&mut self, bytes: &[u8]) -> Result<Vec<(u64, Reconstruction)>, ServeError> {
-        let batch_cap = self.config.wire_batch_frames.max(1);
         let mut decoder = WireDecoder::new(bytes)?;
         let mut closed = Vec::new();
         // Frames buffered per session between scheduler rounds, in arrival
-        // order. Memory is bounded: at most `batch_cap` frames per open
-        // session before a round is forced.
+        // order. Memory is bounded: at most `WIRE_BATCH_FRAMES` frames per
+        // open session before a round is forced.
         let mut pending: Vec<(u64, Vec<Frame>)> = Vec::new();
         while let Some(message) = decoder.next_message()? {
             match message {
@@ -777,11 +773,11 @@ impl ReconServer {
                     let full = match pending.iter_mut().find(|(id, _)| *id == session) {
                         Some((_, v)) => {
                             v.push(frame);
-                            v.len() >= batch_cap
+                            v.len() >= WIRE_BATCH_FRAMES
                         }
                         None => {
                             pending.push((session, vec![frame]));
-                            batch_cap == 1
+                            false
                         }
                     };
                     // One full session flushes the whole round: sessions

@@ -1,6 +1,10 @@
 //! Property test: any well-formed [`SweepSpec`] survives the hand-rolled
 //! JSON writer/parser exactly, and the canonical serialization — hence the
 //! digest that guards shard merges — is a fixed point of parse ∘ serialize.
+//!
+//! Robustness: arbitrary bytes, and every truncation and single-byte
+//! mutation of a canonical spec, parse to `Ok` or a typed `Err` — never a
+//! panic.
 
 use bb_callsim::{BackgroundId, ProfilePreset};
 use bb_sweep::{AttackSpec, ScenarioSpec, SweepSpec, VbSpec};
@@ -103,5 +107,68 @@ proptest! {
         // digest — the property shard merging relies on.
         prop_assert_eq!(parsed.to_json_string(), text);
         prop_assert_eq!(parsed.digest(), spec.digest());
+    }
+}
+
+/// Bytes that steer a mutation or a random string into the JSON grammar's
+/// interesting corners: structure, quoting, escapes, number syntax, and
+/// bytes that are not valid UTF-8 on their own.
+const GRAMMAR_BYTES: &[u8] = b"{}[]\":,\\u0123456789-+.eEtrufalsn \t\n\x00\x7f\xc3\xff";
+
+/// Parses lossily-decoded bytes; the caller only cares that this returns.
+fn parse_lossy(bytes: &[u8]) -> bool {
+    SweepSpec::from_json_str(&String::from_utf8_lossy(bytes)).is_ok()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in collection::vec(any::<u8>(), 0..256)) {
+        let _ = parse_lossy(&bytes);
+    }
+
+    #[test]
+    fn grammar_shaped_bytes_never_panic(
+        picks in collection::vec(0usize..GRAMMAR_BYTES.len(), 0..128),
+    ) {
+        let bytes: Vec<u8> = picks.into_iter().map(|i| GRAMMAR_BYTES[i]).collect();
+        let _ = parse_lossy(&bytes);
+    }
+}
+
+#[test]
+fn every_truncation_of_a_canonical_spec_is_an_error() {
+    let text = SweepSpec::example().to_json_string();
+    let bytes = text.as_bytes();
+    assert!(parse_lossy(bytes), "the canonical spec parses");
+    for cut in 0..bytes.len() {
+        // Only trailing whitespace could be cut from a document that still
+        // parses; the canonical form may end in a newline.
+        let parsed = parse_lossy(&bytes[..cut]);
+        assert!(
+            !parsed || bytes[cut..].iter().all(u8::is_ascii_whitespace),
+            "truncation at {cut} of {} parsed",
+            bytes.len()
+        );
+    }
+}
+
+#[test]
+fn every_single_byte_mutation_of_a_canonical_spec_returns() {
+    let text = SweepSpec::example().to_json_string();
+    let mut bytes = text.into_bytes();
+    for at in 0..bytes.len() {
+        let original = bytes[at];
+        let replacements = GRAMMAR_BYTES.iter().copied().chain([
+            original ^ 0x01,
+            original ^ 0x20,
+            original ^ 0x80,
+        ]);
+        for b in replacements {
+            bytes[at] = b;
+            let _ = parse_lossy(&bytes);
+        }
+        bytes[at] = original;
     }
 }

@@ -105,7 +105,7 @@ pub fn validate_stage_name(name: &str) -> Result<(), String> {
 
 #[derive(Debug, Default)]
 struct Sink {
-    stages: BTreeMap<String, StageStats>,
+    /// One histogram per stage; [`RunReport::stages`] is derived from it.
     hists: BTreeMap<String, Histogram>,
     counters: BTreeMap<String, u64>,
     meta: BTreeMap<String, String>,
@@ -209,7 +209,6 @@ impl Telemetry {
         }
         let Some(sink) = &self.sink else { return };
         let mut sink = sink.lock().expect("telemetry sink poisoned");
-        sink.stages.entry(name.to_string()).or_default().record(ns);
         sink.hists.entry(name.to_string()).or_default().record(ns);
     }
 
@@ -282,7 +281,11 @@ impl Telemetry {
         }
         RunReport {
             meta: sink.meta.clone(),
-            stages: sink.stages.clone(),
+            stages: sink
+                .hists
+                .iter()
+                .map(|(name, hist)| (name.clone(), StageStats::from(hist)))
+                .collect(),
             counters,
             histograms: sink.hists.clone(),
         }

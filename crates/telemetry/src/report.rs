@@ -32,18 +32,19 @@ pub struct StageStats {
     pub max_ns: u64,
 }
 
-impl StageStats {
-    pub(crate) fn record(&mut self, ns: u64) {
-        self.min_ns = if self.calls == 0 {
-            ns
-        } else {
-            self.min_ns.min(ns)
-        };
-        self.max_ns = self.max_ns.max(ns);
-        self.calls += 1;
-        self.total_ns = self.total_ns.saturating_add(ns);
+impl From<&Histogram> for StageStats {
+    /// The exact count/total/min/max a stage's span histogram tracks.
+    fn from(hist: &Histogram) -> StageStats {
+        StageStats {
+            calls: hist.count(),
+            total_ns: hist.total(),
+            min_ns: hist.min(),
+            max_ns: hist.max(),
+        }
     }
+}
 
+impl StageStats {
     /// Mean span duration in nanoseconds (0 when no spans).
     pub fn mean_ns(&self) -> u64 {
         self.total_ns.checked_div(self.calls).unwrap_or(0)
@@ -328,10 +329,11 @@ mod tests {
 
     #[test]
     fn stats_record_tracks_extrema() {
-        let mut s = StageStats::default();
-        s.record(10);
-        s.record(4);
-        s.record(30);
+        let mut h = Histogram::new();
+        h.record(10);
+        h.record(4);
+        h.record(30);
+        let s = StageStats::from(&h);
         assert_eq!(s.calls, 3);
         assert_eq!(s.total_ns, 44);
         assert_eq!(s.min_ns, 4);

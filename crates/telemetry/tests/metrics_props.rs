@@ -17,8 +17,10 @@
 //!   window never reports more than the lifetime has seen.
 //!
 //! Alongside the properties: a byte-stability fixture for the snapshot
-//! JSON (the scrape surface other tools parse), and a concurrent-writer
-//! smoke test through shared [`MetricsHub`] clones.
+//! JSON (the scrape surface other tools parse), a concurrent-writer
+//! smoke test through shared [`MetricsHub`] clones, and robustness sweeps
+//! of the SLO rule parser over arbitrary bytes and every truncation and
+//! single-byte mutation of a canonical rule list.
 
 use bb_telemetry::metrics::{WindowedCounter, WindowedHistogram};
 use bb_telemetry::{Histogram, MetricsHub, MetricsSnapshot, SloRule, Telemetry, WindowSpec};
@@ -332,6 +334,68 @@ fn golden_fixture_round_trips() {
         GOLDEN,
         "parse → serialize must be identity"
     );
+}
+
+// ----------------------------------------------- SLO rule robustness
+
+/// A canonical rule list covering every rule kind of the grammar.
+const CANONICAL_RULES: &str = "p50:serve/push<=1.5ms;p99:serve/push<=2ms;max:serve/push<=3s;\
+     rate:sessions/evicted<=100/s;ratio:sessions/failed:sessions/opened<=0.01;\
+     total:frames/input<=100;gauge:journal/dropped<=0";
+
+/// Bytes from the rule grammar (kinds, separators, units, numbers) plus
+/// bytes that are not valid UTF-8 on their own.
+const RULE_BYTES: &[u8] = b"pratiotlgemx0159.-+e:;/<=smuns \t\x00\xc2\xb5\xff";
+
+/// Runs both parsers over lossily-decoded bytes; the caller only cares
+/// that they return.
+fn parse_rules_lossy(bytes: &[u8]) {
+    let text = String::from_utf8_lossy(bytes);
+    let _ = SloRule::parse(&text);
+    let _ = SloRule::parse_list(&text);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_rule_parsers(bytes in collection::vec(any::<u8>(), 0..128)) {
+        parse_rules_lossy(&bytes);
+    }
+
+    #[test]
+    fn grammar_shaped_bytes_never_panic_the_rule_parsers(
+        picks in collection::vec(0usize..RULE_BYTES.len(), 0..96),
+    ) {
+        let bytes: Vec<u8> = picks.into_iter().map(|i| RULE_BYTES[i]).collect();
+        parse_rules_lossy(&bytes);
+    }
+}
+
+#[test]
+fn every_truncation_and_byte_mutation_of_a_rule_list_returns() {
+    let rules = SloRule::parse_list(CANONICAL_RULES).expect("canonical rules parse");
+    assert_eq!(rules.len(), 7);
+    for rule in &rules {
+        assert_eq!(&SloRule::parse(&rule.label()).expect("label parses"), rule);
+    }
+    let mut bytes = CANONICAL_RULES.as_bytes().to_vec();
+    for cut in 0..=bytes.len() {
+        parse_rules_lossy(&bytes[..cut]);
+    }
+    for at in 0..bytes.len() {
+        let original = bytes[at];
+        let replacements =
+            RULE_BYTES
+                .iter()
+                .copied()
+                .chain([original ^ 0x01, original ^ 0x20, original ^ 0x80]);
+        for b in replacements {
+            bytes[at] = b;
+            parse_rules_lossy(&bytes);
+        }
+        bytes[at] = original;
+    }
 }
 
 // --------------------------------------------------- concurrent writers

@@ -15,7 +15,7 @@
 use crate::{VideoError, VideoStream};
 use bb_imaging::{Frame, Rgb};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"BBV1";
@@ -145,31 +145,6 @@ pub fn save(stream: &VideoStream, path: impl AsRef<Path>) -> Result<(), VideoErr
     Ok(())
 }
 
-/// Decodes a `.bbv` buffer of either container version, dispatching on the
-/// magic bytes (`BBV1` raw, `BBV2` compressed).
-///
-/// # Errors
-///
-/// Propagates decode failures from the matching decoder.
-pub fn decode_any(data: &[u8]) -> Result<VideoStream, VideoError> {
-    if data.starts_with(crate::v2::MAGIC) {
-        crate::v2::decode(data)
-    } else {
-        decode(Bytes::from(data.to_vec()))
-    }
-}
-
-/// Loads a stream from a `.bbv` file of either container version.
-///
-/// # Errors
-///
-/// Propagates I/O and decode failures.
-pub fn load(path: impl AsRef<Path>) -> Result<VideoStream, VideoError> {
-    let mut data = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut data)?;
-    decode_any(&data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,14 +214,8 @@ mod tests {
         let path = dir.join("sample.bbv");
         let v = sample();
         save(&v, &path).unwrap();
-        let loaded = load(&path).unwrap();
+        let loaded = decode(Bytes::from(std::fs::read(&path).unwrap())).unwrap();
         assert_eq!(loaded, v);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_missing_file_is_io_error() {
-        let err = load("/nonexistent/nope.bbv").unwrap_err();
-        assert!(matches!(err, VideoError::Io(_)));
     }
 }

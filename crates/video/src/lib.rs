@@ -15,12 +15,10 @@
 //!   videos, needed by the unknown-virtual-video derivation of §V-B.
 //! * [`io`] — a minimal `.bbv` container (length-prefixed raw frames) so
 //!   corpora can be cached on disk between experiment runs.
-//! * [`source`] — the pull-based [`source::FrameSource`] trait for
-//!   streaming ingestion, with an in-memory source.
 //! * [`v2`] — the compressed BBV v2 container (raw keyframes + sparse
 //!   span deltas on a striped schedule, so stripes decode independently).
-//! * [`mmap`] — memory-mapped file access and [`mmap::MmapSource`], a
-//!   zero-copy [`source::FrameSource`] over either container version.
+//! * [`mmap`] — memory-mapped file access and [`mmap::MmapSource`], the
+//!   zero-copy streaming reader over either container version.
 
 // `deny` rather than `forbid`: the mmap module opts back in for the two
 // FFI calls it needs, behind a documented safety argument.
@@ -35,11 +33,9 @@ pub mod mmap;
 // compile-time layout checks and a documented safety argument.
 #[allow(unsafe_code)]
 mod rgb24;
-pub mod source;
 pub mod stream;
 pub mod v2;
 
-pub use source::FrameSource;
 pub use stream::VideoStream;
 
 /// Errors produced by video operations.

@@ -1,6 +1,6 @@
 //! Memory-mapped `.bbv` access: [`MmapFile`] (a read-only map with a heap
-//! fallback) and [`MmapSource`], a [`FrameSource`] over either container
-//! version that yields borrowed [`FrameView`]s — v1 frames are served
+//! fallback) and [`MmapSource`], the streaming reader over either container
+//! version. It yields borrowed [`FrameView`]s: v1 frames are served
 //! straight out of the mapping with no per-frame heap traffic, v2 frames
 //! are decoded into one persistent buffer.
 //!
@@ -9,7 +9,6 @@
 //! whenever the map call fails, the file is read onto the heap instead —
 //! callers see the same `&[u8]` either way.
 
-use crate::source::{FrameSource, FrameView};
 use crate::v2::V2Index;
 use crate::VideoError;
 use bb_imaging::Frame;
@@ -170,6 +169,57 @@ impl MmapFile {
     }
 }
 
+/// A borrowed view of one decoded frame: `width × height` RGB24 bytes in
+/// row-major order, living inside a source's decode buffer (or directly
+/// inside a memory-mapped file). Converting to an owned [`Frame`] is
+/// explicit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameView<'a> {
+    width: usize,
+    height: usize,
+    rgb: &'a [u8],
+}
+
+impl<'a> FrameView<'a> {
+    /// Wraps a raw RGB24 slice.
+    ///
+    /// # Errors
+    ///
+    /// [`VideoError::Decode`] when the slice length does not equal
+    /// `width × height × 3` or either dimension is zero.
+    pub fn new(width: usize, height: usize, rgb: &'a [u8]) -> Result<Self, VideoError> {
+        if width == 0 || height == 0 {
+            return Err(VideoError::Decode(format!(
+                "frame view with zero dimension {width}x{height}"
+            )));
+        }
+        if rgb.len() != width * height * 3 {
+            return Err(VideoError::Decode(format!(
+                "frame view length {} does not match {width}x{height}x3",
+                rgb.len()
+            )));
+        }
+        Ok(FrameView { width, height, rgb })
+    }
+
+    /// `(width, height)`.
+    pub fn dims(&self) -> (usize, usize) {
+        (self.width, self.height)
+    }
+
+    /// The raw RGB24 bytes, row-major.
+    pub fn rgb(&self) -> &'a [u8] {
+        self.rgb
+    }
+
+    /// Materializes an owned [`Frame`] (allocates; the pixel conversion is
+    /// a single memcpy).
+    pub fn to_frame(&self) -> Frame {
+        Frame::from_pixels(self.width, self.height, crate::rgb24::to_pixels(self.rgb))
+            .expect("view length is validated at construction")
+    }
+}
+
 /// Which container a source is reading — exposed for `bbuster inspect`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContainerVersion {
@@ -195,10 +245,10 @@ enum Container {
     },
 }
 
-/// A zero-copy [`FrameSource`] over a memory-mapped `.bbv` file of either
+/// The streaming reader over a memory-mapped `.bbv` file of either
 /// container version. [`MmapSource::next_view`] yields borrowed
-/// [`FrameView`]s; the [`FrameSource`] methods wrap it for consumers that
-/// need owned or pooled frames.
+/// [`FrameView`]s; [`MmapSource::next_frame`] wraps it for consumers that
+/// need owned frames.
 #[derive(Debug)]
 pub struct MmapSource {
     map: MmapFile,
@@ -328,41 +378,35 @@ impl MmapSource {
             }
         }
     }
-}
 
-impl FrameSource for MmapSource {
-    fn next_frame(&mut self) -> Result<Option<Frame>, VideoError> {
+    /// Yields the next frame as an owned [`Frame`], or `None` at the end.
+    ///
+    /// # Errors
+    ///
+    /// [`VideoError::Decode`] on malformed v2 records.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, VideoError> {
         Ok(self.next_view()?.map(|v| v.to_frame()))
     }
 
-    fn next_frame_into(&mut self, out: &mut Frame) -> Result<bool, VideoError> {
-        match self.next_view()? {
-            Some(view) => {
-                view.write_into(out);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    fn skip_frames(&mut self, n: usize) -> Result<usize, VideoError> {
-        // Both containers seek by index: v1 frames are addressed directly,
-        // v2 re-syncs from the target's keyframe on the next read.
+    /// Skips up to `n` frames (bounded by what remains), returning how many
+    /// were skipped, so a resumed session jumps past the frames its
+    /// checkpoint already covers. Both containers seek by index: v1 frames
+    /// are addressed directly, v2 re-syncs from the target's keyframe on the
+    /// next read.
+    pub fn skip_frames(&mut self, n: usize) -> usize {
         let skipped = n.min(self.count - self.next);
         self.next += skipped;
-        Ok(skipped)
+        skipped
     }
 
-    fn fps(&self) -> f64 {
+    /// The container's frame rate.
+    pub fn fps(&self) -> f64 {
         self.fps
     }
 
-    fn dims_hint(&self) -> Option<(usize, usize)> {
-        Some((self.width, self.height))
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.count.saturating_sub(self.next))
+    /// The frame geometry `(width, height)` from the container header.
+    pub fn dims(&self) -> (usize, usize) {
+        (self.width, self.height)
     }
 }
 
@@ -377,6 +421,15 @@ mod tests {
             Frame::from_fn(6, 5, |x, y| Rgb::new((i * 11 + x) as u8, y as u8, 77))
         })
         .unwrap()
+    }
+
+    /// Drains a source into a stream through the owned-frame reader.
+    fn read_all(src: &mut MmapSource) -> VideoStream {
+        let mut frames = Vec::new();
+        while let Some(f) = src.next_frame().unwrap() {
+            frames.push(f);
+        }
+        VideoStream::from_frames(frames, src.fps()).unwrap()
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -424,8 +477,8 @@ mod tests {
         crate::io::save(&v, &path).unwrap();
         let mut src = MmapSource::open(&path).unwrap();
         assert_eq!(src.version(), ContainerVersion::V1);
-        assert_eq!(src.dims_hint(), Some((6, 5)));
-        assert_eq!(src.len_hint(), Some(6));
+        assert_eq!(src.dims(), (6, 5));
+        assert_eq!(src.frame_count(), 6);
         assert_eq!(src.fps(), 25.0);
         // On 64-bit unix the first view's bytes alias the mapping itself.
         if src.is_mapped() {
@@ -436,7 +489,7 @@ mod tests {
             assert!(at >= base && at < end, "v1 views must borrow the map");
             src = MmapSource::open(&path).unwrap();
         }
-        let collected = crate::source::collect(&mut src).unwrap();
+        let collected = read_all(&mut src);
         assert_eq!(collected, v);
         std::fs::remove_file(&path).ok();
     }
@@ -448,7 +501,7 @@ mod tests {
         crate::v2::save(&v, &path, 4).unwrap();
         let mut src = MmapSource::open(&path).unwrap();
         assert_eq!(src.version(), ContainerVersion::V2);
-        let collected = crate::source::collect(&mut src).unwrap();
+        let collected = read_all(&mut src);
         assert_eq!(collected, v);
         std::fs::remove_file(&path).ok();
     }
@@ -463,12 +516,11 @@ mod tests {
                 Some(s) => crate::v2::save(&v, &path, s).unwrap(),
             }
             let mut src = MmapSource::open(&path).unwrap();
-            assert_eq!(src.skip_frames(7).unwrap(), 7);
-            assert_eq!(src.len_hint(), Some(6));
+            assert_eq!(src.skip_frames(7), 7);
             assert_eq!(&src.next_frame().unwrap().unwrap(), v.frame(7));
             // Backtrack-free sequential continuation after the seek.
             assert_eq!(&src.next_frame().unwrap().unwrap(), v.frame(8));
-            assert_eq!(src.skip_frames(100).unwrap(), 4);
+            assert_eq!(src.skip_frames(100), 4);
             assert!(src.next_frame().unwrap().is_none());
             std::fs::remove_file(&path).ok();
         }
@@ -489,5 +541,16 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn frame_view_validates_and_converts() {
+        let rgb = [1u8, 2, 3, 4, 5, 6];
+        let view = FrameView::new(2, 1, &rgb).unwrap();
+        assert_eq!(view.dims(), (2, 1));
+        let frame = view.to_frame();
+        assert_eq!(frame.pixels(), &[Rgb::new(1, 2, 3), Rgb::new(4, 5, 6)]);
+        assert!(FrameView::new(2, 2, &rgb).is_err());
+        assert!(FrameView::new(0, 1, &[]).is_err());
     }
 }

@@ -17,26 +17,6 @@ use bb_imaging::Rgb;
 const _: () = assert!(std::mem::size_of::<Rgb>() == 3);
 const _: () = assert!(std::mem::align_of::<Rgb>() == 1);
 
-/// Copies packed RGB24 `bytes` over `out` as one memcpy.
-///
-/// # Panics
-///
-/// When `bytes.len() != out.len() * 3`.
-pub(crate) fn copy_into(bytes: &[u8], out: &mut [Rgb]) {
-    assert_eq!(
-        bytes.len(),
-        out.len() * 3,
-        "RGB24 byte length must be 3x the pixel count"
-    );
-    // SAFETY: `Rgb` is three packed `u8`s (checked at compile time above),
-    // so the destination is exactly `bytes.len()` bytes, any byte pattern
-    // is a valid `Rgb`, and the two slices cannot overlap (`out` is a
-    // unique borrow).
-    unsafe {
-        std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr().cast::<u8>(), bytes.len());
-    }
-}
-
 /// Materializes a pixel vector from packed RGB24 bytes (one allocation,
 /// one memcpy).
 ///
@@ -51,8 +31,10 @@ pub(crate) fn to_pixels(bytes: &[u8]) -> Vec<Rgb> {
     );
     let n = bytes.len() / 3;
     let mut out: Vec<Rgb> = Vec::with_capacity(n);
-    // SAFETY: the copy fully initializes the `n` elements `set_len` then
-    // exposes — see `copy_into` for the layout argument.
+    // SAFETY: `Rgb` is three packed `u8`s (checked at compile time above),
+    // so the `n` elements hold exactly `bytes.len()` bytes and any byte
+    // pattern is a valid `Rgb`; the copy fully initializes the elements
+    // `set_len` then exposes, and a fresh allocation cannot overlap `bytes`.
     unsafe {
         std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr().cast::<u8>(), bytes.len());
         out.set_len(n);
@@ -89,9 +71,6 @@ mod tests {
             .map(|c| Rgb::new(c[0], c[1], c[2]))
             .collect();
         assert_eq!(to_pixels(&bytes), expected);
-        let mut out = vec![Rgb::BLACK; 84];
-        copy_into(&bytes, &mut out);
-        assert_eq!(out, expected);
     }
 
     #[test]
@@ -102,12 +81,6 @@ mod tests {
         assert_eq!(view, &[1, 2, 3, 4, 5, 6]);
         view[3] = 40;
         assert_eq!(pixels[1], Rgb::new(40, 5, 6));
-    }
-
-    #[test]
-    #[should_panic(expected = "3x the pixel count")]
-    fn copy_into_rejects_length_mismatch() {
-        copy_into(&[1, 2, 3], &mut [Rgb::BLACK; 2]);
     }
 
     #[test]

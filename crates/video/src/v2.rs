@@ -633,13 +633,13 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip_via_io_load() {
+    fn file_round_trip() {
         let dir = std::env::temp_dir().join("bb_video_v2_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.bbv");
         let v = sample(9, 5, 4);
         save(&v, &path, DEFAULT_STRIPE).unwrap();
-        let loaded = crate::io::load(&path).unwrap();
+        let loaded = decode(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(loaded, v);
         std::fs::remove_file(&path).ok();
     }

@@ -174,16 +174,12 @@ fn golden_hash_holds_for_streaming_push_and_finalize() {
     );
 }
 
-#[test]
-fn wire_served_session_lands_on_the_golden_hash() {
-    // The full service stack — BBWS encode, the ReconServer scheduler, and
-    // a budget small enough that the session is checkpoint-evicted and
-    // resumed on effectively every pushed frame — must land on the exact
-    // batch bytes. Byte-identity through the wire is the service's core
-    // contract.
+/// The golden-hash reconstructor behind a [`ReconServer`] whose 16 KiB
+/// budget is far below one warmup buffer, so the session is
+/// checkpoint-evicted and resumed between pushes.
+fn starved_server(tag: &str) -> (bb_serve::server::ReconServer, std::path::PathBuf) {
     use bb_serve::server::{ReconServer, ServeConfig};
 
-    let video = seeded_call();
     let config = ReconstructorConfig {
         phi: 3,
         parallelism: 8,
@@ -193,19 +189,51 @@ fn wire_served_session_lands_on_the_golden_hash() {
         VbSource::KnownImages(background::catalog_images(W, H)),
         config,
     );
-    let dir = std::env::temp_dir().join(format!("bb_determinism_wire_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("bb_determinism_{tag}_{}", std::process::id()));
     let serve_config = ServeConfig {
-        // Far below one warmup buffer: every push round-trips through a
-        // BBSC checkpoint on disk. Wire batching pinned to 1 so a push is
-        // exactly one frame — maximum eviction pressure.
         budget_bytes: 16 * 1024,
-        wire_batch_frames: 1,
         ..ServeConfig::new(&dir)
     };
-    let mut server = ReconServer::new(prototype.clone(), serve_config).unwrap();
+    (ReconServer::new(prototype, serve_config).unwrap(), dir)
+}
+
+#[test]
+fn wire_served_session_lands_on_the_golden_hash() {
+    // The full service stack — BBWS encode, batched wire ingest through the
+    // ReconServer scheduler, and checkpoint eviction between batches — must
+    // land on the exact batch bytes. Byte-identity through the wire is the
+    // service's core contract.
+    let video = seeded_call();
+    let (mut server, dir) = starved_server("wire");
     let bytes = bb_serve::wire::encode_call(1, &video);
     let mut closed = server.serve_wire(&bytes).unwrap();
     assert_eq!(closed.len(), 1, "one session opened, one closed");
+    assert!(
+        server.stats().evicted > 0,
+        "the 16 KiB budget must evict between batched pushes"
+    );
+    let (_, recon) = closed.pop().unwrap();
+    let hash = fnv1a_of(&recon);
+    assert_eq!(
+        hash, GOLDEN_HASH,
+        "wire-served output drifted from batch: got {hash:#018x}, pinned {GOLDEN_HASH:#018x}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn per_frame_pushes_under_eviction_land_on_the_golden_hash() {
+    // One frame per push under the same 16 KiB budget: the session
+    // round-trips through a BBSC checkpoint on disk on effectively every
+    // frame — maximum eviction pressure — and still lands on the batch
+    // bytes.
+    let video = seeded_call();
+    let (mut server, dir) = starved_server("push");
+    server.open_session(1, W, H).unwrap();
+    for frame in video.iter() {
+        server.push_frame(1, frame).unwrap();
+    }
+    let recon = server.close_session(1).unwrap();
     let stats = server.stats();
     assert!(
         stats.evicted >= FRAMES as u64 - 1,
@@ -213,46 +241,29 @@ fn wire_served_session_lands_on_the_golden_hash() {
         stats.evicted
     );
     assert_eq!(stats.evicted, stats.resumed, "every eviction was resumed");
-    let (_, recon) = closed.pop().unwrap();
     let hash = fnv1a_of(&recon);
     assert_eq!(
         hash, GOLDEN_HASH,
-        "wire-served output drifted from batch: got {hash:#018x}, pinned {GOLDEN_HASH:#018x}"
-    );
-
-    // The default batched wire ingest (several frames per scheduler round,
-    // still under eviction pressure) must land on the same bytes.
-    let batched_config = ServeConfig {
-        budget_bytes: 16 * 1024,
-        ..ServeConfig::new(&dir)
-    };
-    let mut server = ReconServer::new(prototype, batched_config).unwrap();
-    let mut closed = server.serve_wire(&bytes).unwrap();
-    assert!(
-        server.stats().evicted > 0,
-        "the 16 KiB budget must still evict between batched pushes"
-    );
-    let (_, recon) = closed.pop().unwrap();
-    let hash = fnv1a_of(&recon);
-    assert_eq!(
-        hash, GOLDEN_HASH,
-        "batched wire ingest drifted from batch: got {hash:#018x}, pinned {GOLDEN_HASH:#018x}"
+        "per-frame served output drifted from batch: got {hash:#018x}, pinned {GOLDEN_HASH:#018x}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn golden_hash_holds_through_v2_containers_and_mmap_ingest() {
-    // The zero-copy ingest path — BBV v2 encode, mmap the container,
-    // parallel striped decode, and streaming session ingest from the
-    // mmap-backed source — must land on the exact batch bytes. Compression
-    // and memory mapping are transport details, never observable ones.
+    // The file paths into a session — the batch loader (mmap plus the
+    // parallel striped v2 decode) and the CLI's streaming loop over
+    // `MmapSource` — must land on the exact batch bytes for both container
+    // versions. Compression and memory mapping are transport details, never
+    // observable ones.
     use bb_video::mmap::MmapSource;
 
     let video = seeded_call();
     let dir = std::env::temp_dir().join(format!("bb_determinism_v2_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let v2_path = dir.join("call.bbv");
+    let v1_path = dir.join("call.v1.bbv");
+    bb_video::io::save(&video, &v1_path).expect("v1 save");
+    let v2_path = dir.join("call.v2.bbv");
     bb_video::v2::save(&video, &v2_path, bb_video::v2::DEFAULT_STRIPE).expect("v2 save");
 
     // Batch: the whole container through the parallel striped decoder.
@@ -265,7 +276,7 @@ fn golden_hash_holds_through_v2_containers_and_mmap_ingest() {
         "v2 parallel-decode output drifted: got {hash:#018x}, pinned {GOLDEN_HASH:#018x}"
     );
 
-    // Streaming: the session pulls borrowed views straight off the mapping.
+    // Streaming: frames read off the mapping, pushed one at a time.
     let config = ReconstructorConfig {
         phi: 3,
         parallelism: 8,
@@ -275,16 +286,22 @@ fn golden_hash_holds_through_v2_containers_and_mmap_ingest() {
         VbSource::KnownImages(background::catalog_images(W, H)),
         config,
     );
-    let mut session = reconstructor.session();
-    let mut source = MmapSource::open(&v2_path).expect("mmap v2");
-    let frames = session.ingest(&mut source, 7).expect("ingest");
-    assert_eq!(frames, FRAMES);
-    let recon = session.finalize().expect("finalize");
-    let hash = fnv1a_of(&recon);
-    assert_eq!(
-        hash, GOLDEN_HASH,
-        "mmap-ingest output drifted from batch: got {hash:#018x}, pinned {GOLDEN_HASH:#018x}"
-    );
+    for path in [&v1_path, &v2_path] {
+        let mut session = reconstructor.session();
+        let mut src = MmapSource::open(path).expect("mmap");
+        while let Some(f) = src.next_frame().expect("read") {
+            session.push_frame(&f).expect("push");
+        }
+        assert_eq!(session.frames_seen(), FRAMES);
+        let recon = session.finalize().expect("finalize");
+        let hash = fnv1a_of(&recon);
+        assert_eq!(
+            hash,
+            GOLDEN_HASH,
+            "{}: mmap streaming output drifted from batch: got {hash:#018x}, pinned {GOLDEN_HASH:#018x}",
+            path.display()
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
