@@ -21,10 +21,9 @@ use bb_synth::{ObjectClass, SceneObject};
 use bb_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A detection in the reconstruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Detection {
     /// Detected class.
     pub class: ObjectClass,

@@ -15,7 +15,6 @@
 use crate::AttackError;
 use bb_imaging::{geom, Frame, Hsv, Mask};
 use bb_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
 
 /// A labelled dictionary of candidate backgrounds (the adversary's auxiliary
 /// knowledge: 200 unique backgrounds in §VIII-D).
@@ -90,7 +89,7 @@ impl LocationDictionary {
 }
 
 /// Attack parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocationInference {
     /// Maximum hue distance (degrees) for two chromatic pixels to match.
     pub hue_tau: f32,
@@ -114,7 +113,7 @@ impl Default for LocationInference {
 }
 
 /// A ranked dictionary: labels with scores, best first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ranking {
     /// `(label, score)` pairs sorted descending by score.
     pub ranked: Vec<(String, f64)>,

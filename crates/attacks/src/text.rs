@@ -19,10 +19,9 @@ use bb_imaging::components::{label, Connectivity};
 use bb_imaging::font::{self, ADVANCE, GLYPH_H, GLYPH_W};
 use bb_imaging::{Frame, Mask};
 use bb_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
 
 /// A recognised piece of text.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TextFinding {
     /// The recognised string (`?` marks unreadable cells).
     pub text: String,
@@ -33,7 +32,7 @@ pub struct TextFinding {
 }
 
 /// The text-inference attack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TextReader {
     /// Luma at or below which a recovered pixel counts as ink.
     pub ink_luma: u8,

@@ -14,14 +14,13 @@
 use crate::AttackError;
 use bb_imaging::{filter, geom, Frame, Hsv, Mask, Rgb};
 use bb_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
 
 /// The neutral backdrop color used by `SceneObject::template` renders;
 /// template pixels of this color are not part of the object.
 pub const TEMPLATE_BACKDROP: Rgb = Rgb::new(128, 128, 128);
 
 /// A template match in the reconstructed background.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrackMatch {
     /// Match score in `[0, 1]` (fraction of compared template pixels that
     /// hue-matched).
@@ -37,7 +36,7 @@ pub struct TrackMatch {
 }
 
 /// The specific-object-tracking attack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectTracker {
     /// Maximum hue distance (degrees) for a template pixel to match.
     pub hue_tau: f32,

@@ -6,8 +6,8 @@
 //! EXPERIMENTS.md for paper-vs-measured results.
 //!
 //! Each experiment lives in [`experiments`] as `run(&ExpConfig) -> String`;
-//! the `exp_*` binaries are thin wrappers, and `run_all` chains every
-//! experiment into one report.
+//! the `run_all` binary chains every experiment, or the ones named on its
+//! command line, into one report.
 //!
 //! Environment:
 //! * `BB_QUICK=1` — smaller frames/corpora subsets for smoke runs.

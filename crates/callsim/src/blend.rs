@@ -11,10 +11,9 @@
 
 use crate::CallSimError;
 use bb_imaging::{filter, Frame, Mask};
-use serde::{Deserialize, Serialize};
 
 /// The blending function applied at the foreground/virtual-background seam.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BlendMode {
     /// No blending: hard mask cut (Fig 1c, "without blending").
     Hard,

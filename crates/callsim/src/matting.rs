@@ -24,10 +24,9 @@
 use bb_imaging::{morph, round_div_u64, Frame, Mask, Rgb};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Error-model parameters for the matting stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MattingParams {
     /// Leak blobs (background misclassified as foreground) per frame along
     /// the caller boundary.

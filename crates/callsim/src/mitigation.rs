@@ -23,10 +23,9 @@
 use bb_imaging::{filter, geom, Frame, Hsv};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the dynamic-virtual-background defence (§IX-A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicBackgroundParams {
     /// Gaussian smoothing sigma applied to the real background's
     /// brightness/saturation fields before transfer.
@@ -48,7 +47,7 @@ impl Default for DynamicBackgroundParams {
 }
 
 /// A mitigation applied by the (defending) video-call software.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Mitigation {
     /// No defence (the paper's baseline).
     #[default]

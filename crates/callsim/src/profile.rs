@@ -18,10 +18,9 @@
 
 use crate::blend::BlendMode;
 use crate::matting::MattingParams;
-use serde::{Deserialize, Serialize};
 
 /// A video-calling software configuration: matting error model + blend mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftwareProfile {
     /// Display name ("zoom-like", "skype-like").
     pub name: String,

@@ -439,23 +439,38 @@ fn load_call(flags: &Flags) -> Result<VideoStream, String> {
     load_bbv(path)
 }
 
-fn reconstruct(
+/// The reconstruction config and VB source every reconstructing command
+/// (`reconstruct`, `attack`, `locate`, `serve`) builds from `--tau`,
+/// `--phi`, `--warmup` and `--unknown-vb` for `w × h` frames. φ defaults to
+/// `h / 24` (at least 2). The config is validated here, so a degenerate
+/// value such as `--phi 0` fails the same way on every command.
+pub(crate) fn reconstructor_from(
     flags: &Flags,
-    telemetry: &Telemetry,
-) -> Result<bb_core::pipeline::Reconstruction, String> {
-    let video = load_call(flags)?;
-    let (w, h) = video.dims();
+    w: usize,
+    h: usize,
+) -> Result<(VbSource, ReconstructorConfig), String> {
     let config = ReconstructorConfig {
         tau: flags.get_num("tau", 14u8)?,
         phi: flags.get_num("phi", (h / 24).max(2))?,
         warmup_frames: flags.get_num("warmup", bb_core::pipeline::DEFAULT_WARMUP_FRAMES)?,
         ..Default::default()
     };
+    config.validate().map_err(|e| e.to_string())?;
     let source = if flags.has("unknown-vb") {
         VbSource::UnknownImage
     } else {
         VbSource::KnownImages(background::catalog_images(w, h))
     };
+    Ok((source, config))
+}
+
+fn reconstruct(
+    flags: &Flags,
+    telemetry: &Telemetry,
+) -> Result<bb_core::pipeline::Reconstruction, String> {
+    let video = load_call(flags)?;
+    let (w, h) = video.dims();
+    let (source, config) = reconstructor_from(flags, w, h)?;
     Reconstructor::new(source, config)
         .with_telemetry(telemetry.clone())
         .reconstruct(&video)
@@ -501,17 +516,10 @@ fn reconstruct_cmd(flags: &Flags) -> Result<(), String> {
     let path = flags.positional().get(1).ok_or("missing input .bbv file")?;
     let mut reader = MmapSource::open(path).map_err(|e| format!("{path}: {e}"))?;
     let (w, h) = reader.dims();
-    let config = ReconstructorConfig::builder()
-        .tau(flags.get_num("tau", 14u8)?)
-        .phi(flags.get_num("phi", (h / 24).max(2))?)
-        .warmup_frames(flags.get_num("warmup", bb_core::pipeline::DEFAULT_WARMUP_FRAMES)?)
-        .mask_retention(MaskRetention::None)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let source = if flags.has("unknown-vb") {
-        VbSource::UnknownImage
-    } else {
-        VbSource::KnownImages(background::catalog_images(w, h))
+    let (source, config) = reconstructor_from(flags, w, h)?;
+    let config = ReconstructorConfig {
+        mask_retention: MaskRetention::None,
+        ..config
     };
     let recon = Reconstructor::new(source, config).with_telemetry(telemetry.clone());
 
@@ -1055,6 +1063,38 @@ mod tests {
         let out = format!("{prefix}.out.bbv");
         assert!(run(&["encode", &call, &out, "--format", "v3"]).is_err());
         assert!(run(&["encode", &call, &out, "--stripe", "0"]).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn degenerate_config_flags_fail_on_every_reconstructing_command() {
+        let dir = std::env::temp_dir().join("bbuster_cli_config_test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let prefix = dir.join("c").to_string_lossy().to_string();
+        run(&[
+            "synth", "--out", &prefix, "--frames", "12", "--width", "48", "--height", "36",
+        ])
+        .expect("synth");
+        let call = format!("{prefix}.call.bbv");
+        let stream = format!("{prefix}.bbws");
+        run(&["serve", &call, "--encode", &stream]).expect("encode");
+        let out = format!("{prefix}.ppm");
+        let commands: [&[&str]; 5] = [
+            &["reconstruct", &call],
+            &["reconstruct", &call, "--streaming"],
+            &["attack", &call, "--out", &out],
+            &["locate", &call],
+            &["serve", &stream],
+        ];
+        for bad in [["--phi", "0"], ["--warmup", "0"]] {
+            for command in commands {
+                let args = [command, &bad].concat();
+                let err = run(&args).expect_err(&format!("{args:?} must fail"));
+                assert!(err.starts_with("invalid configuration"), "{args:?}: {err}");
+            }
+        }
+        assert!(!std::path::Path::new(&out).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,9 +9,8 @@
 //! prints the stable `key : value` lines the CI soak job gates on.
 
 use crate::args::Flags;
-use crate::commands::{flush_telemetry, telemetry_from};
-use bb_callsim::background;
-use bb_core::pipeline::{Reconstructor, ReconstructorConfig, VbSource};
+use crate::commands::{flush_telemetry, reconstructor_from, telemetry_from};
+use bb_core::pipeline::Reconstructor;
 use bb_serve::loadgen::{self, LoadgenConfig};
 use bb_serve::server::{ReconServer, ServeConfig};
 use bb_serve::wire::{self, Message, WireDecoder};
@@ -69,17 +68,7 @@ pub fn serve(flags: &Flags) -> Result<(), String> {
         Some(Message::Open { width, height, .. }) => (width, height),
         _ => return Err("wire stream must start with an Open message".into()),
     };
-    let config = ReconstructorConfig {
-        tau: flags.get_num("tau", 14u8)?,
-        phi: flags.get_num("phi", (h / 24).max(2))?,
-        warmup_frames: flags.get_num("warmup", bb_core::pipeline::DEFAULT_WARMUP_FRAMES)?,
-        ..Default::default()
-    };
-    let source = if flags.has("unknown-vb") {
-        VbSource::UnknownImage
-    } else {
-        VbSource::KnownImages(background::catalog_images(w, h))
-    };
+    let (source, config) = reconstructor_from(flags, w, h)?;
     let prototype = Reconstructor::new(source, config);
     let mut server = ReconServer::new(prototype, serve_config(flags)?)
         .map_err(|e| e.to_string())?

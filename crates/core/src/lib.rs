@@ -55,8 +55,8 @@ pub mod vcmask;
 pub mod workers;
 
 pub use pipeline::{
-    MaskRetention, ReconMode, Reconstruction, Reconstructor, ReconstructorConfig,
-    ReconstructorConfigBuilder, VbSource, DEBLUR_ITERATIONS,
+    MaskRetention, ReconMode, Reconstruction, Reconstructor, ReconstructorConfig, VbSource,
+    DEBLUR_ITERATIONS,
 };
 pub use recon::ReconstructionCanvas;
 pub use session::{FrameOutcome, ReconstructionSession, SessionSnapshot};
@@ -90,8 +90,9 @@ pub enum CoreError {
         /// Offending input `(width, height)`.
         got: (usize, usize),
     },
-    /// A configuration value was rejected by validation (builder `build()`
-    /// or a validated constructor such as [`VbSource::unknown_video`]).
+    /// A configuration value was rejected by validation
+    /// ([`ReconstructorConfig::validate`] or a validated constructor such as
+    /// [`VbSource::unknown_video`]).
     InvalidConfig(String),
     /// A session checkpoint could not be restored: bad magic, unsupported
     /// version, truncated payload, or a config that does not match the

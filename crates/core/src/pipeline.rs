@@ -176,89 +176,9 @@ impl Default for ReconstructorConfig {
 }
 
 impl ReconstructorConfig {
-    /// Starts a validated builder pre-loaded with the defaults. Prefer this
-    /// over struct-literal construction: `build()` rejects degenerate
-    /// values (`phi == 0`, zero parallelism, out-of-range refine bits, …)
-    /// that a bare literal would let through to fail obscurely mid-run.
-    pub fn builder() -> ReconstructorConfigBuilder {
-        ReconstructorConfigBuilder {
-            config: ReconstructorConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`ReconstructorConfig`] — see
-/// [`ReconstructorConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct ReconstructorConfigBuilder {
-    config: ReconstructorConfig,
-}
-
-impl ReconstructorConfigBuilder {
-    /// Pixel-match tolerance µ.
-    #[must_use]
-    pub fn tau(mut self, tau: u8) -> Self {
-        self.config.tau = tau;
-        self
-    }
-
-    /// Blending-blur radius φ.
-    #[must_use]
-    pub fn phi(mut self, phi: usize) -> Self {
-        self.config.phi = phi;
-        self
-    }
-
-    /// Unknown-VB stability threshold (frames).
-    #[must_use]
-    pub fn stability_threshold(mut self, frames: usize) -> Self {
-        self.config.stability_threshold = frames;
-        self
-    }
-
-    /// VCM color-refinement parameters.
-    #[must_use]
-    pub fn vc(mut self, vc: VcMaskParams) -> Self {
-        self.config.vc = vc;
-        self
-    }
-
-    /// Worker-thread count for the per-frame stages.
-    #[must_use]
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.config.parallelism = workers;
-        self
-    }
-
-    /// Minimum per-pixel observation count kept in the final canvas.
-    #[must_use]
-    pub fn min_observations(mut self, min: u32) -> Self {
-        self.config.min_observations = min;
-        self
-    }
-
-    /// Session warmup length in frames (the lock point).
-    #[must_use]
-    pub fn warmup_frames(mut self, frames: usize) -> Self {
-        self.config.warmup_frames = frames;
-        self
-    }
-
-    /// Per-frame mask retention policy.
-    #[must_use]
-    pub fn mask_retention(mut self, retention: MaskRetention) -> Self {
-        self.config.mask_retention = retention;
-        self
-    }
-
-    /// Residue-accumulation mode (color vs deblurred evidence).
-    #[must_use]
-    pub fn mode(mut self, mode: ReconMode) -> Self {
-        self.config.mode = mode;
-        self
-    }
-
-    /// Validates and produces the config.
+    /// Checks the config for degenerate values that a struct literal lets
+    /// through to fail obscurely mid-run. The CLI builds every config in
+    /// one place and validates it there.
     ///
     /// # Errors
     ///
@@ -267,34 +187,33 @@ impl ReconstructorConfigBuilder {
     /// `min_observations == 0`, `warmup_frames == 0`, a blur-residue radius
     /// outside `1..=MAX_BLUR_RADIUS`, refine bits outside `1..=8`, or a
     /// frequency threshold outside `[0, 1]`.
-    pub fn build(self) -> Result<ReconstructorConfig, CoreError> {
-        let c = &self.config;
-        if c.phi == 0 {
+    pub fn validate(&self) -> Result<(), CoreError> {
+        if self.phi == 0 {
             return Err(CoreError::InvalidConfig(
                 "phi must be at least 1 (a zero blending-blur radius leaks VB pixels)".into(),
             ));
         }
-        if c.parallelism == 0 {
+        if self.parallelism == 0 {
             return Err(CoreError::InvalidConfig(
                 "parallelism must be at least 1".into(),
             ));
         }
-        if c.stability_threshold == 0 {
+        if self.stability_threshold == 0 {
             return Err(CoreError::InvalidConfig(
                 "stability_threshold must be at least 1 frame".into(),
             ));
         }
-        if c.min_observations == 0 {
+        if self.min_observations == 0 {
             return Err(CoreError::InvalidConfig(
                 "min_observations must be at least 1".into(),
             ));
         }
-        if c.warmup_frames == 0 {
+        if self.warmup_frames == 0 {
             return Err(CoreError::InvalidConfig(
                 "warmup_frames must be at least 1".into(),
             ));
         }
-        if let ReconMode::BlurResidue { radius } = c.mode {
+        if let ReconMode::BlurResidue { radius } = self.mode {
             if radius == 0 {
                 return Err(CoreError::InvalidConfig(
                     "BlurResidue radius must be at least 1 (radius 0 is ColorResidue)".into(),
@@ -306,15 +225,15 @@ impl ReconstructorConfigBuilder {
                 )));
             }
         }
-        if c.vc.refine_bits == 0 || c.vc.refine_bits > 8 {
+        if self.vc.refine_bits == 0 || self.vc.refine_bits > 8 {
             return Err(CoreError::InvalidConfig(format!(
                 "vc.refine_bits must be in 1..=8, got {}",
-                c.vc.refine_bits
+                self.vc.refine_bits
             )));
         }
         for (name, v) in [
-            ("vc.refine_min_freq", c.vc.refine_min_freq),
-            ("vc.model_min_freq", c.vc.model_min_freq),
+            ("vc.refine_min_freq", self.vc.refine_min_freq),
+            ("vc.model_min_freq", self.vc.model_min_freq),
         ] {
             if !(0.0..=1.0).contains(&v) || !v.is_finite() {
                 return Err(CoreError::InvalidConfig(format!(
@@ -322,7 +241,7 @@ impl ReconstructorConfigBuilder {
                 )));
             }
         }
-        Ok(self.config)
+        Ok(())
     }
 }
 
@@ -770,79 +689,39 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_default_config() {
-        let built = ReconstructorConfig::builder().build().unwrap();
-        assert_eq!(built, ReconstructorConfig::default());
+    fn default_config_validates() {
+        ReconstructorConfig::default().validate().unwrap();
     }
 
     #[test]
-    fn builder_carries_every_setter_through() {
-        let built = ReconstructorConfig::builder()
-            .tau(9)
-            .phi(4)
-            .parallelism(3)
-            .min_observations(2)
-            .warmup_frames(64)
-            .mask_retention(MaskRetention::None)
-            .mode(ReconMode::BlurResidue { radius: 3 })
-            .build()
-            .unwrap();
-        assert_eq!(built.tau, 9);
-        assert_eq!(built.phi, 4);
-        assert_eq!(built.parallelism, 3);
-        assert_eq!(built.min_observations, 2);
-        assert_eq!(built.warmup_frames, 64);
-        assert_eq!(built.mask_retention, MaskRetention::None);
-        assert_eq!(built.mode, ReconMode::BlurResidue { radius: 3 });
-    }
-
-    #[test]
-    fn builder_rejects_degenerate_values() {
-        for (builder, what) in [
-            (ReconstructorConfig::builder().phi(0), "phi 0"),
+    fn validate_rejects_degenerate_values() {
+        type Degrade = fn(&mut ReconstructorConfig);
+        let cases: [(Degrade, &str); 9] = [
+            (|c| c.phi = 0, "phi 0"),
+            (|c| c.parallelism = 0, "parallelism 0"),
+            (|c| c.stability_threshold = 0, "stability_threshold 0"),
+            (|c| c.min_observations = 0, "min_observations 0"),
+            (|c| c.warmup_frames = 0, "warmup_frames 0"),
             (
-                ReconstructorConfig::builder().parallelism(0),
-                "parallelism 0",
-            ),
-            (
-                ReconstructorConfig::builder().stability_threshold(0),
-                "stability 0",
-            ),
-            (
-                ReconstructorConfig::builder().min_observations(0),
-                "min_observations 0",
-            ),
-            (
-                ReconstructorConfig::builder().warmup_frames(0),
-                "warmup_frames 0",
-            ),
-            (
-                ReconstructorConfig::builder().mode(ReconMode::BlurResidue { radius: 0 }),
+                |c| c.mode = ReconMode::BlurResidue { radius: 0 },
                 "blur radius 0",
             ),
             (
-                ReconstructorConfig::builder().mode(ReconMode::BlurResidue {
-                    radius: MAX_BLUR_RADIUS + 1,
-                }),
+                |c| {
+                    c.mode = ReconMode::BlurResidue {
+                        radius: MAX_BLUR_RADIUS + 1,
+                    }
+                },
                 "blur radius above MAX_BLUR_RADIUS",
             ),
-            (
-                ReconstructorConfig::builder().vc(crate::vcmask::VcMaskParams {
-                    refine_bits: 0,
-                    ..Default::default()
-                }),
-                "refine_bits 0",
-            ),
-            (
-                ReconstructorConfig::builder().vc(crate::vcmask::VcMaskParams {
-                    refine_min_freq: f64::NAN,
-                    ..Default::default()
-                }),
-                "NaN refine_min_freq",
-            ),
-        ] {
+            (|c| c.vc.refine_bits = 0, "refine_bits 0"),
+            (|c| c.vc.refine_min_freq = f64::NAN, "NaN refine_min_freq"),
+        ];
+        for (degrade, what) in cases {
+            let mut config = ReconstructorConfig::default();
+            degrade(&mut config);
             assert!(
-                matches!(builder.build(), Err(CoreError::InvalidConfig(_))),
+                matches!(config.validate(), Err(CoreError::InvalidConfig(_))),
                 "{what} must be rejected"
             );
         }

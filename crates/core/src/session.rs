@@ -874,8 +874,10 @@ fn process_block(
 
 // ---- checkpoint byte codec -------------------------------------------------
 //
-// serde in this tree is a vendored no-op stub, so the checkpoint format is
-// hand-rolled little-endian, mirroring the `.bbv` container's style.
+// The checkpoint format is hand-rolled little-endian, mirroring the `.bbv`
+// container's style: the workspace has no serialization framework, and a
+// hand-written codec keeps every byte of the versioned layout explicit and
+// turns every malformed input into a typed `CheckpointCorrupt`.
 
 fn corrupt(msg: impl Into<String>) -> CoreError {
     CoreError::CheckpointCorrupt(msg.into())

@@ -10,7 +10,6 @@
 use bb_imaging::hist::ColorHistogram;
 use bb_imaging::{components, Frame, Mask};
 use bb_segment::{color_refine, PersonSegmenter};
-use serde::{Deserialize, Serialize};
 
 /// A cross-frame caller color model (§V-D's color analysis, applied across
 /// frames): a histogram built from the candidate pixels of *quiet* frames —
@@ -88,7 +87,7 @@ impl CallerColorModel {
 }
 
 /// Parameters of the video-caller-masking stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VcMaskParams {
     /// Minimum within-mask color frequency; rarer colors are flipped to
     /// background (§V-D).

@@ -6,10 +6,9 @@ use bb_synth::{
     Accessory, Action, CallerAppearance, CameraPose, GroundTruth, Lighting, Room, Scenario, Speed,
 };
 use bb_video::{VideoError, VideoStream};
-use serde::{Deserialize, Serialize};
 
 /// Global corpus configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetConfig {
     /// Frame width.
     pub width: usize,
@@ -57,7 +56,7 @@ impl DatasetConfig {
 
 /// Caller activity level in E2 (§VII-B: passive watchers vs active
 /// presenters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activity {
     /// Passively watching content: minimal movement.
     Passive,
@@ -95,7 +94,7 @@ impl Activity {
 }
 
 /// A renderable corpus entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClipSpec {
     /// Stable clip identifier (e.g. `e1-p2-arm-waving-lights-off`).
     pub id: String,

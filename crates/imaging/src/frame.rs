@@ -7,7 +7,6 @@
 use crate::error::ImagingError;
 use crate::mask::Mask;
 use crate::pixel::Rgb;
-use serde::{Deserialize, Serialize};
 
 /// A fixed-size RGB image, stored row-major.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(f.get(1, 0), Rgb::BLACK);
 /// assert_eq!(f.pixels().len(), 12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     width: usize,
     height: usize,

@@ -12,14 +12,13 @@
 use crate::frame::Frame;
 use crate::mask::Mask;
 use crate::pixel::Rgb;
-use serde::{Deserialize, Serialize};
 
 /// A quantised RGB color histogram.
 ///
 /// Each channel is reduced to `bits` high bits, giving `2^(3·bits)` buckets —
 /// coarse enough that the small per-pixel noise introduced by blending does
 /// not split a color across buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColorHistogram {
     bits: u8,
     counts: Vec<u32>,
@@ -236,7 +235,7 @@ pub fn hue_similarity(a: &[f64; HUE_BINS], b: &[f64; HUE_BINS]) -> f64 {
 /// Normalised central shape moments of a mask region — the translation- and
 /// scale-invariant features the generic-object detector uses to tell a tall
 /// bookshelf from a wide TV from a round clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShapeMoments {
     /// Region area in pixels.
     pub area: f64,

@@ -18,7 +18,6 @@
 //! consumers never have to mask the tail themselves.
 
 use crate::error::ImagingError;
-use serde::{Deserialize, Serialize};
 
 /// Bits per storage word.
 pub const WORD_BITS: usize = 64;
@@ -48,7 +47,7 @@ fn tail_mask(width: usize) -> u64 {
 /// assert_eq!(m.count_set(), 1);
 /// assert_eq!(m.coverage(), 1.0 / 16.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mask {
     width: usize,
     height: usize,
@@ -422,7 +421,7 @@ impl Iterator for SetBits {
 
 /// The three states of a trimap mask (§III): a pixel is foreground,
 /// background, or could be either.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TriState {
     /// Definitely background (`(0,0,0)` in the paper's encoding).
     #[default]
@@ -435,7 +434,7 @@ pub enum TriState {
 
 /// A trimap: a mask with an intermediate "unknown" state, produced by matting
 /// systems around object boundaries (§III).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trimap {
     width: usize,
     height: usize,

@@ -6,17 +6,13 @@
 //! lighting (§VI, location inference). This module provides both
 //! representations and exact conversions between them.
 
-use serde::{Deserialize, Serialize};
-
 /// A 24-bit Truecolor pixel: 8 bits each of red, green and blue (§III).
 ///
 /// `#[repr(C)]` pins the layout to three packed bytes in `r, g, b` order
 /// (size 3, align 1, no padding) — `bb-video`'s zero-copy ingest relies on
 /// this to reinterpret packed RGB24 byte buffers as pixel slices.
 #[repr(C)]
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Rgb {
     /// Red intensity.
     pub r: u8,
@@ -202,7 +198,7 @@ impl std::fmt::Display for Rgb {
 /// The location-inference attack matches *hue only* to be robust to ambient
 /// lighting changes (§VI); the dynamic-virtual-background mitigation jitters
 /// hue per frame (§IX-A).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Hsv {
     /// Hue angle in degrees, `[0, 360)`.
     pub h: f32,

@@ -16,10 +16,9 @@
 use crate::bgmodel::median_model;
 use bb_imaging::{components, morph, Frame, Mask};
 use bb_video::VideoStream;
-use serde::{Deserialize, Serialize};
 
 /// Tunables of the classical person segmenter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmenterParams {
     /// Per-channel L∞ threshold against the background model above which a
     /// pixel is "changed".

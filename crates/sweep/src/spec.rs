@@ -6,7 +6,7 @@
 //! the same [`CellSpec`] list with the same indices and seeds, which is what
 //! makes shard-parallel runs mergeable.
 //!
-//! serde in this tree is a vendored no-op stub, so the on-disk format is
+//! The workspace has no serialization framework, so the on-disk format is
 //! hand-rolled through [`bb_telemetry::json`] (sorted keys, stable float
 //! formatting — the same writer the bench reports diff with).
 

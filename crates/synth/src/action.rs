@@ -11,10 +11,9 @@
 //! executions sweep more unique pixels (greater displacement).
 
 use crate::caller::CallerPose;
-use serde::{Deserialize, Serialize};
 
 /// The E1 action vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Action {
     /// Sitting still (idle baseline with breathing micro-motion).
@@ -78,7 +77,7 @@ impl std::fmt::Display for Action {
 }
 
 /// Action speed classes (§VIII-C's slow / average / fast).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Speed {
     /// Slow execution: long period, wide sweep.
     Slow,

@@ -12,10 +12,9 @@
 
 use crate::palette;
 use bb_imaging::{draw, Frame, Mask, Rgb};
-use serde::{Deserialize, Serialize};
 
 /// Wearable accessories (the Fig 9 variables).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Accessory {
     /// A brimmed hat above the head.
     Hat,
@@ -24,7 +23,7 @@ pub enum Accessory {
 }
 
 /// Visual appearance of a caller: identity (skin), apparel and accessories.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallerAppearance {
     /// Skin tone.
     pub skin: Rgb,
@@ -71,7 +70,7 @@ impl CallerAppearance {
 /// All positions are in frame coordinates; angles in degrees. The neutral
 /// pose has the caller centred horizontally, torso bottom at the frame
 /// bottom.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CallerPose {
     /// Horizontal centre of the torso (fraction of frame width, 0..1; may
     /// leave the unit range during enter/exit).

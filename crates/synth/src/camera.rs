@@ -14,10 +14,9 @@
 use bb_imaging::{geom, Frame, Rgb};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Background lighting state (the Fig 10/11 variable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lighting {
     /// Background lights on: full brightness, low noise.
     On,
@@ -53,7 +52,7 @@ impl Lighting {
 
 /// A per-session camera pose: small shift + rotation relative to the pose
 /// the adversary's dictionary image was captured at.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraPose {
     /// Horizontal shift in pixels.
     pub dx: f32,
@@ -102,7 +101,7 @@ impl CameraPose {
 
 /// Camera quality profile: noise scale and lighting quality, separating the
 /// consumer webcams of E1/E2 from the production cameras of E3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraQuality {
     /// Multiplier on [`Lighting::noise_sigma`].
     pub noise_scale: f32,

@@ -10,10 +10,9 @@
 use crate::palette;
 use bb_imaging::{draw, Frame, Rgb};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Semantic class of a scene object — the detector vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ObjectClass {
     /// A framed poster with colored stripes (often with a short title).
@@ -82,7 +81,7 @@ impl std::fmt::Display for ObjectClass {
 
 /// A concrete object instance: class, placement, and the style parameters
 /// that make each instance visually unique.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneObject {
     /// Semantic class.
     pub class: ObjectClass,

@@ -8,10 +8,9 @@ use crate::objects::{ObjectClass, SceneObject};
 use crate::palette;
 use bb_imaging::{draw, Frame, Rgb};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A room: wall style plus a list of placed objects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Room {
     /// Identifier (stable across runs for a fixed generation seed).
     pub id: u64,

@@ -12,13 +12,12 @@ use crate::camera::{capture, CameraPose, CameraQuality, Lighting};
 use crate::room::Room;
 use bb_imaging::{Frame, Mask};
 use bb_video::{VideoError, VideoStream};
-use serde::{Deserialize, Serialize};
 
 /// An additional on-camera participant sharing the frame with the main
 /// caller — multi-person calls (§VII-A ran several participants through the
 /// same room). Companions render *behind* the main caller and contribute to
 /// the true foreground mask like any other body pixel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Companion {
     /// Companion appearance.
     pub caller: CallerAppearance,
@@ -44,7 +43,7 @@ impl Companion {
 }
 
 /// A deterministic recording recipe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// The room behind the caller.
     pub room: Room,

@@ -13,8 +13,7 @@
 //! ```
 
 use crate::{VideoError, VideoStream};
-use bb_imaging::{Frame, Rgb};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bb_imaging::Frame;
 use std::io::Write;
 use std::path::Path;
 
@@ -50,23 +49,19 @@ pub(crate) fn validate_encodable(stream: &VideoStream) -> Result<(), VideoError>
 /// [`VideoError::Decode`] when the stream exceeds the container bounds
 /// (`MAX_DIM` per dimension, `MAX_FRAMES` frames) — anything accepted here
 /// round-trips through [`decode`]; nothing is silently truncated.
-pub fn encode(stream: &VideoStream) -> Result<Bytes, VideoError> {
+pub fn encode(stream: &VideoStream) -> Result<Vec<u8>, VideoError> {
     validate_encodable(stream)?;
     let (w, h) = stream.dims();
-    let mut buf = BytesMut::with_capacity(24 + stream.len() * w * h * 3);
-    buf.put_slice(MAGIC);
-    buf.put_f64_le(stream.fps());
-    buf.put_u32_le(w as u32);
-    buf.put_u32_le(h as u32);
-    buf.put_u32_le(stream.len() as u32);
-    for frame in stream {
-        for p in frame.pixels() {
-            buf.put_u8(p.r);
-            buf.put_u8(p.g);
-            buf.put_u8(p.b);
-        }
+    let mut buf = Vec::with_capacity(HEADER_LEN + stream.len() * w * h * 3);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&stream.fps().to_le_bytes());
+    for field in [w, h, stream.len()] {
+        buf.extend_from_slice(&(field as u32).to_le_bytes());
     }
-    Ok(buf.freeze())
+    for frame in stream {
+        buf.extend_from_slice(crate::rgb24::bytes_of(frame.pixels()));
+    }
+    Ok(buf)
 }
 
 /// Length of the v1 header in bytes.
@@ -106,29 +101,22 @@ pub(crate) fn parse_header(data: &[u8]) -> Result<(f64, usize, usize, usize), Vi
 ///
 /// Returns [`VideoError::Decode`] on bad magic, implausible headers or
 /// truncated frame data.
-pub fn decode(mut data: impl Buf) -> Result<VideoStream, VideoError> {
-    let mut header = [0u8; HEADER_LEN];
-    let got = data.remaining().min(HEADER_LEN);
-    data.copy_to_slice(&mut header[..got]);
-    let (fps, w, h, count) = parse_header(&header[..got])?;
+pub fn decode(data: &[u8]) -> Result<VideoStream, VideoError> {
+    let (fps, w, h, count) = parse_header(data)?;
     let frame_bytes = w * h * 3;
-    if data.remaining() < frame_bytes * count {
+    let payload = &data[HEADER_LEN..];
+    if payload.len() < frame_bytes * count {
         return Err(VideoError::Decode(format!(
             "payload truncated: need {} bytes, have {}",
             frame_bytes * count,
-            data.remaining()
+            payload.len()
         )));
     }
-    let mut frames = Vec::with_capacity(count);
-    let mut raw = vec![0u8; frame_bytes];
-    for _ in 0..count {
-        data.copy_to_slice(&mut raw);
-        let pixels: Vec<Rgb> = raw
-            .chunks_exact(3)
-            .map(|c| Rgb::new(c[0], c[1], c[2]))
-            .collect();
-        frames.push(Frame::from_pixels(w, h, pixels)?);
-    }
+    let frames = payload
+        .chunks_exact(frame_bytes)
+        .take(count)
+        .map(|raw| Frame::from_pixels(w, h, crate::rgb24::to_pixels(raw)))
+        .collect::<Result<Vec<_>, _>>()?;
     VideoStream::from_frames(frames, fps)
 }
 
@@ -148,6 +136,7 @@ pub fn save(stream: &VideoStream, path: impl AsRef<Path>) -> Result<(), VideoErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bb_imaging::Rgb;
 
     fn sample() -> VideoStream {
         VideoStream::generate(4, 24.0, |i| {
@@ -160,51 +149,43 @@ mod tests {
     fn round_trip() {
         let v = sample();
         let encoded = encode(&v).unwrap();
-        let decoded = decode(encoded).unwrap();
+        let decoded = decode(&encoded).unwrap();
         assert_eq!(decoded, v);
     }
 
     #[test]
     fn bad_magic_rejected() {
         let v = sample();
-        let mut bytes = encode(&v).unwrap().to_vec();
+        let mut bytes = encode(&v).unwrap();
         bytes[0] = b'X';
-        assert!(matches!(
-            decode(Bytes::from(bytes)),
-            Err(VideoError::Decode(_))
-        ));
+        assert!(matches!(decode(&bytes), Err(VideoError::Decode(_))));
     }
 
     #[test]
     fn truncated_header_rejected() {
-        assert!(decode(Bytes::from_static(b"BBV1\x00")).is_err());
+        assert!(decode(b"BBV1\x00").is_err());
     }
 
     #[test]
     fn truncated_payload_rejected() {
         let v = sample();
-        let bytes = encode(&v).unwrap().to_vec();
-        let cut = Bytes::from(bytes[..bytes.len() - 5].to_vec());
+        let bytes = encode(&v).unwrap();
+        let cut = &bytes[..bytes.len() - 5];
         assert!(matches!(decode(cut), Err(VideoError::Decode(_))));
     }
 
     #[test]
     fn implausible_dimensions_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_f64_le(30.0);
-        buf.put_u32_le(0); // zero width
-        buf.put_u32_le(10);
-        buf.put_u32_le(1);
-        assert!(decode(buf.freeze()).is_err());
-
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_f64_le(30.0);
-        buf.put_u32_le(10);
-        buf.put_u32_le(10);
-        buf.put_u32_le(0); // zero frames
-        assert!(decode(buf.freeze()).is_err());
+        let header = |w: u32, h: u32, count: u32| {
+            let mut buf = MAGIC.to_vec();
+            buf.extend_from_slice(&30.0f64.to_le_bytes());
+            for field in [w, h, count] {
+                buf.extend_from_slice(&field.to_le_bytes());
+            }
+            buf
+        };
+        assert!(decode(&header(0, 10, 1)).is_err()); // zero width
+        assert!(decode(&header(10, 10, 0)).is_err()); // zero frames
     }
 
     #[test]
@@ -214,7 +195,7 @@ mod tests {
         let path = dir.join("sample.bbv");
         let v = sample();
         save(&v, &path).unwrap();
-        let loaded = decode(Bytes::from(std::fs::read(&path).unwrap())).unwrap();
+        let loaded = decode(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(loaded, v);
         std::fs::remove_file(&path).ok();
     }

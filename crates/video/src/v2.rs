@@ -39,7 +39,6 @@
 
 use crate::{VideoError, VideoStream};
 use bb_imaging::{Frame, Rgb};
-use bytes::{BufMut, Bytes, BytesMut};
 use std::path::Path;
 
 /// Magic bytes opening every v2 container.
@@ -165,7 +164,7 @@ fn apply_spans(mut data: &[u8], out: &mut [u8]) -> Result<(), VideoError> {
 ///
 /// [`VideoError::Decode`] when the stream exceeds the container bounds
 /// (shared with the v1 encoder) or `stripe` is zero.
-pub fn encode(stream: &VideoStream, stripe: usize) -> Result<Bytes, VideoError> {
+pub fn encode(stream: &VideoStream, stripe: usize) -> Result<Vec<u8>, VideoError> {
     crate::io::validate_encodable(stream)?;
     if stripe == 0 {
         return Err(VideoError::Decode("stripe length must be non-zero".into()));
@@ -188,18 +187,17 @@ pub fn encode(stream: &VideoStream, stripe: usize) -> Result<Bytes, VideoError> 
         lens.push((records.len() - start) as u32);
         prev = cur;
     }
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + 4 * count + records.len());
-    buf.put_slice(MAGIC);
-    buf.put_f64_le(stream.fps());
-    buf.put_u32_le(w as u32);
-    buf.put_u32_le(h as u32);
-    buf.put_u32_le(count as u32);
-    buf.put_u32_le(stripe as u32);
-    for len in &lens {
-        buf.put_u32_le(*len);
+    let mut buf = Vec::with_capacity(HEADER_LEN + 4 * count + records.len());
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&stream.fps().to_le_bytes());
+    for field in [w, h, count, stripe] {
+        buf.extend_from_slice(&(field as u32).to_le_bytes());
     }
-    buf.put_slice(&records);
-    Ok(buf.freeze())
+    for len in &lens {
+        buf.extend_from_slice(&len.to_le_bytes());
+    }
+    buf.extend_from_slice(&records);
+    Ok(buf)
 }
 
 /// The parsed, owned index of a v2 container: header fields plus the
@@ -608,7 +606,7 @@ mod tests {
         let bytes = encode(&v, 4).unwrap();
         let index = V2Index::parse(&bytes).unwrap();
         // Flip the keyframe's kind byte to delta: schedule violation.
-        let mut flipped = bytes.to_vec();
+        let mut flipped = bytes.clone();
         let key_at = index.offsets[0];
         flipped[key_at] = KIND_DELTA;
         assert!(matches!(decode(&flipped), Err(VideoError::Decode(_))));
@@ -620,7 +618,7 @@ mod tests {
     #[test]
     fn structural_corruption_rejected() {
         let v = sample(5, 4, 3);
-        let bytes = encode(&v, 2).unwrap().to_vec();
+        let bytes = encode(&v, 2).unwrap();
         assert!(decode(&bytes[..HEADER_LEN - 1]).is_err());
         assert!(decode(&bytes[..HEADER_LEN + 3]).is_err());
         assert!(decode(&bytes[..bytes.len() - 1]).is_err());

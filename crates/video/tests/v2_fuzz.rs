@@ -142,7 +142,7 @@ proptest! {
     fn v1_encode_decode_symmetry(v in arb_stream()) {
         // Satellite: everything encode accepts, decode round-trips.
         let bytes = bb_video::io::encode(&v).unwrap();
-        prop_assert_eq!(bb_video::io::decode(bytes).unwrap(), v);
+        prop_assert_eq!(bb_video::io::decode(&bytes).unwrap(), v);
     }
 
     #[test]
