@@ -99,11 +99,6 @@ impl ObjectDetector {
         }
     }
 
-    /// Number of trained classes.
-    pub fn class_count(&self) -> usize {
-        self.models.len()
-    }
-
     /// Classifies a single region of the reconstruction: the pixels of
     /// `mask` within `background`. Returns the best class and confidence.
     ///
@@ -312,7 +307,7 @@ mod tests {
     fn training_is_deterministic() {
         let a = ObjectDetector::train(4, 5);
         let b = ObjectDetector::train(4, 5);
-        assert_eq!(a.class_count(), b.class_count());
+        assert_eq!(a.models.len(), b.models.len());
         for (ma, mb) in a.models.iter().zip(&b.models) {
             assert_eq!(ma.hue, mb.hue);
         }

@@ -54,7 +54,7 @@ fn bench_pipeline(c: &mut Criterion) {
     });
 
     c.bench_function("derive_unknown_image_60f", |b| {
-        b.iter(|| vbmask::derive_unknown_image(&call.video, 10, 14).expect("derive"))
+        b.iter(|| vbmask::derive_unknown_image(&call.video, 14).expect("derive"))
     });
 
     c.bench_function("vb_mask_single_frame", |b| {

@@ -11,7 +11,7 @@ use crate::harness::{default_vb, run_clip};
 use crate::report::{mean, pct, section, Table};
 use crate::ExpConfig;
 use bb_callsim::{Mitigation, ProfilePreset, SoftwareProfile};
-use bb_core::metrics::{total_displacement, Event};
+use bb_core::metrics::total_displacement;
 use bb_synth::{Action, Speed};
 use std::collections::BTreeMap;
 
@@ -115,10 +115,4 @@ fn action_period_secs(action: Action, speed: Speed) -> f64 {
         _ => 1.0,
     };
     base * speed.period_scale() as f64
-}
-
-/// Validates the displacement metric itself on a deterministic event window
-/// (used by the integration tests; exposed for reuse).
-pub fn displacement_for_event(video: &bb_video::VideoStream, event: Event, tau: u8) -> f64 {
-    bb_core::metrics::displacement(video, event, tau).unwrap_or(0.0)
 }

@@ -14,7 +14,6 @@ use crate::report::{pct, section, Table};
 use crate::ExpConfig;
 use bb_attacks::ObjectTracker;
 use bb_callsim::{Mitigation, ProfilePreset, SoftwareProfile};
-use bb_synth::SceneObject;
 use bb_telemetry::Telemetry;
 
 /// Runs the Fig 13 experiment.
@@ -183,9 +182,4 @@ pub fn run(cfg: &ExpConfig) -> String {
         "90 objects tracked at 96.7% accuracy with window-size and recovered-fraction guards",
         &format!("{}\n{}", table.render(), shape),
     )
-}
-
-/// Renders an object's template (exposed for the example binaries).
-pub fn template_of(obj: &SceneObject) -> bb_imaging::Frame {
-    ObjectTracker::soften_template(&obj.template())
 }

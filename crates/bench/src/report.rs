@@ -63,17 +63,6 @@ pub fn pct(v: f64) -> String {
     format!("{v:.1}%")
 }
 
-/// Formats a mean ± population-stddev summary of a sample.
-pub fn mean_sd(values: &[f64]) -> String {
-    if values.is_empty() {
-        return "n/a".to_string();
-    }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-    format!("{mean:.1} ± {:.1}", var.sqrt())
-}
-
 /// Mean of a sample (0 for empty).
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -110,13 +99,6 @@ mod tests {
     #[test]
     fn pct_formats() {
         assert_eq!(pct(38.64), "38.6%");
-    }
-
-    #[test]
-    fn mean_sd_formats() {
-        assert_eq!(mean_sd(&[]), "n/a");
-        let s = mean_sd(&[1.0, 3.0]);
-        assert!(s.starts_with("2.0"));
     }
 
     #[test]

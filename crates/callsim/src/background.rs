@@ -29,14 +29,6 @@ pub enum VirtualBackground {
 }
 
 impl VirtualBackground {
-    /// The background frame used at call-frame `i`, resized to `w × h`.
-    pub fn frame_at(&self, i: usize, w: usize, h: usize) -> Frame {
-        match self {
-            VirtualBackground::Image(img) => geom::resize(img, w, h),
-            VirtualBackground::Video(vid) => geom::resize(vid.frame(i % vid.len()), w, h),
-        }
-    }
-
     /// Index into the underlying media used at call-frame `i` (always 0 for
     /// images).
     pub fn media_index(&self, i: usize) -> usize {
@@ -424,10 +416,15 @@ mod tests {
     use super::*;
     use std::str::FromStr;
 
+    /// What the compositor pastes for `vb` at call-frame `i`.
+    fn composited(vb: &VirtualBackground, i: usize, w: usize, h: usize) -> Frame {
+        VbMode::from(vb.clone()).background_for(&Frame::new(w, h), i, w, h)
+    }
+
     #[test]
     fn image_background_is_constant_over_time() {
         let vb = BackgroundId::Beach.realize(40, 30);
-        assert_eq!(vb.frame_at(0, 40, 30), vb.frame_at(99, 40, 30));
+        assert_eq!(composited(&vb, 0, 40, 30), composited(&vb, 99, 40, 30));
         assert_eq!(vb.period(), 1);
         assert_eq!(vb.media_index(57), 0);
     }
@@ -436,15 +433,9 @@ mod tests {
     fn video_background_loops() {
         let vb = VirtualBackground::Video(draw_lava_lamp(40, 30, 8));
         assert_eq!(vb.period(), 8);
-        assert_eq!(vb.frame_at(3, 40, 30), vb.frame_at(11, 40, 30));
-        assert_ne!(vb.frame_at(0, 40, 30), vb.frame_at(4, 40, 30));
+        assert_eq!(composited(&vb, 3, 40, 30), composited(&vb, 11, 40, 30));
+        assert_ne!(composited(&vb, 0, 40, 30), composited(&vb, 4, 40, 30));
         assert_eq!(vb.media_index(11), 3);
-    }
-
-    #[test]
-    fn frame_at_resizes() {
-        let vb = BackgroundId::Office.realize(80, 60);
-        assert_eq!(vb.frame_at(0, 40, 30).dims(), (40, 30));
     }
 
     #[test]
@@ -497,7 +488,7 @@ mod tests {
         // differs from first (motion) but the loop point matches.
         let v = draw_drifting_clouds(48, 36, 12);
         let vb = VirtualBackground::Video(v);
-        assert_eq!(vb.frame_at(0, 48, 36), vb.frame_at(12, 48, 36));
+        assert_eq!(composited(&vb, 0, 48, 36), composited(&vb, 12, 48, 36));
     }
 
     #[test]
@@ -520,10 +511,10 @@ mod tests {
         let img = BackgroundId::Space.realize(24, 18);
         let mode = VbMode::from(img.clone());
         let raw = Frame::new(24, 18);
-        assert_eq!(
-            mode.background_for(&raw, 5, 24, 18),
-            img.frame_at(5, 24, 18)
-        );
+        let VirtualBackground::Image(image) = &img else {
+            unreachable!("space is an image background")
+        };
+        assert_eq!(mode.background_for(&raw, 5, 24, 18), *image);
         let vid = BackgroundId::LavaLamp.realize(24, 18);
         let mode = VbMode::from(vid.clone());
         assert_eq!(mode.period(), vid.period());

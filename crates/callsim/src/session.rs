@@ -171,26 +171,6 @@ impl<'a> CallSim<'a> {
     /// malformed (mask/frame count mismatch) and propagates compositing
     /// failures.
     pub fn run(self) -> Result<CompositedCall, CallSimError> {
-        self.run_streamed(|_, _| Ok(()))
-    }
-
-    /// [`CallSim::run`] with a live feed: `sink` observes each composited
-    /// frame, in output order, the moment it leaves the compositor — before
-    /// the full call has been assembled. This models an adversary (or a
-    /// streaming reconstruction session in `bb-core`) tapping the call as
-    /// it happens rather than working from a finished recording.
-    ///
-    /// The sink receives the output frame index and the composited frame;
-    /// an error from the sink aborts the session and is propagated
-    /// verbatim.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CallSim::run`], plus any error the sink returns.
-    pub fn run_streamed(
-        self,
-        mut sink: impl FnMut(usize, &Frame) -> Result<(), CallSimError>,
-    ) -> Result<CompositedCall, CallSimError> {
         let CallSim {
             gt,
             vb,
@@ -282,8 +262,6 @@ impl<'a> CallSim<'a> {
                     ],
                 );
             }
-
-            sink(out_i, &composited)?;
 
             out_frames.push(composited);
             est_masks.push(est);
@@ -497,42 +475,6 @@ mod tests {
         // Without mitigation the VB frames are constant (image background).
         let plain = CallSim::new(&gt).vb(image_bg()).seed(9).run().unwrap();
         assert_eq!(plain.truth.vb_frames[0], plain.truth.vb_frames[1]);
-    }
-
-    #[test]
-    fn streamed_sink_sees_every_output_frame_in_order() {
-        let gt = ground_truth(Action::ArmWaving, 12);
-        let mut seen: Vec<(usize, Frame)> = Vec::new();
-        let call = CallSim::new(&gt)
-            .vb(image_bg())
-            .seed(5)
-            .run_streamed(|i, frame| {
-                seen.push((i, frame.clone()));
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(seen.len(), call.len());
-        for (i, (idx, frame)) in seen.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(frame, call.video.frame(i));
-        }
-    }
-
-    #[test]
-    fn streamed_sink_error_aborts_the_session() {
-        let gt = ground_truth(Action::Still, 10);
-        let err = CallSim::new(&gt)
-            .vb(image_bg())
-            .seed(5)
-            .run_streamed(|i, _| {
-                if i == 3 {
-                    Err(CallSimError::Inconsistent("sink refused".into()))
-                } else {
-                    Ok(())
-                }
-            })
-            .unwrap_err();
-        assert!(matches!(err, CallSimError::Inconsistent(_)));
     }
 
     #[test]

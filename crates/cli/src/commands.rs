@@ -1,10 +1,10 @@
 //! Subcommand implementations.
 
 use crate::args::Flags;
-use bb_callsim::{background, BackgroundId, CallSim, ProfilePreset, SoftwareProfile, VbMode};
+use bb_callsim::{background, CallSim, ProfilePreset, SoftwareProfile, VbMode};
 use bb_core::pipeline::{MaskRetention, Reconstructor, ReconstructorConfig, VbSource};
 use bb_core::session::ReconstructionSession;
-use bb_imaging::filter::MAX_BLUR_RADIUS;
+use bb_sweep::VbSpec;
 use bb_synth::{Action, Lighting, Room, Scenario};
 use bb_telemetry::{chrome_trace, Journal, MetricsExporter, MetricsHub, SloRule, Telemetry};
 use bb_video::mmap::{ContainerVersion, MmapSource};
@@ -283,19 +283,7 @@ fn action_by_name(name: &str) -> Result<Action, String> {
 /// Resolves a `--vb` value: a catalog identifier (`beach`,
 /// `drifting_clouds`, …) or `blur:R` for the blur compositor.
 fn vb_by_name(name: &str, w: usize, h: usize) -> Result<VbMode, String> {
-    if let Some(radius) = name.strip_prefix("blur:") {
-        let radius: usize = radius
-            .parse()
-            .map_err(|_| format!("bad blur radius in {name:?}"))?;
-        if !(1..=MAX_BLUR_RADIUS).contains(&radius) {
-            return Err(format!(
-                "blur radius must be in 1..={MAX_BLUR_RADIUS}, got {radius}"
-            ));
-        }
-        return Ok(VbMode::Blur { radius });
-    }
-    name.parse::<BackgroundId>()
-        .map(|id| VbMode::from(id.realize(w, h)))
+    Ok(name.parse::<VbSpec>()?.mode(w, h))
 }
 
 /// Resolves a `--profile`/`--software` value into a [`SoftwareProfile`].
@@ -1063,6 +1051,11 @@ mod tests {
         let out = format!("{prefix}.out.bbv");
         assert!(run(&["encode", &call, &out, "--format", "v3"]).is_err());
         assert!(run(&["encode", &call, &out, "--stripe", "0"]).is_err());
+        // A stripe past the v2 header's u32 field would be truncated on
+        // write and leave a file no reader accepts.
+        let err = run(&["encode", &call, &out, "--stripe", "4294967297"]).unwrap_err();
+        assert!(err.contains("stripe"), "{err}");
+        assert!(!std::path::Path::new(&out).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

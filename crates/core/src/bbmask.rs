@@ -9,9 +9,6 @@
 use crate::CoreError;
 use bb_imaging::{morph, Frame, Mask};
 
-/// The paper's calibrated blur radius for Zoom (§VIII-C).
-pub const PAPER_PHI: usize = 20;
-
 /// The blending-blur mask: all non-VBM pixels within radius `phi` of a VBM
 /// pixel (§V-C).
 pub fn bb_mask(vbm: &Mask, phi: usize) -> Mask {

@@ -129,17 +129,10 @@ pub struct ReconstructorConfig {
     /// Blending-blur radius φ (§V-C); the paper calibrates 20 for Zoom at
     /// VGA scale — scale proportionally to the frame size in use.
     pub phi: usize,
-    /// Frames a pixel must stay consistent to count as virtual background
-    /// in the unknown-VB derivation (§V-B's 10-frame rule).
-    pub stability_threshold: usize,
     /// Color-refinement parameters for the VCM stage (§V-D).
     pub vc: VcMaskParams,
     /// Number of worker threads for the per-frame stages (1 = sequential).
     pub parallelism: usize,
-    /// Minimum per-pixel observation count kept in the final canvas
-    /// (1 keeps everything; higher values harden against the dynamic-VB
-    /// mitigation's one-frame artifacts).
-    pub min_observations: u32,
     /// How parallel passes collect per-frame results (one strategy; see
     /// [`CollectMode`] for why the field remains).
     pub collect_mode: CollectMode,
@@ -163,10 +156,8 @@ impl Default for ReconstructorConfig {
         ReconstructorConfig {
             tau: 12,
             phi: 4,
-            stability_threshold: STABILITY_THRESHOLD,
             vc: VcMaskParams::default(),
             parallelism: 4,
-            min_observations: 1,
             collect_mode: CollectMode::default(),
             warmup_frames: DEFAULT_WARMUP_FRAMES,
             mask_retention: MaskRetention::Full,
@@ -183,10 +174,9 @@ impl ReconstructorConfig {
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] when any field is degenerate:
-    /// `phi == 0`, `parallelism == 0`, `stability_threshold == 0`,
-    /// `min_observations == 0`, `warmup_frames == 0`, a blur-residue radius
-    /// outside `1..=MAX_BLUR_RADIUS`, refine bits outside `1..=8`, or a
-    /// frequency threshold outside `[0, 1]`.
+    /// `phi == 0`, `parallelism == 0`, `warmup_frames == 0`, a blur-residue
+    /// radius outside `1..=MAX_BLUR_RADIUS`, refine bits outside `1..=8`, or
+    /// a frequency threshold outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.phi == 0 {
             return Err(CoreError::InvalidConfig(
@@ -196,16 +186,6 @@ impl ReconstructorConfig {
         if self.parallelism == 0 {
             return Err(CoreError::InvalidConfig(
                 "parallelism must be at least 1".into(),
-            ));
-        }
-        if self.stability_threshold == 0 {
-            return Err(CoreError::InvalidConfig(
-                "stability_threshold must be at least 1 frame".into(),
-            ));
-        }
-        if self.min_observations == 0 {
-            return Err(CoreError::InvalidConfig(
-                "min_observations must be at least 1".into(),
             ));
         }
         if self.warmup_frames == 0 {
@@ -323,9 +303,9 @@ impl Reconstructor {
     }
 
     /// Restores a streaming session from bytes produced by
-    /// [`ReconstructionSession::checkpoint`]. The VB source and telemetry
-    /// handle come from `self`; the checkpointed config must equal this
-    /// reconstructor's config.
+    /// [`ReconstructionSession::checkpoint`]. The VB source, telemetry
+    /// handle and worker count come from `self`; every other checkpointed
+    /// setting must equal this reconstructor's.
     ///
     /// # Errors
     ///
@@ -354,25 +334,6 @@ impl Reconstructor {
         let mut session = self.session();
         session.push_frames(video.frames())?;
         session.finalize()
-    }
-
-    /// Runs the pipeline with a pre-resolved reference (lets experiments
-    /// separate identification quality from reconstruction quality).
-    ///
-    /// # Errors
-    ///
-    /// Propagates masking failures.
-    pub fn reconstruct_with_reference(
-        &self,
-        video: &VideoStream,
-        reference: VirtualReference,
-    ) -> Result<Reconstruction, CoreError> {
-        let exact = Reconstructor {
-            source: VbSource::Exact(reference),
-            config: self.config,
-            telemetry: self.telemetry.clone(),
-        };
-        exact.reconstruct(video)
     }
 }
 
@@ -416,9 +377,7 @@ pub(crate) fn resolve_reference_impl(
                 .collect();
             Ok(VirtualReference::Video { phases, offset })
         }
-        VbSource::UnknownImage => {
-            derive_unknown_image(video, config.stability_threshold, config.tau)
-        }
+        VbSource::UnknownImage => derive_unknown_image(video, config.tau),
         VbSource::UnknownVideo {
             min_period,
             max_period,
@@ -434,7 +393,7 @@ pub(crate) fn resolve_reference_impl(
                 *min_period,
                 *max_period,
                 config.tau,
-                (config.stability_threshold / min_period.max(&1)).max(2),
+                (STABILITY_THRESHOLD / min_period.max(&1)).max(2),
             )
         }
         VbSource::Exact(r) => Ok(r.clone()),
@@ -592,24 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn min_observations_filters_canvas() {
-        let (video, _, _) = toy_call();
-        let loose = Reconstructor::new(VbSource::UnknownImage, config())
-            .reconstruct(&video)
-            .unwrap();
-        let strict = Reconstructor::new(
-            VbSource::UnknownImage,
-            ReconstructorConfig {
-                min_observations: 5,
-                ..config()
-            },
-        )
-        .reconstruct(&video)
-        .unwrap();
-        assert!(strict.recovered.count_set() <= loose.recovered.count_set());
-    }
-
-    #[test]
     fn per_frame_outputs_cover_all_frames() {
         let (video, _, _) = toy_call();
         let rec = Reconstructor::new(VbSource::UnknownImage, config())
@@ -696,11 +637,9 @@ mod tests {
     #[test]
     fn validate_rejects_degenerate_values() {
         type Degrade = fn(&mut ReconstructorConfig);
-        let cases: [(Degrade, &str); 9] = [
+        let cases: [(Degrade, &str); 7] = [
             (|c| c.phi = 0, "phi 0"),
             (|c| c.parallelism = 0, "parallelism 0"),
-            (|c| c.stability_threshold = 0, "stability_threshold 0"),
-            (|c| c.min_observations = 0, "min_observations 0"),
             (|c| c.warmup_frames = 0, "warmup_frames 0"),
             (
                 |c| c.mode = ReconMode::BlurResidue { radius: 0 },

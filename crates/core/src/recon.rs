@@ -177,21 +177,6 @@ impl ReconstructionCanvas {
     pub fn color_at(&self, x: usize, y: usize) -> Option<Rgb> {
         self.colors[y * self.width + x]
     }
-
-    /// Drops pixels observed fewer than `min_count` times — a confidence
-    /// filter against one-frame artifacts (useful under the dynamic-VB
-    /// mitigation, where spurious "leaks" appear in single frames).
-    pub fn filtered(&self, min_count: u32) -> ReconstructionCanvas {
-        let mut out = self.clone();
-        for i in 0..out.colors.len() {
-            if out.counts[i] < min_count {
-                out.colors[i] = None;
-                out.counts[i] = 0;
-                out.votes[i] = 0;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -313,24 +298,6 @@ mod tests {
         let out = canvas.to_frame(Rgb::BLACK);
         assert_eq!(out.get(0, 0), Rgb::new(9, 9, 9));
         assert_eq!(out.get(2, 2), Rgb::BLACK);
-    }
-
-    #[test]
-    fn filtered_drops_low_confidence() {
-        let f = Frame::filled(4, 4, Rgb::WHITE);
-        let mut canvas = ReconstructionCanvas::new(4, 4);
-        let mut leak_once = Mask::new(4, 4);
-        leak_once.set(0, 0, true);
-        let mut leak_thrice = Mask::new(4, 4);
-        leak_thrice.set(1, 1, true);
-        canvas.accumulate(&f, &leak_once).unwrap();
-        for _ in 0..3 {
-            canvas.accumulate(&f, &leak_thrice).unwrap();
-        }
-        let filtered = canvas.filtered(2);
-        assert_eq!(filtered.recovered_count(), 1);
-        assert_eq!(filtered.color_at(0, 0), None);
-        assert_eq!(filtered.color_at(1, 1), Some(Rgb::WHITE));
     }
 
     #[test]

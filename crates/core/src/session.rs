@@ -32,7 +32,7 @@
 //! hash.
 //!
 //! [`ReconstructionSession::checkpoint`] serializes the full session state
-//! into a versioned binary format (magic `BBSC`, version 2 — see
+//! into a versioned binary format (magic `BBSC`, version 3 — see
 //! DESIGN.md §7) so a long-running capture survives process restart;
 //! [`Reconstructor::resume_session`](crate::pipeline::Reconstructor::resume_session)
 //! restores it.
@@ -45,12 +45,12 @@ use crate::pipeline::{
 use crate::recon::ReconstructionCanvas;
 use crate::vbmask::{vb_mask, VirtualReference};
 use crate::vcmask::{vc_mask_with_model, CallerColorModel};
-use crate::workers::{run_stage, CollectMode};
+use crate::workers::run_stage;
 use crate::CoreError;
 use bb_imaging::filter::MAX_BLUR_RADIUS;
 use bb_imaging::hist::ColorHistogram;
 use bb_imaging::{Frame, Mask, Rgb};
-use bb_segment::{PersonSegmenter, SegmenterParams};
+use bb_segment::PersonSegmenter;
 use bb_telemetry::Telemetry;
 use bb_video::stream::STANDARD_FPS;
 use bb_video::VideoStream;
@@ -58,7 +58,7 @@ use bb_video::VideoStream;
 /// Checkpoint container magic ("Background buster Streaming Checkpoint").
 const MAGIC: &[u8; 4] = b"BBSC";
 /// Checkpoint format version (bump on any layout change).
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 /// Dimension sanity bound for decoded frames/masks (matches the `.bbv`
 /// decoder's bound).
 const MAX_DIM: u64 = 1 << 14;
@@ -322,7 +322,7 @@ impl ReconstructionSession {
     /// A point-in-time view of the partial reconstruction (`None` before
     /// the first frame fixes the geometry). Before the lock the background
     /// is all black; afterwards it reflects everything accumulated so far,
-    /// with the `min_observations` filter applied like `finalize` would.
+    /// exactly as `finalize` would render it.
     pub fn snapshot(&self) -> Option<SessionSnapshot> {
         match &self.state {
             SessionState::Warmup(w) => {
@@ -334,20 +334,12 @@ impl ReconstructionSession {
                     recovered: Mask::new(width, height),
                 })
             }
-            SessionState::Locked(l) => {
-                let (background, recovered) = if self.config.min_observations > 1 {
-                    let filtered = l.canvas.filtered(self.config.min_observations);
-                    (filtered.to_frame(Rgb::BLACK), filtered.recovered_mask())
-                } else {
-                    (l.canvas.to_frame(Rgb::BLACK), l.canvas.recovered_mask())
-                };
-                Some(SessionSnapshot {
-                    frames_seen: l.frames_seen,
-                    locked: true,
-                    background,
-                    recovered,
-                })
-            }
+            SessionState::Locked(l) => Some(SessionSnapshot {
+                frames_seen: l.frames_seen,
+                locked: true,
+                background: l.canvas.to_frame(Rgb::BLACK),
+                recovered: l.canvas.recovered_mask(),
+            }),
         }
     }
 
@@ -364,7 +356,6 @@ impl ReconstructionSession {
             self.lock()?;
         }
         let telemetry = self.telemetry;
-        let config = self.config;
         let locked = match self.state {
             SessionState::Locked(l) => *l,
             SessionState::Warmup(_) => unreachable!("lock() left the session unlocked"),
@@ -372,7 +363,7 @@ impl ReconstructionSession {
         let LockedState {
             frames_seen,
             reference,
-            mut canvas,
+            canvas,
             leaks,
             vbms,
             removeds,
@@ -380,10 +371,6 @@ impl ReconstructionSession {
         } = locked;
         if telemetry.is_enabled() {
             telemetry.set_meta("frames", frames_seen);
-        }
-        if config.min_observations > 1 {
-            let _span = telemetry.time("reconstruct/filter");
-            canvas = canvas.filtered(config.min_observations);
         }
         let recovered = canvas.recovered_mask();
         if telemetry.is_enabled() {
@@ -522,12 +509,6 @@ impl ReconstructionSession {
                         }
                     }
                 }
-                let p = l.segmenter.params();
-                buf.push(p.diff_tau);
-                put_u64(&mut buf, p.close_radius as u64);
-                put_u64(&mut buf, p.open_radius as u64);
-                put_f64(&mut buf, p.min_component_frac);
-                put_f64(&mut buf, p.skin_evidence_frac);
                 put_frame(&mut buf, l.segmenter.model());
                 match &l.model {
                     Some(m) => {
@@ -592,7 +573,7 @@ impl ReconstructionSession {
                 "unsupported checkpoint version {version} (this build reads {VERSION})"
             )));
         }
-        let saved = read_config(&mut r)?;
+        let saved = read_config(&mut r, &config)?;
         if saved != config {
             return Err(corrupt(
                 "checkpoint config does not match the resuming reconstructor's config",
@@ -644,18 +625,11 @@ impl ReconstructionSession {
                     }
                     t => return Err(corrupt(format!("unknown reference tag {t}"))),
                 };
-                let params = SegmenterParams {
-                    diff_tau: r.u8()?,
-                    close_radius: r.count()?,
-                    open_radius: r.count()?,
-                    min_component_frac: r.f64()?,
-                    skin_evidence_frac: r.f64()?,
-                };
                 let seg_model = read_frame(&mut r)?;
                 if seg_model.dims() != dims {
                     return Err(corrupt("segmenter model geometry mismatch"));
                 }
-                let segmenter = PersonSegmenter::from_parts(params, seg_model);
+                let segmenter = PersonSegmenter::from_parts(seg_model);
                 let model = match r.u8()? {
                     0 => None,
                     1 => {
@@ -921,17 +895,14 @@ fn put_mask(buf: &mut Vec<u8>, mask: &Mask) {
     }
 }
 
+/// Writes the settings that change a session's output, and only those:
+/// resume refuses a checkpoint whose stored settings differ from the
+/// resuming reconstructor's. The worker count (`parallelism`) and
+/// `collect_mode` are not stored — output is identical at any worker count,
+/// so a checkpoint resumes under any of them.
 fn put_config(buf: &mut Vec<u8>, c: &ReconstructorConfig) {
     buf.push(c.tau);
     put_u64(buf, c.phi as u64);
-    put_u64(buf, c.stability_threshold as u64);
-    put_u64(buf, c.parallelism as u64);
-    put_u32(buf, c.min_observations);
-    // The collect-mode byte predates the single collector; it stays so the
-    // checkpoint format does not change, and is always 0.
-    buf.push(match c.collect_mode {
-        CollectMode::WorkerLocal => 0,
-    });
     put_u64(buf, c.warmup_frames as u64);
     buf.push(match c.mask_retention {
         MaskRetention::Full => 0,
@@ -1008,17 +979,16 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn read_config(r: &mut Reader) -> Result<ReconstructorConfig, CoreError> {
+/// Reads what [`put_config`] wrote; the settings it does not store are taken
+/// from `resuming`, so comparing the result with `resuming` compares exactly
+/// the stored ones.
+fn read_config(
+    r: &mut Reader,
+    resuming: &ReconstructorConfig,
+) -> Result<ReconstructorConfig, CoreError> {
     Ok(ReconstructorConfig {
         tau: r.u8()?,
         phi: r.count()?,
-        stability_threshold: r.count()?,
-        parallelism: r.count()?,
-        min_observations: r.u32()?,
-        collect_mode: match r.u8()? {
-            0 => CollectMode::WorkerLocal,
-            t => return Err(corrupt(format!("unknown collect mode {t}"))),
-        },
         warmup_frames: r.count()?,
         mask_retention: match r.u8()? {
             0 => MaskRetention::Full,
@@ -1044,6 +1014,7 @@ fn read_config(r: &mut Reader) -> Result<ReconstructorConfig, CoreError> {
             }
             t => return Err(corrupt(format!("unknown reconstruction mode {t}"))),
         },
+        ..*resuming
     })
 }
 
@@ -1300,7 +1271,8 @@ mod tests {
             Err(CoreError::CheckpointCorrupt(_))
         ));
         bytes.pop();
-        // A different config refuses the checkpoint.
+        // A config differing in an output-changing setting refuses the
+        // checkpoint.
         let other = Reconstructor::new(
             VbSource::UnknownImage,
             ReconstructorConfig { phi: 9, ..config() },
@@ -1309,6 +1281,19 @@ mod tests {
             other.resume_session(&bytes),
             Err(CoreError::CheckpointCorrupt(_))
         ));
+        // The worker count is not such a setting: output is identical at
+        // any parallelism, so the checkpoint resumes under another one.
+        let fewer_workers = Reconstructor::new(
+            VbSource::UnknownImage,
+            ReconstructorConfig {
+                parallelism: 1,
+                ..config()
+            },
+        );
+        assert_eq!(
+            fewer_workers.resume_session(&bytes).unwrap().frames_seen(),
+            0
+        );
     }
 
     #[test]

@@ -147,22 +147,18 @@ pub fn identify_known_video(
 /// Per-pixel stability analysis: the §V-B unknown-virtual-image derivation.
 ///
 /// A pixel whose value stays within `tau` of a running anchor for at least
-/// `stability_threshold` consecutive frames is considered virtual
+/// [`STABILITY_THRESHOLD`] consecutive frames is considered virtual
 /// background; the derived image stores the anchor value and the validity
 /// mask marks derived pixels.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::VideoTooShort`] when the video has fewer frames than
-/// `stability_threshold`.
-pub fn derive_unknown_image(
-    video: &VideoStream,
-    stability_threshold: usize,
-    tau: u8,
-) -> Result<VirtualReference, CoreError> {
-    if video.len() < stability_threshold {
+/// [`STABILITY_THRESHOLD`].
+pub fn derive_unknown_image(video: &VideoStream, tau: u8) -> Result<VirtualReference, CoreError> {
+    if video.len() < STABILITY_THRESHOLD {
         return Err(CoreError::VideoTooShort {
-            needed: stability_threshold,
+            needed: STABILITY_THRESHOLD,
             have: video.len(),
         });
     }
@@ -195,7 +191,7 @@ pub fn derive_unknown_image(
                 best_len = run;
                 best_anchor = anchor;
             }
-            if best_len >= stability_threshold {
+            if best_len >= STABILITY_THRESHOLD {
                 image.put(x, y, best_anchor);
                 valid.set(x, y, true);
             }
@@ -467,7 +463,7 @@ mod tests {
     #[test]
     fn unknown_image_derivation_recovers_vb() {
         let video = call_stream(40);
-        let r = derive_unknown_image(&video, STABILITY_THRESHOLD, 2).unwrap();
+        let r = derive_unknown_image(&video, 2).unwrap();
         let VirtualReference::Image { image, valid } = &r else {
             panic!("expected image reference");
         };
@@ -482,7 +478,7 @@ mod tests {
     fn derivation_needs_enough_frames() {
         let video = call_stream(5);
         assert!(matches!(
-            derive_unknown_image(&video, 10, 2),
+            derive_unknown_image(&video, 2),
             Err(CoreError::VideoTooShort { .. })
         ));
     }

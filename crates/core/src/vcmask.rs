@@ -126,22 +126,12 @@ pub struct VcMaskResult {
 }
 
 /// Produces the VCM for one frame: person selection among `candidates`
-/// (pixels not claimed by VBM/BBM) followed by color refinement.
-pub fn vc_mask(
-    segmenter: &PersonSegmenter,
-    frame: &Frame,
-    candidates: &Mask,
-    params: &VcMaskParams,
-) -> VcMaskResult {
-    vc_mask_with_model(segmenter, frame, candidates, params, None)
-}
-
-/// [`vc_mask`] with an optional cross-frame caller color model: when
-/// supplied, pixels whose color is rare *among modelled caller pixels* are
-/// flipped in addition to the per-frame refinement — this is what stops the
-/// wall-colored trail behind a walking caller from being absorbed into the
-/// VCM (the failure mode a semantic segmenter like DeepLabv3 avoids
-/// natively).
+/// (pixels not claimed by VBM/BBM) followed by color refinement. With a
+/// cross-frame caller color `model`, pixels whose color is rare *among
+/// modelled caller pixels* are flipped in addition to the per-frame
+/// refinement — this is what stops the wall-colored trail behind a walking
+/// caller from being absorbed into the VCM (the failure mode a semantic
+/// segmenter like DeepLabv3 avoids natively).
 pub fn vc_mask_with_model(
     segmenter: &PersonSegmenter,
     frame: &Frame,
@@ -232,7 +222,7 @@ mod tests {
     fn vcm_keeps_caller_drops_rare_leak() {
         let (video, frame, candidates) = fixture();
         let seg = PersonSegmenter::fit(&video);
-        let result = vc_mask(&seg, &frame, &candidates, &VcMaskParams::default());
+        let result = vc_mask_with_model(&seg, &frame, &candidates, &VcMaskParams::default(), None);
         assert!(result.vcm.get(26, 30), "torso missing from VCM");
         assert!(result.vcm.get(26, 14), "head missing from VCM");
         // The fused leak patch is color-rare and must be flipped out.
@@ -244,7 +234,13 @@ mod tests {
     fn empty_candidates_empty_vcm() {
         let (video, frame, _) = fixture();
         let seg = PersonSegmenter::fit(&video);
-        let result = vc_mask(&seg, &frame, &Mask::new(50, 50), &VcMaskParams::default());
+        let result = vc_mask_with_model(
+            &seg,
+            &frame,
+            &Mask::new(50, 50),
+            &VcMaskParams::default(),
+            None,
+        );
         assert!(result.vcm.is_empty());
         assert_eq!(result.flipped, 0);
     }
@@ -253,7 +249,7 @@ mod tests {
     fn vcm_is_subset_of_candidates() {
         let (video, frame, candidates) = fixture();
         let seg = PersonSegmenter::fit(&video);
-        let result = vc_mask(&seg, &frame, &candidates, &VcMaskParams::default());
+        let result = vc_mask_with_model(&seg, &frame, &candidates, &VcMaskParams::default(), None);
         assert!(result.vcm.subtract(&candidates).unwrap().is_empty());
     }
 
@@ -265,7 +261,7 @@ mod tests {
             refine_min_freq: 0.0,
             ..Default::default()
         };
-        let result = vc_mask(&seg, &frame, &candidates, &params);
+        let result = vc_mask_with_model(&seg, &frame, &candidates, &params, None);
         assert_eq!(result.flipped, 0);
     }
 }

@@ -28,11 +28,6 @@ impl Component {
     pub fn height(&self) -> usize {
         self.bbox.3 - self.bbox.1 + 1
     }
-
-    /// Fill ratio: area divided by bounding-box area, in `(0, 1]`.
-    pub fn fill_ratio(&self) -> f64 {
-        self.area as f64 / (self.width() * self.height()) as f64
-    }
 }
 
 /// Connectivity used for labelling.
@@ -54,11 +49,6 @@ pub struct Labeling {
 }
 
 impl Labeling {
-    /// Label at `(x, y)`; 0 means background.
-    pub fn label_at(&self, x: usize, y: usize) -> u32 {
-        self.labels[y * self.width + x]
-    }
-
     /// The component table, ordered by label.
     pub fn components(&self) -> &[Component] {
         &self.components
@@ -274,7 +264,6 @@ mod tests {
         assert_eq!(c.bbox, (1, 2, 3, 4));
         assert_eq!(c.width(), 3);
         assert_eq!(c.height(), 3);
-        assert_eq!(c.fill_ratio(), 1.0);
     }
 
     #[test]
@@ -293,9 +282,9 @@ mod tests {
         m.set(7, 7, true);
         let l = label(&m, Connectivity::Eight);
         assert_eq!(l.components().len(), 2);
-        assert_eq!(l.label_at(0, 0), 1);
-        assert_eq!(l.label_at(7, 7), 2);
-        assert_eq!(l.label_at(3, 3), 0);
+        let c = l.components();
+        assert_eq!((c[0].label, c[0].bbox), (1, (0, 0, 0, 0)));
+        assert_eq!((c[1].label, c[1].bbox), (2, (7, 7, 7, 7)));
     }
 
     #[test]

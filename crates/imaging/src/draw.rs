@@ -155,34 +155,6 @@ pub fn vertical_gradient(frame: &mut Frame, top: Rgb, bottom: Rgb) {
     }
 }
 
-/// Draws a checkerboard with cells of the given size — a high-texture pattern
-/// used for posters and apparel in the synthetic world.
-#[allow(clippy::too_many_arguments)] // a drawing primitive's geometry is clearest spelled out
-pub fn checkerboard(
-    frame: &mut Frame,
-    x: i64,
-    y: i64,
-    w: usize,
-    h: usize,
-    cell: usize,
-    a: Rgb,
-    b: Rgb,
-) {
-    if cell == 0 {
-        return;
-    }
-    for dy in 0..h {
-        for dx in 0..w {
-            let color = if (dx / cell + dy / cell).is_multiple_of(2) {
-                a
-            } else {
-                b
-            };
-            frame.put_clipped(x + dx as i64, y + dy as i64, color);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,14 +241,5 @@ mod tests {
         assert_eq!(f.get(0, 0), Rgb::BLACK);
         assert_eq!(f.get(0, 4), Rgb::WHITE);
         assert!(f.get(0, 2).luma() > 0 && f.get(0, 2).luma() < 255);
-    }
-
-    #[test]
-    fn checkerboard_alternates() {
-        let mut f = Frame::new(8, 8);
-        checkerboard(&mut f, 0, 0, 8, 8, 2, Rgb::WHITE, Rgb::grey(1));
-        assert_eq!(f.get(0, 0), Rgb::WHITE);
-        assert_eq!(f.get(2, 0), Rgb::grey(1));
-        assert_eq!(f.get(2, 2), Rgb::WHITE);
     }
 }

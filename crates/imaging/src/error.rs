@@ -39,7 +39,7 @@ pub enum ImagingError {
     },
     /// A parameter was outside its legal range (e.g. a zero kernel size).
     InvalidParameter(String),
-    /// A PPM/PGM stream could not be parsed.
+    /// A PPM stream could not be parsed.
     Decode(String),
     /// An underlying I/O error, stringified to keep the type `Clone + Eq`.
     Io(String),

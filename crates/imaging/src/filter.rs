@@ -1,4 +1,4 @@
-//! Image filters: box, Gaussian, and motion blur; Laplacian pyramid blending.
+//! Image filters: box and Gaussian blur; Laplacian pyramid blending.
 //!
 //! §III lists alpha blending, Gaussian blending and Laplacian-pyramid blending
 //! as the state-of-the-art techniques a video-call application may use to
@@ -440,41 +440,6 @@ fn convolve_1d(frame: &Frame, kernel: &[f32], horizontal: bool) -> Frame {
     out
 }
 
-/// Horizontal motion blur over `length` pixels in the direction of motion.
-///
-/// Models the §VIII-C motion-blur effect of fast arm waving: the smeared
-/// foreground confuses the matting stage. `length ≤ 1` returns a copy.
-pub fn motion_blur(frame: &Frame, length: usize) -> Frame {
-    if length <= 1 {
-        return frame.clone();
-    }
-    let (w, h) = frame.dims();
-    let mut out = Frame::new(w, h);
-    let n = length as u32;
-    for y in 0..h {
-        let src = frame.row(y);
-        let dst = out.row_mut(y);
-        // Trailing window {src[max(x−d, 0)] : d < length}, maintained as a
-        // sliding sum; at x = 0 every tap clamps to src[0].
-        let p0 = src[0];
-        let (mut sr, mut sg, mut sb) = (n * p0.r as u32, n * p0.g as u32, n * p0.b as u32);
-        for x in 0..w {
-            dst[x] = Rgb::new(round_div(sr, n), round_div(sg, n), round_div(sb, n));
-            if x + 1 < w {
-                let add = src[x + 1];
-                let sub = src[(x + 1).saturating_sub(length)];
-                sr += add.r as u32;
-                sr -= sub.r as u32;
-                sg += add.g as u32;
-                sg -= sub.g as u32;
-                sb += add.b as u32;
-                sb -= sub.b as u32;
-            }
-        }
-    }
-    out
-}
-
 /// Downsamples by 2 with a 2×2 box average (one pyramid level).
 pub fn downsample(frame: &Frame) -> Frame {
     let (w, h) = frame.dims();
@@ -762,14 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn motion_blur_rounds_to_nearest() {
-        // Trailing window [2, 2, 1] at x = 2: mean 5/3 → 2 (truncation: 1).
-        let mut f = Frame::filled(3, 1, Rgb::grey(2));
-        f.put(2, 0, Rgb::grey(1));
-        assert_eq!(motion_blur(&f, 3).get(2, 0), Rgb::grey(2));
-    }
-
-    #[test]
     fn gaussian_kernel_is_normalised() {
         let k = gaussian_kernel(1.5).unwrap();
         let sum: f32 = k.iter().sum();
@@ -795,17 +752,6 @@ mod tests {
         for &p in b.pixels() {
             assert!(p.linf(Rgb::new(99, 99, 0)) <= 1);
         }
-    }
-
-    #[test]
-    fn motion_blur_smears_leftward_content() {
-        let mut f = Frame::new(10, 1);
-        f.put(3, 0, Rgb::WHITE);
-        let b = motion_blur(&f, 4);
-        // Pixels 3..=6 see the white pixel in their trailing window.
-        assert!(b.get(4, 0).luma() > 0);
-        assert!(b.get(6, 0).luma() > 0);
-        assert_eq!(b.get(2, 0).luma(), 0);
     }
 
     #[test]

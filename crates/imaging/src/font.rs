@@ -160,11 +160,6 @@ pub fn text_width(text: &str, scale: usize) -> usize {
     }
 }
 
-/// Pixel height of rendered text at integer `scale`.
-pub fn text_height(scale: usize) -> usize {
-    GLYPH_H * scale
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,6 +216,5 @@ mod tests {
         assert_eq!(text_width("A", 1), 5);
         assert_eq!(text_width("AB", 1), 11);
         assert_eq!(text_width("AB", 2), 22);
-        assert_eq!(text_height(3), 21);
     }
 }

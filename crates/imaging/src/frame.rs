@@ -255,33 +255,6 @@ impl Frame {
         Ok(())
     }
 
-    /// Extracts the sub-image with top-left corner `(x, y)` and size `w × h`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImagingError::OutOfBounds`] when the window does not fit and
-    /// [`ImagingError::EmptyImage`] when `w` or `h` is zero.
-    pub fn crop(&self, x: usize, y: usize, w: usize, h: usize) -> Result<Frame, ImagingError> {
-        if w == 0 || h == 0 {
-            return Err(ImagingError::EmptyImage);
-        }
-        if x + w > self.width || y + h > self.height {
-            return Err(ImagingError::OutOfBounds {
-                x: x + w,
-                y: y + h,
-                w: self.width,
-                h: self.height,
-            });
-        }
-        let mut out = Frame::new(w, h);
-        for row in 0..h {
-            let src = (y + row) * self.width + x;
-            let dst = row * w;
-            out.data[dst..dst + w].copy_from_slice(&self.data[src..src + w]);
-        }
-        Ok(out)
-    }
-
     /// Pastes `src` into this frame with its top-left corner at `(x, y)`,
     /// clipping at the borders.
     pub fn blit(&mut self, src: &Frame, x: i64, y: i64) {
@@ -360,24 +333,6 @@ impl Frame {
         for p in &mut self.data {
             *p = f(*p);
         }
-    }
-
-    /// Returns a copy with every pixel where `mask` is foreground replaced by
-    /// `color`. This is how removed components (VB, BB, VC) are visualised as
-    /// black in the paper's figures (§V-B).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImagingError::DimensionMismatch`] when the mask size differs.
-    pub fn paint_masked(&self, mask: &Mask, color: Rgb) -> Result<Frame, ImagingError> {
-        self.check_mask_dims(mask)?;
-        let mut out = self.clone();
-        for (p, on) in out.data.iter_mut().zip(mask.iter()) {
-            if on {
-                *p = color;
-            }
-        }
-        Ok(out)
     }
 
     /// Per-pixel equality mask against another frame with tolerance `tau`:
@@ -484,22 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn crop_extracts_window() {
-        let f = Frame::from_fn(4, 4, |x, y| Rgb::new(x as u8, y as u8, 0));
-        let c = f.crop(1, 2, 2, 2).unwrap();
-        assert_eq!(c.dims(), (2, 2));
-        assert_eq!(c.get(0, 0), Rgb::new(1, 2, 0));
-        assert_eq!(c.get(1, 1), Rgb::new(2, 3, 0));
-    }
-
-    #[test]
-    fn crop_rejects_oversize() {
-        let f = Frame::new(4, 4);
-        assert!(f.crop(3, 3, 2, 2).is_err());
-        assert!(f.crop(0, 0, 0, 1).is_err());
-    }
-
-    #[test]
     fn blit_clips() {
         let mut f = Frame::new(4, 4);
         let s = Frame::filled(3, 3, Rgb::WHITE);
@@ -543,16 +482,6 @@ mod tests {
         let b = Frame::new(3, 2);
         assert!(a.match_score(&b, 0).is_err());
         assert!(a.mean_abs_diff(&b).is_err());
-    }
-
-    #[test]
-    fn paint_masked_replaces_only_foreground() {
-        let f = Frame::filled(2, 2, Rgb::grey(50));
-        let mut m = Mask::new(2, 2);
-        m.set(0, 1, true);
-        let out = f.paint_masked(&m, Rgb::BLACK).unwrap();
-        assert_eq!(out.get(0, 1), Rgb::BLACK);
-        assert_eq!(out.get(0, 0), Rgb::grey(50));
     }
 
     #[test]

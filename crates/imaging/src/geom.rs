@@ -161,12 +161,6 @@ pub fn resize(frame: &Frame, width: usize, height: usize) -> Frame {
     })
 }
 
-/// Rotates 180°, an exact (resampling-free) transform useful in tests.
-pub fn rotate_180(frame: &Frame) -> Frame {
-    let (w, h) = frame.dims();
-    Frame::from_fn(w, h, |x, y| frame.get(w - 1 - x, h - 1 - y))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,12 +260,6 @@ mod tests {
         assert_eq!(big.dims(), (18, 18));
         let same = resize(&f, 9, 9);
         assert_eq!(same, f);
-    }
-
-    #[test]
-    fn rotate_180_twice_is_identity() {
-        let f = gradient();
-        assert_eq!(rotate_180(&rotate_180(&f)), f);
     }
 
     #[test]

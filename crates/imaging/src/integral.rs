@@ -5,7 +5,6 @@
 //! this window was recovered" (the ≥50 %-recovered guard of §VIII-D); an
 //! integral image over the recovery mask answers that in constant time.
 
-use crate::frame::Frame;
 use crate::mask::Mask;
 
 /// Summed-area table over a scalar channel.
@@ -60,12 +59,6 @@ impl Integral {
         }
     }
 
-    /// Integral of a frame's luma channel.
-    pub fn of_luma(frame: &Frame) -> Self {
-        let (w, h) = frame.dims();
-        Integral::from_fn(w, h, |x, y| frame.get(x, y).luma() as u64)
-    }
-
     /// Image width.
     pub fn width(&self) -> usize {
         self.width
@@ -91,23 +84,11 @@ impl Integral {
             - self.table[y0 * tw + x1]
             - self.table[y1 * tw + x0]
     }
-
-    /// Mean over the (clipped) window; 0 for an empty window.
-    pub fn window_mean(&self, x: usize, y: usize, w: usize, h: usize) -> f64 {
-        let x1 = (x + w).min(self.width);
-        let y1 = (y + h).min(self.height);
-        let n = (x1.saturating_sub(x)) * (y1.saturating_sub(y));
-        if n == 0 {
-            return 0.0;
-        }
-        self.window_sum(x, y, w, h) as f64 / n as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pixel::Rgb;
 
     #[test]
     fn window_sum_matches_naive() {
@@ -141,13 +122,5 @@ mod tests {
         let integral = Integral::of_mask(&m);
         assert_eq!(integral.window_sum(2, 2, 10, 10), 4);
         assert_eq!(integral.window_sum(4, 4, 2, 2), 0);
-    }
-
-    #[test]
-    fn luma_integral_mean() {
-        let f = Frame::filled(4, 4, Rgb::grey(100));
-        let integral = Integral::of_luma(&f);
-        assert!((integral.window_mean(0, 0, 4, 4) - 100.0).abs() < 1e-9);
-        assert_eq!(integral.window_mean(4, 4, 1, 1), 0.0);
     }
 }

@@ -1,13 +1,11 @@
-//! PPM/PGM serialization.
+//! PPM serialization.
 //!
 //! The reconstruction gallery (Fig 6 of the paper) and debugging dumps are
-//! written as binary PPM (`P6`) images; masks serialize as binary PGM (`P5`).
-//! Both formats are self-contained and viewable with any image tool, keeping
-//! the workspace free of codec dependencies.
+//! written as binary PPM (`P6`) images: self-contained, viewable with any
+//! image tool, and free of codec dependencies.
 
 use crate::error::ImagingError;
 use crate::frame::Frame;
-use crate::mask::Mask;
 use crate::pixel::Rgb;
 use std::io::{BufRead, Write};
 use std::path::Path;
@@ -109,39 +107,6 @@ pub fn read_ppm<R: BufRead>(mut input: R) -> Result<Frame, ImagingError> {
     Frame::from_pixels(width, height, pixels)
 }
 
-/// Loads a PPM file from `path`.
-///
-/// # Errors
-///
-/// See [`read_ppm`].
-pub fn load_ppm(path: impl AsRef<Path>) -> Result<Frame, ImagingError> {
-    let file = std::fs::File::open(path)?;
-    read_ppm(std::io::BufReader::new(file))
-}
-
-/// Writes a mask as binary PGM (`P5`), foreground = 255.
-///
-/// # Errors
-///
-/// Propagates I/O failures as [`ImagingError::Io`].
-pub fn write_pgm<W: Write>(mask: &Mask, mut out: W) -> Result<(), ImagingError> {
-    let (w, h) = mask.dims();
-    write!(out, "P5\n{w} {h}\n255\n")?;
-    let buf: Vec<u8> = mask.iter().map(|b| if b { 255 } else { 0 }).collect();
-    out.write_all(&buf)?;
-    Ok(())
-}
-
-/// Saves a mask as a PGM file.
-///
-/// # Errors
-///
-/// Propagates I/O failures as [`ImagingError::Io`].
-pub fn save_pgm(mask: &Mask, path: impl AsRef<Path>) -> Result<(), ImagingError> {
-    let file = std::fs::File::create(path)?;
-    write_pgm(mask, std::io::BufWriter::new(file))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,23 +166,13 @@ mod tests {
     }
 
     #[test]
-    fn pgm_encodes_mask() {
-        let mut m = Mask::new(2, 1);
-        m.set(1, 0, true);
-        let mut buf = Vec::new();
-        write_pgm(&m, &mut buf).unwrap();
-        assert!(buf.starts_with(b"P5\n2 1\n255\n"));
-        assert_eq!(&buf[buf.len() - 2..], &[0u8, 255u8]);
-    }
-
-    #[test]
     fn file_round_trip() {
         let dir = std::env::temp_dir().join("bb_imaging_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.ppm");
         let f = Frame::filled(3, 3, Rgb::new(9, 8, 7));
         save_ppm(&f, &path).unwrap();
-        let g = load_ppm(&path).unwrap();
+        let g = read_ppm(std::io::BufReader::new(std::fs::File::open(&path).unwrap())).unwrap();
         assert_eq!(f, g);
         std::fs::remove_file(&path).ok();
     }

@@ -11,10 +11,10 @@
 //! * [`pixel`] — `Rgb` / `Hsv` color types and conversions (hue matching is the
 //!   backbone of the paper's location-inference attack, §VI).
 //! * [`frame`] — row-major images with typed dimensions ([`Frame`]).
-//! * [`mask`] — binary and trimap bitmaps with set algebra ([`Mask`]).
+//! * [`mask`] — binary bitmaps with set algebra ([`Mask`]).
 //! * [`draw`] — rasterisation used by the synthetic world (rectangles, circles,
 //!   lines, bitmap-font text).
-//! * [`filter`] — box / Gaussian / motion blur (the blending functions of §III).
+//! * [`filter`] — box / Gaussian blur (the blending functions of §III).
 //! * [`morph`] — dilation, erosion, and the radius-φ band operator implementing
 //!   the blending-blur mask of §V-C.
 //! * [`components`] — connected-component labelling (text-box detection).
@@ -25,7 +25,7 @@
 //! * [`integral`] — integral images for fast window sums.
 //! * [`font`] — a 5×7 bitmap font shared between scene-text rendering and the
 //!   text-inference attack (TextFuseNet substitute).
-//! * [`io`] — PPM/PGM serialization for visual inspection of reconstructions.
+//! * [`io`] — PPM serialization for visual inspection of reconstructions.
 //!
 //! # Example
 //!
@@ -58,5 +58,5 @@ pub mod pixel;
 pub use error::ImagingError;
 pub use filter::{round_div, round_div_u64};
 pub use frame::Frame;
-pub use mask::{Mask, TriState, Trimap, WORD_BITS};
+pub use mask::{Mask, WORD_BITS};
 pub use pixel::{Hsv, Rgb};

@@ -1,7 +1,7 @@
-//! Binary masks and trimaps.
+//! Binary masks.
 //!
 //! §III defines a background mask `BMⁱ` as a bitmap the size of the frame with
-//! non-zero pixels marking foreground; a trimap adds an "unknown" third state.
+//! non-zero pixels marking foreground.
 //! The reconstruction framework manipulates three binary masks per frame
 //! (VBMⁱ, BBMⁱ, VCMⁱ) and relies on set algebra over them (§V-E), so [`Mask`]
 //! provides union/intersection/difference/complement plus counting helpers.
@@ -419,112 +419,6 @@ impl Iterator for SetBits {
     }
 }
 
-/// The three states of a trimap mask (§III): a pixel is foreground,
-/// background, or could be either.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TriState {
-    /// Definitely background (`(0,0,0)` in the paper's encoding).
-    #[default]
-    Background,
-    /// Could be either (`(128,128,128)`).
-    Unknown,
-    /// Definitely foreground (`(255,255,255)`).
-    Foreground,
-}
-
-/// A trimap: a mask with an intermediate "unknown" state, produced by matting
-/// systems around object boundaries (§III).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Trimap {
-    width: usize,
-    height: usize,
-    states: Vec<TriState>,
-}
-
-impl Trimap {
-    /// Creates an all-background trimap.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either dimension is zero.
-    pub fn new(width: usize, height: usize) -> Self {
-        assert!(
-            width > 0 && height > 0,
-            "trimap dimensions must be non-zero"
-        );
-        Trimap {
-            width,
-            height,
-            states: vec![TriState::Background; width * height],
-        }
-    }
-
-    /// `(width, height)` pair.
-    #[inline]
-    pub fn dims(&self) -> (usize, usize) {
-        (self.width, self.height)
-    }
-
-    /// State at `(x, y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds.
-    #[inline]
-    pub fn get(&self, x: usize, y: usize) -> TriState {
-        debug_assert!(x < self.width && y < self.height);
-        self.states[y * self.width + x]
-    }
-
-    /// Sets the state at `(x, y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds.
-    #[inline]
-    pub fn set(&mut self, x: usize, y: usize, s: TriState) {
-        debug_assert!(x < self.width && y < self.height);
-        self.states[y * self.width + x] = s;
-    }
-
-    /// Builds a trimap from a definite foreground mask by marking a
-    /// `band`-pixel-wide ring around it as [`TriState::Unknown`].
-    pub fn from_mask_with_band(mask: &Mask, band: usize) -> Trimap {
-        let (w, h) = mask.dims();
-        let mut t = Trimap::new(w, h);
-        for (x, y) in mask.iter_set() {
-            t.states[y * w + x] = TriState::Foreground;
-        }
-        if band == 0 {
-            return t;
-        }
-        let dilated = crate::morph::dilate(mask, band);
-        for (x, y) in dilated.iter_set() {
-            if !mask.get(x, y) {
-                t.states[y * w + x] = TriState::Unknown;
-            }
-        }
-        t
-    }
-
-    /// Collapses the trimap to a binary mask, resolving
-    /// [`TriState::Unknown`] as foreground when `unknown_is_foreground`.
-    pub fn to_mask(&self, unknown_is_foreground: bool) -> Mask {
-        Mask::from_fn(self.width, self.height, |x, y| {
-            match self.states[y * self.width + x] {
-                TriState::Foreground => true,
-                TriState::Unknown => unknown_is_foreground,
-                TriState::Background => false,
-            }
-        })
-    }
-
-    /// Counts pixels in a given state.
-    pub fn count(&self, state: TriState) -> usize {
-        self.states.iter().filter(|&&s| s == state).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,27 +593,5 @@ mod tests {
             }
         }
         assert_eq!(via_iter, naive);
-    }
-
-    #[test]
-    fn trimap_from_mask_has_band() {
-        let mut m = Mask::new(9, 9);
-        m.set(4, 4, true);
-        let t = Trimap::from_mask_with_band(&m, 1);
-        assert_eq!(t.get(4, 4), TriState::Foreground);
-        assert_eq!(t.get(3, 4), TriState::Unknown);
-        assert_eq!(t.get(0, 0), TriState::Background);
-        assert_eq!(t.count(TriState::Foreground), 1);
-    }
-
-    #[test]
-    fn trimap_to_mask_resolves_unknown() {
-        let mut m = Mask::new(5, 5);
-        m.set(2, 2, true);
-        let t = Trimap::from_mask_with_band(&m, 1);
-        let fg = t.to_mask(true);
-        let strict = t.to_mask(false);
-        assert!(fg.count_set() > strict.count_set());
-        assert_eq!(strict.count_set(), 1);
     }
 }

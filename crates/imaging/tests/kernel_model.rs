@@ -11,8 +11,7 @@
 //! is checked exhaustively against [`round_div`].
 
 use bb_imaging::filter::{
-    box_blur, deblur_box, gaussian_blur, gaussian_kernel, motion_blur, round_div, Reciprocal,
-    MAX_BLUR_RADIUS,
+    box_blur, deblur_box, gaussian_blur, gaussian_kernel, round_div, Reciprocal, MAX_BLUR_RADIUS,
 };
 use bb_imaging::morph::dilate;
 use bb_imaging::{Frame, Mask, Rgb};
@@ -167,36 +166,6 @@ fn reciprocal_equals_round_div_for_every_window_sum() {
                 recip.round_div(sum),
                 round_div(u32::from(sum), u32::from(n)),
                 "reciprocal of {n} diverged at sum {sum}"
-            );
-        }
-    }
-}
-
-#[test]
-fn motion_blur_matches_naive_trailing_window() {
-    let mut rng = Rng(0x0f0f_1e1e_3c3c_7881);
-    for &(w, h) in DIMS {
-        let frame = rng.frame(w, h);
-        for length in 0..=7 {
-            let expect = if length <= 1 {
-                frame.clone()
-            } else {
-                let n = length as u32;
-                Frame::from_fn(w, h, |x, y| {
-                    let (mut sr, mut sg, mut sb) = (0u32, 0u32, 0u32);
-                    for d in 0..length {
-                        let p = frame.get(x.saturating_sub(d), y);
-                        sr += u32::from(p.r);
-                        sg += u32::from(p.g);
-                        sb += u32::from(p.b);
-                    }
-                    Rgb::new(round_div(sr, n), round_div(sg, n), round_div(sb, n))
-                })
-            };
-            assert_eq!(
-                motion_blur(&frame, length),
-                expect,
-                "motion_blur diverged at {w}x{h} length {length}"
             );
         }
     }

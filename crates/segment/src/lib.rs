@@ -32,5 +32,5 @@ pub mod person;
 pub mod refine;
 
 pub use bgmodel::median_model;
-pub use person::{PersonSegmenter, SegmenterParams};
+pub use person::PersonSegmenter;
 pub use refine::color_refine;

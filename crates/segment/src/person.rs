@@ -17,34 +17,18 @@ use crate::bgmodel::median_model;
 use bb_imaging::{components, morph, Frame, Mask};
 use bb_video::VideoStream;
 
-/// Tunables of the classical person segmenter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SegmenterParams {
-    /// Per-channel L∞ threshold against the background model above which a
-    /// pixel is "changed".
-    pub diff_tau: u8,
-    /// Radius of the morphological close that fills pinholes in the body.
-    pub close_radius: usize,
-    /// Radius of the morphological open that removes speckle.
-    pub open_radius: usize,
-    /// Components smaller than this fraction of the frame are discarded.
-    pub min_component_frac: f64,
-    /// Minimum fraction of skin-colored pixels for a candidate component to
-    /// score as a person without other evidence.
-    pub skin_evidence_frac: f64,
-}
-
-impl Default for SegmenterParams {
-    fn default() -> Self {
-        SegmenterParams {
-            diff_tau: 26,
-            close_radius: 2,
-            open_radius: 1,
-            min_component_frac: 0.004,
-            skin_evidence_frac: 0.02,
-        }
-    }
-}
+/// Per-channel L∞ threshold against the background model above which a
+/// pixel is "changed".
+const DIFF_TAU: u8 = 26;
+/// Radius of the morphological close that fills pinholes in the body.
+const CLOSE_RADIUS: usize = 2;
+/// Radius of the morphological open that removes speckle.
+const OPEN_RADIUS: usize = 1;
+/// Components smaller than this fraction of the frame are discarded.
+const MIN_COMPONENT_FRAC: f64 = 0.004;
+/// Minimum fraction of skin-colored pixels for a candidate component to
+/// score as a person without other evidence.
+const SKIN_EVIDENCE_FRAC: f64 = 0.02;
 
 /// Skin-color prior: warm hue, moderate saturation, adequate brightness.
 /// Covers the synthetic skin-tone gamut (and most human skin under neutral
@@ -116,34 +100,22 @@ fn is_skin_hsv(p: bb_imaging::Rgb) -> bool {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PersonSegmenter {
-    params: SegmenterParams,
     model: Frame,
 }
 
 impl PersonSegmenter {
-    /// Fits the background model over the stream with default parameters.
+    /// Fits the background model over the stream.
     pub fn fit(video: &VideoStream) -> Self {
-        Self::fit_with(video, SegmenterParams::default())
-    }
-
-    /// Fits with explicit parameters.
-    pub fn fit_with(video: &VideoStream, params: SegmenterParams) -> Self {
         PersonSegmenter {
-            params,
             model: median_model(video),
         }
     }
 
-    /// The tunables this segmenter was fitted with.
-    pub fn params(&self) -> &SegmenterParams {
-        &self.params
-    }
-
-    /// Reassembles a segmenter from previously extracted parts (params +
-    /// fitted background model) — the inverse of [`PersonSegmenter::params`]
-    /// and [`PersonSegmenter::model`], used to restore checkpointed state.
-    pub fn from_parts(params: SegmenterParams, model: Frame) -> Self {
-        PersonSegmenter { params, model }
+    /// Reassembles a segmenter from its fitted background model — the
+    /// inverse of [`PersonSegmenter::model`], used to restore checkpointed
+    /// state.
+    pub fn from_parts(model: Frame) -> Self {
+        PersonSegmenter { model }
     }
 
     /// The fitted background model.
@@ -164,18 +136,17 @@ impl PersonSegmenter {
         // Change detection: a vectorisable compare loop fills 0/1 bytes per
         // row, which the mask packs 8-per-multiply into its words.
         let mut changed = Mask::new(w, h);
-        let tau = self.params.diff_tau;
         let mut bits = vec![0u8; w];
         for y in 0..h {
             let (a, b) = (frame.row(y), self.model.row(y));
             for ((pa, pb), d) in a.iter().zip(b).zip(&mut bits) {
-                *d = u8::from(pa.linf(*pb) > tau);
+                *d = u8::from(pa.linf(*pb) > DIFF_TAU);
             }
             changed.set_row_from_bytes(y, &bits);
         }
-        let closed = morph::close(&changed, self.params.close_radius);
-        let opened = morph::open(&closed, self.params.open_radius);
-        let min_area = ((w * h) as f64 * self.params.min_component_frac) as usize;
+        let closed = morph::close(&changed, CLOSE_RADIUS);
+        let opened = morph::open(&closed, OPEN_RADIUS);
+        let min_area = ((w * h) as f64 * MIN_COMPONENT_FRAC) as usize;
         components::remove_small_components(
             &opened,
             min_area.max(1),
@@ -198,7 +169,7 @@ impl PersonSegmenter {
         if candidates.dims() != (w, h) {
             return Mask::new(w, h);
         }
-        let cleaned = morph::close(candidates, self.params.close_radius);
+        let cleaned = morph::close(candidates, CLOSE_RADIUS);
         let labeling = components::label(&cleaned, components::Connectivity::Eight);
         if labeling.components().is_empty() {
             return Mask::new(w, h);
@@ -211,7 +182,7 @@ impl PersonSegmenter {
         let mut scored: Vec<(f64, u32)> = Vec::new();
         for comp in labeling.components() {
             let area_frac = comp.area as f64 / (w * h) as f64;
-            if area_frac < self.params.min_component_frac {
+            if area_frac < MIN_COMPONENT_FRAC {
                 continue;
             }
             let comp_mask = labeling.component_mask(comp.label, h);
@@ -224,8 +195,6 @@ impl PersonSegmenter {
         if scored.is_empty() {
             return Mask::new(w, h);
         }
-        // total_cmp: a NaN score (degenerate params) must not panic the
-        // pipeline — NaN orders last, so finite scores still win.
         scored.sort_by(|a, b| b.0.total_cmp(&a.0));
         let best_label = scored[0].1;
         let best_area = labeling
@@ -245,7 +214,7 @@ impl PersonSegmenter {
             if comp.area * 10 >= best_area * 6 {
                 let m = labeling.component_mask(label, h);
                 let skin_frac = skin_mask.count_intersection(&m) as f64 / comp.area as f64;
-                if skin_frac >= self.params.skin_evidence_frac {
+                if skin_frac >= SKIN_EVIDENCE_FRAC {
                     out.union_in_place(&m).expect("same dims");
                 }
             }
@@ -423,45 +392,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn degenerate_params_do_not_panic() {
-        // NaN thresholds poison every comparison; scoring and sorting must
-        // stay total (no partial_cmp panic) and the subset contract must
-        // hold regardless.
-        let v = call_like_stream();
-        let seg = PersonSegmenter::fit_with(
-            &v,
-            SegmenterParams {
-                min_component_frac: f64::NAN,
-                skin_evidence_frac: f64::NAN,
-                ..Default::default()
-            },
-        );
-        let candidates = Mask::from_fn(40, 30, |x, y| x > 5 && y > 4);
-        let vcm = seg.segment_candidates(v.frame(10), &candidates);
-        assert!(vcm.subtract(&candidates).unwrap().is_empty());
-    }
-
-    #[test]
-    fn tighter_threshold_segments_more() {
-        let v = call_like_stream();
-        let loose = PersonSegmenter::fit_with(
-            &v,
-            SegmenterParams {
-                diff_tau: 80,
-                ..Default::default()
-            },
-        );
-        let tight = PersonSegmenter::fit_with(
-            &v,
-            SegmenterParams {
-                diff_tau: 10,
-                ..Default::default()
-            },
-        );
-        let f = v.frame(12);
-        assert!(tight.segment(f).count_set() >= loose.segment(f).count_set());
     }
 }

@@ -13,10 +13,6 @@
 use bb_imaging::hist::ColorHistogram;
 use bb_imaging::{Frame, Mask};
 
-/// Default quantisation for the refinement histogram (4 bits/channel = 4096
-/// buckets, coarse enough to absorb blending noise).
-pub const DEFAULT_BITS: u8 = 4;
-
 /// Flips mask pixels whose color frequency within the masked region is
 /// below `min_freq` (a fraction in `[0, 1]`).
 ///
@@ -77,7 +73,7 @@ mod tests {
             ((5..21).contains(&x) && (5..25).contains(&y))
                 || ((22..25).contains(&x) && (10..13).contains(&y))
         });
-        let (refined, flipped) = color_refine(&f, &mask, 0.05, DEFAULT_BITS);
+        let (refined, flipped) = color_refine(&f, &mask, 0.05, 4);
         assert_eq!(flipped, 9);
         assert!(!refined.get(23, 11), "leak pixel survived");
         assert!(refined.get(10, 10), "body pixel flipped");
@@ -87,7 +83,7 @@ mod tests {
     fn uniform_mask_is_untouched() {
         let f = Frame::filled(20, 20, Rgb::new(50, 90, 130));
         let mask = Mask::from_fn(20, 20, |x, _| x < 10);
-        let (refined, flipped) = color_refine(&f, &mask, 0.05, DEFAULT_BITS);
+        let (refined, flipped) = color_refine(&f, &mask, 0.05, 4);
         assert_eq!(flipped, 0);
         assert_eq!(refined, mask);
     }
@@ -96,7 +92,7 @@ mod tests {
     fn empty_mask_passthrough() {
         let f = Frame::new(10, 10);
         let mask = Mask::new(10, 10);
-        let (refined, flipped) = color_refine(&f, &mask, 0.1, DEFAULT_BITS);
+        let (refined, flipped) = color_refine(&f, &mask, 0.1, 4);
         assert_eq!(flipped, 0);
         assert!(refined.is_empty());
     }
@@ -105,7 +101,7 @@ mod tests {
     fn mismatched_dims_passthrough() {
         let f = Frame::new(10, 10);
         let mask = Mask::full(5, 5);
-        let (refined, flipped) = color_refine(&f, &mask, 0.1, DEFAULT_BITS);
+        let (refined, flipped) = color_refine(&f, &mask, 0.1, 4);
         assert_eq!(flipped, 0);
         assert_eq!(refined, mask);
     }
@@ -115,7 +111,7 @@ mod tests {
         let mut f = Frame::filled(10, 10, Rgb::grey(10));
         f.put(0, 0, Rgb::WHITE);
         let mask = Mask::full(10, 10);
-        let (_, flipped) = color_refine(&f, &mask, 0.0, DEFAULT_BITS);
+        let (_, flipped) = color_refine(&f, &mask, 0.0, 4);
         assert_eq!(flipped, 0);
     }
 
@@ -126,7 +122,7 @@ mod tests {
         draw::fill_rect(&mut f, 0, 0, 20, 6, Rgb::new(230, 200, 170)); // skin
         draw::fill_rect(&mut f, 0, 6, 20, 14, Rgb::new(30, 60, 140)); // apparel
         let mask = Mask::full(20, 20);
-        let (_, flipped) = color_refine(&f, &mask, 0.05, DEFAULT_BITS);
+        let (_, flipped) = color_refine(&f, &mask, 0.05, 4);
         assert_eq!(flipped, 0);
     }
 }

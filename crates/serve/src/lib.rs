@@ -10,7 +10,7 @@
 //!   and the aggregate resident footprint never exceeds the configured
 //!   budget at an API boundary;
 //! * **checkpoint eviction** — when the budget is exceeded, the
-//!   least-recently-active sessions are serialized to disk as BBSC v1
+//!   least-recently-active sessions are serialized to disk as BBSC
 //!   checkpoints and dropped from memory, then resumed transparently on
 //!   their next pushed frame;
 //! * **panic isolation** — a session whose frame processing (or observer

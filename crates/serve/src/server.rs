@@ -222,22 +222,10 @@ impl ReconServer {
             .count()
     }
 
-    /// Sessions currently spilled to disk.
-    pub fn evicted_count(&self) -> usize {
-        self.sessions.len() - self.live_count()
-    }
-
     /// Aggregate resident footprint in bytes; at most the budget after
     /// every public operation.
     pub fn live_bytes(&self) -> usize {
         self.live_total
-    }
-
-    /// Whether `id` is open and currently evicted to disk.
-    pub fn is_evicted(&self, id: u64) -> Option<bool> {
-        self.sessions
-            .get(&id)
-            .map(|e| matches!(e.slot, Slot::Evicted { .. }))
     }
 
     /// Frames accepted for `id` so far.

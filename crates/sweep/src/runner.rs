@@ -15,7 +15,7 @@ use crate::report::{CellResult, SweepReport};
 use crate::spec::{AttackSpec, CellSpec, SweepSpec, VbSpec};
 use crate::SweepError;
 use bb_attacks::location::{LocationDictionary, LocationInference};
-use bb_callsim::{background, CallSim, SoftwareProfile, VbMode};
+use bb_callsim::{background, CallSim, SoftwareProfile};
 use bb_core::pipeline::{ReconMode, Reconstructor, ReconstructorConfig, VbSource};
 use bb_core::workers::{run_stage, CollectMode};
 use bb_core::{metrics, CoreError};
@@ -211,12 +211,8 @@ fn execute_cell(
     };
     let gt = scenario.render().map_err(|e| format!("render: {e}"))?;
 
-    let vb_mode = match cell.vb {
-        VbSpec::Catalog(id) => VbMode::from(id.realize(w, h)),
-        VbSpec::Blur(radius) => VbMode::Blur { radius },
-    };
     let call = CallSim::new(&gt)
-        .vb(vb_mode)
+        .vb(cell.vb.mode(w, h))
         .profile(SoftwareProfile::preset(cell.profile))
         .lighting(cell.scenario.lighting)
         .seed(cell.seed)

@@ -10,7 +10,7 @@
 //! hand-rolled through [`bb_telemetry::json`] (sorted keys, stable float
 //! formatting — the same writer the bench reports diff with).
 
-use bb_callsim::{BackgroundId, ProfilePreset};
+use bb_callsim::{BackgroundId, ProfilePreset, VbMode};
 use bb_imaging::filter::MAX_BLUR_RADIUS;
 use bb_synth::{Action, Lighting, Speed};
 use bb_telemetry::json::{self, Json};
@@ -39,6 +39,15 @@ impl VbSpec {
         match self {
             VbSpec::Catalog(id) => id.name().to_string(),
             VbSpec::Blur(radius) => format!("blur:{radius}"),
+        }
+    }
+
+    /// The compositor mode this spec names, with catalog media realized at
+    /// `w × h`.
+    pub fn mode(self, w: usize, h: usize) -> VbMode {
+        match self {
+            VbSpec::Catalog(id) => VbMode::from(id.realize(w, h)),
+            VbSpec::Blur(radius) => VbMode::Blur { radius },
         }
     }
 }
@@ -595,6 +604,15 @@ mod tests {
         assert!(VbSpec::from_str("blur:18446744073709551615").is_err());
         assert!(VbSpec::from_str("blur:x").is_err());
         assert!(VbSpec::from_str("matrix").is_err());
+        assert_eq!(
+            VbSpec::Catalog(BackgroundId::Beach).mode(16, 12),
+            VbMode::from(BackgroundId::Beach.realize(16, 12))
+        );
+        assert!(matches!(
+            VbSpec::Catalog(BackgroundId::LavaLamp).mode(16, 12),
+            VbMode::Video(v) if v.dims() == (16, 12)
+        ));
+        assert_eq!(VbSpec::Blur(3).mode(16, 12), VbMode::Blur { radius: 3 });
     }
 
     #[test]

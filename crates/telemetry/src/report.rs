@@ -44,13 +44,6 @@ impl From<&Histogram> for StageStats {
     }
 }
 
-impl StageStats {
-    /// Mean span duration in nanoseconds (0 when no spans).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.calls).unwrap_or(0)
-    }
-}
-
 /// Snapshot of one telemetry sink: metadata, stage timings, counters.
 ///
 /// Serializes to a stable JSON shape (keys sorted) via
@@ -338,7 +331,6 @@ mod tests {
         assert_eq!(s.total_ns, 44);
         assert_eq!(s.min_ns, 4);
         assert_eq!(s.max_ns, 30);
-        assert_eq!(s.mean_ns(), 14);
     }
 
     #[test]

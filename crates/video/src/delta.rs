@@ -100,50 +100,6 @@ pub fn total_displacement(stream: &VideoStream, tau: u8) -> Result<f64, VideoErr
     displacement(stream, Event::new(0, stream.len()), tau)
 }
 
-/// Splits a stream into events by motion: a new event starts when the
-/// fraction of changed pixels between consecutive frames rises above
-/// `threshold`, and ends when it falls below for `cooldown` frames.
-///
-/// This is how the experiment harness locates action events inside the
-/// two-minute E1 clips without manual annotation.
-pub fn detect_events(
-    stream: &VideoStream,
-    tau: u8,
-    threshold: f64,
-    cooldown: usize,
-) -> Result<Vec<Event>, VideoError> {
-    let mut events = Vec::new();
-    let mut active_start: Option<usize> = None;
-    let mut quiet = 0usize;
-    for i in 0..stream.len().saturating_sub(1) {
-        let m = change_mask(stream.frame(i), stream.frame(i + 1), tau)?;
-        let activity = m.coverage();
-        match active_start {
-            None => {
-                if activity >= threshold {
-                    active_start = Some(i);
-                    quiet = 0;
-                }
-            }
-            Some(start) => {
-                if activity < threshold {
-                    quiet += 1;
-                    if quiet >= cooldown {
-                        events.push(Event::new(start, i + 1));
-                        active_start = None;
-                    }
-                } else {
-                    quiet = 0;
-                }
-            }
-        }
-    }
-    if let Some(start) = active_start {
-        events.push(Event::new(start, stream.len()));
-    }
-    Ok(events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,30 +167,6 @@ mod tests {
         let ds = total_displacement(&slow, 0).unwrap();
         let df = total_displacement(&fast, 0).unwrap();
         assert!(ds > df, "slow {ds} <= fast {df}");
-    }
-
-    #[test]
-    fn detect_events_finds_motion_burst() {
-        // Static, then motion for 10 frames, then static.
-        let v = VideoStream::generate(30, 30.0, |i| {
-            let mut f = Frame::new(10, 10);
-            if (10..20).contains(&i) {
-                bb_imaging::draw::fill_rect(&mut f, (i as i64 - 10) % 8, 0, 3, 10, Rgb::WHITE);
-            }
-            f
-        })
-        .unwrap();
-        let events = detect_events(&v, 0, 0.01, 3).unwrap();
-        assert_eq!(events.len(), 1);
-        let e = events[0];
-        assert!(e.start >= 8 && e.start <= 10, "start {}", e.start);
-        assert!(e.end >= 19, "end {}", e.end);
-    }
-
-    #[test]
-    fn detect_events_none_in_static_stream() {
-        let v = VideoStream::generate(20, 30.0, |_| Frame::new(6, 6)).unwrap();
-        assert!(detect_events(&v, 0, 0.01, 2).unwrap().is_empty());
     }
 
     #[test]

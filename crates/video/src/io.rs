@@ -95,26 +95,42 @@ pub(crate) fn parse_header(data: &[u8]) -> Result<(f64, usize, usize, usize), Vi
     Ok((fps, w as usize, h as usize, count as usize))
 }
 
+/// Checks that `data` holds exactly the header and the `count` frames of
+/// `width × height` it declares: no truncation, no trailing bytes. Shared by
+/// [`decode`] and [`crate::mmap::MmapSource`], after [`parse_header`].
+pub(crate) fn check_len(
+    data: &[u8],
+    width: usize,
+    height: usize,
+    count: usize,
+) -> Result<(), VideoError> {
+    let need = HEADER_LEN + width * height * 3 * count;
+    if data.len() < need {
+        return Err(VideoError::Decode(format!(
+            "payload truncated: header claims {need} bytes, container has {}",
+            data.len()
+        )));
+    }
+    if data.len() > need {
+        return Err(VideoError::Decode(format!(
+            "{} trailing bytes after final frame",
+            data.len() - need
+        )));
+    }
+    Ok(())
+}
+
 /// Deserializes a stream from a buffer produced by [`encode`].
 ///
 /// # Errors
 ///
-/// Returns [`VideoError::Decode`] on bad magic, implausible headers or
-/// truncated frame data.
+/// Returns [`VideoError::Decode`] on bad magic, implausible headers,
+/// truncated frame data or bytes after the last frame.
 pub fn decode(data: &[u8]) -> Result<VideoStream, VideoError> {
     let (fps, w, h, count) = parse_header(data)?;
-    let frame_bytes = w * h * 3;
-    let payload = &data[HEADER_LEN..];
-    if payload.len() < frame_bytes * count {
-        return Err(VideoError::Decode(format!(
-            "payload truncated: need {} bytes, have {}",
-            frame_bytes * count,
-            payload.len()
-        )));
-    }
-    let frames = payload
-        .chunks_exact(frame_bytes)
-        .take(count)
+    check_len(data, w, h, count)?;
+    let frames = data[HEADER_LEN..]
+        .chunks_exact(w * h * 3)
         .map(|raw| Frame::from_pixels(w, h, crate::rgb24::to_pixels(raw)))
         .collect::<Result<Vec<_>, _>>()?;
     VideoStream::from_frames(frames, fps)

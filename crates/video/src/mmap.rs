@@ -294,13 +294,7 @@ impl MmapSource {
         if !fps.is_finite() || fps <= 0.0 {
             return Err(VideoError::BadFrameRate(fps));
         }
-        let need = crate::io::HEADER_LEN + width * height * 3 * count;
-        if data.len() < need {
-            return Err(VideoError::Decode(format!(
-                "payload truncated: header claims {need} bytes, file has {}",
-                data.len()
-            )));
-        }
+        crate::io::check_len(data, width, height, count)?;
         Ok(MmapSource {
             map,
             fps,

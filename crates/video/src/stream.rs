@@ -149,21 +149,6 @@ impl VideoStream {
         VideoStream::from_frames(self.frames[start..end].to_vec(), self.fps)
     }
 
-    /// Keeps every `n`-th frame, modelling the frame-dropping mitigation of
-    /// §IX-B ("reduce the number of video call frames shared with the
-    /// adversary"). The frame rate scales down accordingly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VideoError::BadFrameRate`] when `n == 0`.
-    pub fn decimate(&self, n: usize) -> Result<VideoStream, VideoError> {
-        if n == 0 {
-            return Err(VideoError::BadFrameRate(0.0));
-        }
-        let frames: Vec<Frame> = self.frames.iter().step_by(n).cloned().collect();
-        VideoStream::from_frames(frames, self.fps / n as f64)
-    }
-
     /// Appends another stream of the same resolution (frame rate keeps the
     /// receiver's value).
     ///
@@ -242,18 +227,6 @@ mod tests {
         assert_eq!(s.frame(0).get(0, 0), Rgb::grey(2));
         assert!(v.slice(5, 5).is_err());
         assert!(v.slice(8, 20).is_err());
-    }
-
-    #[test]
-    fn decimate_keeps_every_nth() {
-        let v = stream(10);
-        let d = v.decimate(3).unwrap();
-        assert_eq!(d.len(), 4); // frames 0, 3, 6, 9
-        assert_eq!(d.frame(1).get(0, 0), Rgb::grey(3));
-        assert!((d.fps() - 10.0).abs() < 1e-12);
-        assert!(v.decimate(0).is_err());
-        // Decimating by 1 is identity.
-        assert_eq!(v.decimate(1).unwrap(), v);
     }
 
     #[test]

@@ -163,11 +163,15 @@ fn apply_spans(mut data: &[u8], out: &mut [u8]) -> Result<(), VideoError> {
 /// # Errors
 ///
 /// [`VideoError::Decode`] when the stream exceeds the container bounds
-/// (shared with the v1 encoder) or `stripe` is zero.
+/// (shared with the v1 encoder) or `stripe` is zero or does not fit the
+/// header's u32 field.
 pub fn encode(stream: &VideoStream, stripe: usize) -> Result<Vec<u8>, VideoError> {
     crate::io::validate_encodable(stream)?;
-    if stripe == 0 {
-        return Err(VideoError::Decode("stripe length must be non-zero".into()));
+    if stripe == 0 || u32::try_from(stripe).is_err() {
+        return Err(VideoError::Decode(format!(
+            "stripe length must be in 1..={}, got {stripe}",
+            u32::MAX
+        )));
     }
     let (w, h) = stream.dims();
     let count = stream.len();
@@ -313,11 +317,6 @@ impl V2Index {
     /// Total frames in the container.
     pub fn frame_count(&self) -> usize {
         self.count
-    }
-
-    /// Keyframe interval.
-    pub fn stripe_len(&self) -> usize {
-        self.stripe
     }
 
     /// Bytes per decoded frame (`width × height × 3`).
@@ -557,6 +556,16 @@ mod tests {
             let bytes = encode(&v, stripe).unwrap();
             let decoded = decode(&bytes).unwrap();
             assert_eq!(decoded, v, "frames={frames} w={w} h={h} stripe={stripe}");
+        }
+        // The stripe is a u32 header field: the largest one it holds round
+        // trips, and anything outside 1..=u32::MAX is refused, not truncated.
+        let v = sample(3, 4, 3);
+        assert_eq!(decode(&encode(&v, u32::MAX as usize).unwrap()).unwrap(), v);
+        for stripe in [0, u32::MAX as usize + 1, usize::MAX] {
+            assert!(
+                matches!(encode(&v, stripe), Err(VideoError::Decode(_))),
+                "stripe {stripe}"
+            );
         }
     }
 

@@ -69,13 +69,6 @@ proptest! {
     }
 
     #[test]
-    fn decimate_preserves_first_frame_and_length(v in arb_stream(), n in 1usize..5) {
-        let d = v.decimate(n).unwrap();
-        prop_assert_eq!(d.frame(0), v.frame(0));
-        prop_assert_eq!(d.len(), v.len().div_ceil(n));
-    }
-
-    #[test]
     fn slice_then_concat_round_trips(v in arb_stream()) {
         if v.len() >= 2 {
             let mid = v.len() / 2;

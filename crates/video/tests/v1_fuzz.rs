@@ -134,3 +134,28 @@ fn mmap_source_agrees_with_decode_on_every_bit_flip() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn trailing_bytes_are_rejected_by_both_readers() {
+    // The header fixes the payload length, so bytes after the last frame
+    // are corruption, as they are in v2.
+    let bytes = io::encode(&toy_video(3, 6, 5)).unwrap();
+    let path = temp_path("trailing.bbv");
+    for extra in [1usize, 7] {
+        let mut padded = bytes.clone();
+        padded.extend(std::iter::repeat_n(0xA5u8, extra));
+        let decoded = io::decode(&padded);
+        assert!(
+            matches!(&decoded, Err(VideoError::Decode(msg)) if msg.contains("trailing")),
+            "{extra} trailing bytes: decode gave {decoded:?}"
+        );
+        std::fs::write(&path, &padded).unwrap();
+        let opened = MmapSource::open(&path);
+        assert!(
+            matches!(&opened, Err(VideoError::Decode(msg)) if msg.contains("trailing")),
+            "{extra} trailing bytes: mmap gave {:?}",
+            opened.map(|_| ())
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}

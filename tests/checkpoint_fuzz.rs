@@ -24,10 +24,6 @@ const WARMUP: usize = 10;
 /// keeps the debug-build sweep within the other format sweeps' runtime.
 const FINALIZE_STRIDE: usize = 16;
 
-/// Offset of the collect-mode byte: magic (4) + version (4) + tau (1) +
-/// phi, stability threshold, parallelism (3 × 8) + min observations (4).
-const COLLECT_MODE_OFFSET: usize = 37;
-
 /// A miniature composited call: a gradient VB with a swaying caller and a
 /// small leak that comes and goes.
 fn toy_call() -> VideoStream {
@@ -123,19 +119,26 @@ fn every_bit_flip_is_typed_or_a_working_session() {
 }
 
 #[test]
-fn unknown_collect_mode_byte_is_corrupt() {
+fn earlier_format_versions_are_refused_by_name() {
+    // Bytes 4..8 hold the format version. Versions 1 and 2 stored settings
+    // this build no longer has; their checkpoints must not be misread.
     let reconstructor = reconstructor();
     for (phase, mut bytes, _) in phases() {
-        assert_eq!(bytes[COLLECT_MODE_OFFSET], 0, "{phase}: layout moved");
-        bytes[COLLECT_MODE_OFFSET] = 1;
-        match reconstructor.resume_session(&bytes) {
-            Err(CoreError::CheckpointCorrupt(msg)) => {
-                assert!(msg.contains("collect mode"), "{phase}: {msg}");
+        assert_eq!(bytes[4..8], 3u32.to_le_bytes(), "{phase}: layout moved");
+        for version in [1u32, 2] {
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            match reconstructor.resume_session(&bytes) {
+                Err(CoreError::CheckpointCorrupt(msg)) => {
+                    assert!(
+                        msg.contains(&format!("version {version}")),
+                        "{phase}: {msg}"
+                    );
+                }
+                other => panic!(
+                    "{phase}: expected CheckpointCorrupt, got {:?}",
+                    other.map(|_| ())
+                ),
             }
-            other => panic!(
-                "{phase}: expected CheckpointCorrupt, got {:?}",
-                other.map(|_| ())
-            ),
         }
     }
 }

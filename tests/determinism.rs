@@ -309,7 +309,9 @@ fn golden_hash_holds_through_v2_containers_and_mmap_ingest() {
 fn checkpoint_resume_is_byte_identical_to_the_uninterrupted_run() {
     // Serialize mid-call, resume in a fresh session (as a fresh process
     // would), and still land on the uninterrupted run's exact bytes — for a
-    // warmup-phase cut and a post-lock cut.
+    // warmup-phase cut and a post-lock cut. The checkpoint is written at 8
+    // workers and resumed at 1: output is identical at any worker count, so
+    // the worker count must not stop a resume.
     let video = seeded_call();
     let config = ReconstructorConfig {
         phi: 3,
@@ -321,6 +323,13 @@ fn checkpoint_resume_is_byte_identical_to_the_uninterrupted_run() {
         VbSource::KnownImages(background::catalog_images(W, H)),
         config,
     );
+    let serial = Reconstructor::new(
+        VbSource::KnownImages(background::catalog_images(W, H)),
+        ReconstructorConfig {
+            parallelism: 1,
+            ..config
+        },
+    );
     let uncut = {
         let mut session = reconstructor.session();
         session.push_frames(video.frames()).expect("push");
@@ -330,7 +339,7 @@ fn checkpoint_resume_is_byte_identical_to_the_uninterrupted_run() {
         let mut session = reconstructor.session();
         session.push_frames(&video.frames()[..cut]).expect("push");
         let bytes = session.checkpoint();
-        let mut resumed = reconstructor.resume_session(&bytes).expect("resume");
+        let mut resumed = serial.resume_session(&bytes).expect("resume");
         assert_eq!(resumed.frames_seen(), cut);
         resumed
             .push_frames(&video.frames()[cut..])
