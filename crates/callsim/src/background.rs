@@ -28,25 +28,6 @@ pub enum VirtualBackground {
     Video(VideoStream),
 }
 
-impl VirtualBackground {
-    /// Index into the underlying media used at call-frame `i` (always 0 for
-    /// images).
-    pub fn media_index(&self, i: usize) -> usize {
-        match self {
-            VirtualBackground::Image(_) => 0,
-            VirtualBackground::Video(v) => i % v.len(),
-        }
-    }
-
-    /// Loop length: 1 for images, frame count for videos.
-    pub fn period(&self) -> usize {
-        match self {
-            VirtualBackground::Image(_) => 1,
-            VirtualBackground::Video(v) => v.len(),
-        }
-    }
-}
-
 /// The compositor mode for a simulated call: what gets painted where the
 /// matting stage decided "background".
 ///
@@ -87,14 +68,6 @@ impl VbMode {
         match self {
             VbMode::Video(v) => i % v.len(),
             _ => 0,
-        }
-    }
-
-    /// Loop length: frame count for videos, 1 otherwise.
-    pub fn period(&self) -> usize {
-        match self {
-            VbMode::Video(v) => v.len(),
-            _ => 1,
         }
     }
 }
@@ -425,17 +398,15 @@ mod tests {
     fn image_background_is_constant_over_time() {
         let vb = BackgroundId::Beach.realize(40, 30);
         assert_eq!(composited(&vb, 0, 40, 30), composited(&vb, 99, 40, 30));
-        assert_eq!(vb.period(), 1);
-        assert_eq!(vb.media_index(57), 0);
+        assert_eq!(VbMode::from(vb).media_index(57), 0);
     }
 
     #[test]
     fn video_background_loops() {
         let vb = VirtualBackground::Video(draw_lava_lamp(40, 30, 8));
-        assert_eq!(vb.period(), 8);
         assert_eq!(composited(&vb, 3, 40, 30), composited(&vb, 11, 40, 30));
         assert_ne!(composited(&vb, 0, 40, 30), composited(&vb, 4, 40, 30));
-        assert_eq!(vb.media_index(11), 3);
+        assert_eq!(VbMode::from(vb).media_index(11), 3);
     }
 
     #[test]
@@ -499,7 +470,6 @@ mod tests {
             blur.background_for(&raw, 0, 20, 10),
             filter::box_blur(&raw, 2)
         );
-        assert_eq!(blur.period(), 1);
         assert_eq!(blur.media_index(7), 0);
         // Radius 0 degenerates to a pass-through.
         let noop = VbMode::Blur { radius: 0 };
@@ -516,9 +486,11 @@ mod tests {
         };
         assert_eq!(mode.background_for(&raw, 5, 24, 18), *image);
         let vid = BackgroundId::LavaLamp.realize(24, 18);
+        let VirtualBackground::Video(frames) = &vid else {
+            unreachable!("lava lamp is a video background")
+        };
         let mode = VbMode::from(vid.clone());
-        assert_eq!(mode.period(), vid.period());
-        assert_eq!(mode.media_index(40), vid.media_index(40));
+        assert_eq!(mode.media_index(40), 40 % frames.len());
     }
 
     #[test]

@@ -159,24 +159,6 @@ impl ReconstructionCanvas {
         }
         f
     }
-
-    /// Observation count at `(x, y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds.
-    pub fn count_at(&self, x: usize, y: usize) -> u32 {
-        self.counts[y * self.width + x]
-    }
-
-    /// Recovered color at `(x, y)`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds.
-    pub fn color_at(&self, x: usize, y: usize) -> Option<Rgb> {
-        self.colors[y * self.width + x]
-    }
 }
 
 #[cfg(test)]
@@ -195,8 +177,8 @@ mod tests {
         canvas.accumulate(&good, &leak).unwrap();
         canvas.accumulate(&good, &leak).unwrap();
         canvas.accumulate(&good, &leak).unwrap();
-        assert_eq!(canvas.color_at(1, 1), Some(Rgb::new(10, 200, 10)));
-        assert_eq!(canvas.count_at(1, 1), 4);
+        assert_eq!(canvas.colors[5], Some(Rgb::new(10, 200, 10))); // (1, 1)
+        assert_eq!(canvas.counts[5], 4);
     }
 
     #[test]
@@ -212,7 +194,7 @@ mod tests {
         leak.set(0, 0, true);
         canvas.accumulate(&pollution, &leak).unwrap();
         canvas.accumulate(&truth, &leak).unwrap();
-        assert_eq!(canvas.color_at(0, 0), Some(Rgb::new(10, 200, 10)));
+        assert_eq!(canvas.colors[0], Some(Rgb::new(10, 200, 10)));
 
         // And the exact sequence P T P T T: votes walk 1→(replace)1→0/replace
         // →1→2, ending on truth with two supporting votes.
@@ -220,8 +202,8 @@ mod tests {
         for f in [&pollution, &truth, &pollution, &truth, &truth] {
             canvas.accumulate(f, &leak).unwrap();
         }
-        assert_eq!(canvas.color_at(0, 0), Some(Rgb::new(10, 200, 10)));
-        assert_eq!(canvas.count_at(0, 0), 5);
+        assert_eq!(canvas.colors[0], Some(Rgb::new(10, 200, 10)));
+        assert_eq!(canvas.counts[0], 5);
     }
 
     #[test]
@@ -231,7 +213,7 @@ mod tests {
         let mut leak = Mask::new(4, 4);
         leak.set(0, 0, true);
         canvas.accumulate(&f, &leak).unwrap();
-        assert_eq!(canvas.color_at(0, 0), Some(Rgb::new(1, 2, 3)));
+        assert_eq!(canvas.colors[0], Some(Rgb::new(1, 2, 3)));
         assert_eq!(canvas.recovered_count(), 1);
     }
 
@@ -245,7 +227,7 @@ mod tests {
             canvas.accumulate(&f, &leak).unwrap();
         }
         // All within VOTE_TAU of the first → candidate survives.
-        let c = canvas.color_at(0, 0).unwrap();
+        let c = canvas.colors[0].unwrap();
         assert!(c.matches(Rgb::new(100, 100, 100), 3));
     }
 

@@ -44,12 +44,13 @@ use crate::pipeline::{
 };
 use crate::recon::ReconstructionCanvas;
 use crate::vbmask::{vb_mask, VirtualReference};
-use crate::vcmask::{vc_mask_with_model, CallerColorModel};
+use crate::vcmask::{vc_mask_from_evidence, CallerColorModel, SkinScore};
 use crate::workers::run_stage;
 use crate::CoreError;
 use bb_imaging::filter::MAX_BLUR_RADIUS;
 use bb_imaging::hist::ColorHistogram;
 use bb_imaging::{Frame, Mask, Rgb};
+use bb_segment::person::skin_evidence;
 use bb_segment::PersonSegmenter;
 use bb_telemetry::Telemetry;
 use bb_video::stream::STANDARD_FPS;
@@ -736,9 +737,12 @@ fn process_block(
     let tau = config.tau;
     let phi = config.phi;
 
-    // Pass 1: VBM (§V-B) and BBM (§V-C) per frame, on the worker pool.
+    // Pass 1: VBM (§V-B) and BBM (§V-C) per frame, on the worker pool,
+    // and the skin evidence of the candidates they leave (§V-D), which the
+    // color model and pass2 both read. Candidates are the complement of
+    // `removed`, rebuilt where needed rather than kept per frame.
     let reference = &locked.reference;
-    let pass1: Vec<(Mask, Mask)> = {
+    let pass1: Vec<(Mask, Mask, Mask)> = {
         let _span = telemetry.time("reconstruct/pass1");
         run_stage(n, workers, config.collect_mode, telemetry, "pass1", |i| {
             let frame = &frames[i];
@@ -746,36 +750,42 @@ fn process_block(
             let vbm = vb_mask(frame, ref_frame, ref_valid, tau)?;
             let bbm = bb_mask(&vbm, phi);
             let removed = vbm.union(&bbm)?;
+            let skin = skin_evidence(frame, &removed.complement());
             if telemetry.is_enabled() {
                 telemetry.add("frames/pass1", 1);
                 telemetry.add("pixels/vbm", vbm.count_set() as u64);
                 telemetry.add("pixels/removed", removed.count_set() as u64);
             }
-            Ok((vbm, removed))
+            Ok((vbm, removed, skin))
         })?
     };
-    let (vbms, removeds): (Vec<Mask>, Vec<Mask>) = pass1.into_iter().unzip();
-    let candidates: Vec<Mask> = removeds.iter().map(|r| r.complement()).collect();
+    let ((vbms, removeds), skins): ((Vec<Mask>, Vec<Mask>), Vec<Mask>) =
+        pass1.into_iter().map(|(v, r, s)| ((v, r), s)).unzip();
 
     // Cross-frame caller color model from the quietest frames (§V-D color
     // analysis across frames) — fitted once, over the warmup window.
     if fit_model {
         let _span = telemetry.time("reconstruct/color_model");
-        let pairs: Vec<(&Frame, &Mask)> = frames.iter().zip(candidates.iter()).collect();
-        locked.model = CallerColorModel::fit(&pairs, config.vc.refine_bits);
+        let scores: Vec<SkinScore> = skins
+            .iter()
+            .zip(&removeds)
+            .map(|(skin, removed)| SkinScore::of(skin, &removed.complement()))
+            .collect();
+        locked.model = CallerColorModel::fit_scored(&scores, config.vc.refine_bits, |i| {
+            (&frames[i], removeds[i].complement())
+        });
     }
 
     // Pass 2: VCM (§V-D) in parallel, then sequential residue accumulation
     // (§V-E) — the canvas's majority vote is order-sensitive, and
     // accumulation is cheap next to segmentation.
-    let segmenter = &locked.segmenter;
     let model = locked.model.as_ref();
     let leaks: Vec<Mask> = {
         let _span = telemetry.time("reconstruct/pass2");
         run_stage(n, workers, config.collect_mode, telemetry, "pass2", |i| {
-            let frame = &frames[i];
-            let vc = vc_mask_with_model(segmenter, frame, &candidates[i], &config.vc, model);
-            let leak = candidates[i].subtract(&vc.vcm)?;
+            let candidates = removeds[i].complement();
+            let vc = vc_mask_from_evidence(&frames[i], &candidates, &skins[i], &config.vc, model);
+            let leak = candidates.subtract(&vc.vcm)?;
             if telemetry.is_enabled() {
                 telemetry.add("frames/pass2", 1);
                 telemetry.add("pixels/leak", leak.count_set() as u64);
@@ -783,6 +793,7 @@ fn process_block(
             Ok(leak)
         })?
     };
+    drop(skins);
     // Blur residue: invert the compositor's box blur per frame (on the
     // worker pool) so the canvas accumulates deblurred evidence instead of
     // smoothed colors.

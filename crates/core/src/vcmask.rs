@@ -9,6 +9,7 @@
 
 use bb_imaging::hist::ColorHistogram;
 use bb_imaging::{components, Frame, Mask};
+use bb_segment::person::{select_caller, skin_evidence};
 use bb_segment::{color_refine, PersonSegmenter};
 
 /// A cross-frame caller color model (§V-D's color analysis, applied across
@@ -22,8 +23,47 @@ pub struct CallerColorModel {
     hist: ColorHistogram,
 }
 
+/// How strongly one frame's candidates look like the caller, as the
+/// [`CallerColorModel`] ranks frames: two popcounts over masks pass1
+/// already built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SkinScore {
+    /// Skin-evidence pixels (all inside the candidates).
+    pub skin: usize,
+    /// Candidate pixels.
+    pub area: usize,
+}
+
+impl SkinScore {
+    /// Scores `candidates` by their [`skin_evidence`] `skin`.
+    pub fn of(skin: &Mask, candidates: &Mask) -> SkinScore {
+        SkinScore {
+            skin: skin.count_set(),
+            area: candidates.count_set(),
+        }
+    }
+}
+
 impl CallerColorModel {
-    /// Builds the model from per-frame `(frame, candidates)` pairs.
+    /// Builds the model from per-frame `(frame, candidates)` pairs,
+    /// evaluating each frame's [`skin_evidence`] and then fitting as
+    /// [`CallerColorModel::fit_scored`] does.
+    ///
+    /// Returns `None` when the input is empty or no candidate pixel exists.
+    pub fn fit(frames_and_candidates: &[(&Frame, &Mask)], bits: u8) -> Option<CallerColorModel> {
+        let scores: Vec<SkinScore> = frames_and_candidates
+            .iter()
+            .map(|&(frame, cand)| SkinScore::of(&skin_evidence(frame, cand), cand))
+            .collect();
+        Self::fit_scored(&scores, bits, |i| {
+            let (frame, cand) = frames_and_candidates[i];
+            (frame, cand.clone())
+        })
+    }
+
+    /// Builds the model from per-frame [`SkinScore`]s; `pixels(i)` yields
+    /// frame `i` and its candidate mask, and is called only for the frames
+    /// the model keeps.
     ///
     /// Frame selection balances two risks: the quietest frames by area may
     /// have no caller at all (enter/exit absences), while the busiest are
@@ -32,31 +72,28 @@ impl CallerColorModel {
     /// reliably skin-bearing candidate region), tie-broken toward smaller
     /// candidate area.
     ///
-    /// Returns `None` when the input is empty or no candidate pixel exists.
-    pub fn fit(frames_and_candidates: &[(&Frame, &Mask)], bits: u8) -> Option<CallerColorModel> {
-        if frames_and_candidates.is_empty() {
+    /// Returns `None` when `scores` is empty or no candidate pixel exists.
+    pub fn fit_scored<'a>(
+        scores: &[SkinScore],
+        bits: u8,
+        mut pixels: impl FnMut(usize) -> (&'a Frame, Mask),
+    ) -> Option<CallerColorModel> {
+        if scores.is_empty() {
             return None;
         }
-        let scores: Vec<(usize, usize)> = frames_and_candidates
-            .iter()
-            .map(|(frame, cand)| {
-                let skin = frame.count_masked_where(cand, bb_segment::person::is_skin);
-                (skin, cand.count_set())
-            })
-            .collect();
-        let mut order: Vec<usize> = (0..frames_and_candidates.len()).collect();
+        let mut order: Vec<usize> = (0..scores.len()).collect();
         // Most skin first; among equals, smallest candidate area first.
         order.sort_by(|&a, &b| {
             scores[b]
-                .0
-                .cmp(&scores[a].0)
-                .then(scores[a].1.cmp(&scores[b].1))
+                .skin
+                .cmp(&scores[a].skin)
+                .then(scores[a].area.cmp(&scores[b].area))
         });
-        let take = (frames_and_candidates.len() / 4).max(1);
+        let take = (scores.len() / 4).max(1);
         let mut hist = ColorHistogram::new(bits);
         for &i in order.iter().take(take) {
-            let (frame, cand) = frames_and_candidates[i];
-            hist.add_masked(frame, cand);
+            let (frame, cand) = pixels(i);
+            hist.add_masked(frame, &cand);
         }
         if hist.total() == 0 {
             return None;
@@ -132,6 +169,8 @@ pub struct VcMaskResult {
 /// refinement — this is what stops the wall-colored trail behind a walking
 /// caller from being absorbed into the VCM (the failure mode a semantic
 /// segmenter like DeepLabv3 avoids natively).
+///
+/// Equal to [`vc_mask_from_evidence`] with the frame's [`skin_evidence`].
 pub fn vc_mask_with_model(
     segmenter: &PersonSegmenter,
     frame: &Frame,
@@ -139,7 +178,34 @@ pub fn vc_mask_with_model(
     params: &VcMaskParams,
     model: Option<&CallerColorModel>,
 ) -> VcMaskResult {
-    let raw = segmenter.segment_candidates(frame, candidates);
+    refine_caller(
+        frame,
+        segmenter.segment_candidates(frame, candidates),
+        params,
+        model,
+    )
+}
+
+/// [`vc_mask_with_model`] for a frame whose [`skin_evidence`] `skin` over
+/// `candidates` is already computed: selects the caller without evaluating
+/// the skin prior on the candidates again.
+pub fn vc_mask_from_evidence(
+    frame: &Frame,
+    candidates: &Mask,
+    skin: &Mask,
+    params: &VcMaskParams,
+    model: Option<&CallerColorModel>,
+) -> VcMaskResult {
+    refine_caller(frame, select_caller(frame, candidates, skin), params, model)
+}
+
+/// The §V-D color refinement of the raw caller segmentation `raw`.
+fn refine_caller(
+    frame: &Frame,
+    raw: Mask,
+    params: &VcMaskParams,
+    model: Option<&CallerColorModel>,
+) -> VcMaskResult {
     let (mut refined, _) = color_refine(frame, &raw, params.refine_min_freq, params.refine_bits);
     if let Some(model) = model {
         // Word-directed: pixels still in `refined` (⊆ raw) are tested

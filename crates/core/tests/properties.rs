@@ -3,7 +3,12 @@
 use bb_core::metrics;
 use bb_core::recon::ReconstructionCanvas;
 use bb_core::vbmask;
-use bb_imaging::{Frame, Mask, Rgb};
+use bb_core::vcmask::{
+    vc_mask_from_evidence, vc_mask_with_model, CallerColorModel, SkinScore, VcMaskParams,
+};
+use bb_imaging::{morph, Frame, Mask, Rgb};
+use bb_segment::person::{is_skin, skin_evidence};
+use bb_segment::PersonSegmenter;
 use bb_video::VideoStream;
 use proptest::prelude::*;
 
@@ -25,6 +30,35 @@ fn arb_frame(w: usize, h: usize) -> impl Strategy<Value = Frame> {
             px.into_iter().map(|(r, g, b)| Rgb::new(r, g, b)).collect(),
         )
         .expect("sized correctly")
+    })
+}
+
+/// Frames that mix skin tones into random colors, so skin evidence is
+/// neither empty nor everywhere.
+fn arb_skinny_frame(w: usize, h: usize) -> impl Strategy<Value = Frame> {
+    let palette = [
+        Rgb::new(222, 180, 144),
+        Rgb::new(150, 103, 72),
+        Rgb::new(30, 60, 150),
+    ];
+    let px = (0usize..6, any::<u8>(), any::<u8>(), any::<u8>())
+        .prop_map(move |(k, r, g, b)| palette.get(k).copied().unwrap_or(Rgb::new(r, g, b)));
+    proptest::collection::vec(px, w * h)
+        .prop_map(move |px| Frame::from_pixels(w, h, px).expect("sized correctly"))
+}
+
+/// Candidate masks: random bits, unions of rectangles clipped at the
+/// border, or the full frame (a blur call's candidates).
+fn arb_candidates(w: usize, h: usize) -> impl Strategy<Value = Mask> {
+    let rects = proptest::collection::vec((0..w, 0..h, 1..=w, 1..=h), 1..4);
+    (0u8..3, arb_mask(w, h), rects).prop_map(move |(kind, bits, rects)| match kind {
+        0 => bits,
+        1 => Mask::from_fn(w, h, |x, y| {
+            rects
+                .iter()
+                .any(|&(x0, y0, rw, rh)| x >= x0 && x < x0 + rw && y >= y0 && y < y0 + rh)
+        }),
+        _ => Mask::full(w, h),
     })
 }
 
@@ -81,7 +115,7 @@ proptest! {
         for _ in 0..n_good {
             canvas.accumulate(&good, &leak).unwrap();
         }
-        prop_assert_eq!(canvas.color_at(x, y), Some(Rgb::new(20, 200, 20)));
+        prop_assert_eq!(canvas.to_frame(Rgb::BLACK).get(x, y), Rgb::new(20, 200, 20));
     }
 
     #[test]
@@ -126,5 +160,70 @@ proptest! {
         // Perfect reconstruction has perfect precision.
         let perfect = metrics::recovery_precision(&truth, &recovered, &truth, tau).unwrap();
         prop_assert_eq!(perfect, 100.0);
+    }
+
+    #[test]
+    fn closing_is_extensive(m in arb_candidates(70, 9), r in 1usize..=3) {
+        // Candidates ⊆ close(candidates), at the border too: this is why
+        // the skin prior over the candidates (pass1) and over the ring
+        // close(candidates) \ candidates (pass2) covers every pixel of the
+        // closed mask exactly once.
+        prop_assert!(m.subtract(&morph::close(&m, r)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn vc_mask_delegation_equals_the_evidence_form(
+        frame in arb_skinny_frame(70, 9),
+        candidates in arb_candidates(70, 9),
+        with_model in any::<bool>(),
+    ) {
+        let seg = PersonSegmenter::from_parts(frame.clone());
+        let params = VcMaskParams::default();
+        let model = if with_model {
+            CallerColorModel::fit(&[(&frame, &candidates)], params.refine_bits)
+        } else {
+            None
+        };
+        let skin = skin_evidence(&frame, &candidates);
+        prop_assert_eq!(
+            vc_mask_with_model(&seg, &frame, &candidates, &params, model.as_ref()),
+            vc_mask_from_evidence(&frame, &candidates, &skin, &params, model.as_ref())
+        );
+    }
+
+    #[test]
+    fn color_model_fit_equals_the_score_based_fit(
+        pairs in proptest::collection::vec((arb_skinny_frame(70, 9), arb_candidates(70, 9)), 1..9),
+    ) {
+        // Scores as the session builds them: evidence over the complement
+        // of `removed`, candidates rebuilt from `removed` for the kept
+        // frames.
+        let removeds: Vec<Mask> = pairs.iter().map(|(_, c)| c.complement()).collect();
+        let scores: Vec<SkinScore> = pairs
+            .iter()
+            .zip(&removeds)
+            .map(|((frame, _), removed)| {
+                let candidates = removed.complement();
+                SkinScore::of(&skin_evidence(frame, &candidates), &candidates)
+            })
+            .collect();
+        // Each score is the per-pixel count of the skin prior inside the
+        // candidates and the candidate area.
+        for ((frame, candidates), score) in pairs.iter().zip(&scores) {
+            let skin = candidates
+                .iter_set()
+                .filter(|&(x, y)| is_skin(frame.get(x, y)))
+                .count();
+            prop_assert_eq!(*score, SkinScore { skin, area: candidates.count_set() });
+        }
+        let refs: Vec<(&Frame, &Mask)> = pairs.iter().map(|(f, c)| (f, c)).collect();
+        let by_pairs = CallerColorModel::fit(&refs, 4);
+        let by_scores = CallerColorModel::fit_scored(&scores, 4, |i| {
+            (&pairs[i].0, removeds[i].complement())
+        });
+        prop_assert_eq!(
+            by_pairs.as_ref().map(|m| m.histogram().bucket_counts()),
+            by_scores.as_ref().map(|m| m.histogram().bucket_counts())
+        );
     }
 }

@@ -270,39 +270,13 @@ impl Frame {
         self.data.iter().filter(|&&p| pred(p)).count()
     }
 
-    /// Counts mask-selected pixels for which `pred` holds, walking the
-    /// mask's packed words so all-zero 64-pixel spans cost one comparison
-    /// and set pixels are read from the contiguous row slice. Mismatched
-    /// dimensions count nothing.
-    pub fn count_masked_where(&self, mask: &Mask, mut pred: impl FnMut(Rgb) -> bool) -> usize {
-        if (self.width, self.height) != mask.dims() {
-            return 0;
-        }
-        let mut count = 0usize;
-        for y in 0..self.height {
-            let row = self.row(y);
-            for (wi, &word) in mask.row_words(y).iter().enumerate() {
-                if word == 0 {
-                    continue;
-                }
-                let lo = wi * 64;
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    count += usize::from(pred(row[lo + b]));
-                    bits &= bits - 1;
-                }
-            }
-        }
-        count
-    }
-
     /// Builds the sub-mask of `mask` whose pixels satisfy `pred`, walking
-    /// the packed words like [`Frame::count_masked_where`]. Each selected
-    /// pixel is evaluated exactly once, so callers that need several counts
-    /// over subsets of `mask` (per-component evidence, say) can build this
-    /// once and intersect instead of re-running the predicate. Mismatched
-    /// dimensions yield an empty mask.
+    /// the mask's packed words so all-zero 64-pixel spans cost one
+    /// comparison and set pixels are read from the contiguous row slice.
+    /// Each selected pixel is evaluated exactly once, so callers that need
+    /// several counts over subsets of `mask` (per-component evidence, say)
+    /// can build this once and intersect instead of re-running the
+    /// predicate. Mismatched dimensions yield an empty mask.
     pub fn mask_where(&self, mask: &Mask, mut pred: impl FnMut(Rgb) -> bool) -> Mask {
         let mut out = Mask::new(self.width, self.height);
         if (self.width, self.height) != mask.dims() {

@@ -9,9 +9,10 @@
 //! * [`PersonSegmenter::segment_candidates`] — the pipeline variant: given
 //!   the candidate foreground (everything the virtual-background and
 //!   blending-blur masks did *not* claim, per Fig 4's flow), select the
-//!   person-shaped component(s). Like DeepLabv3, the result is deliberately
-//!   imperfect — leak patches fused to the caller survive — which is exactly
-//!   what the §V-D color refinement repairs.
+//!   person-shaped component(s). It is [`skin_evidence`] (the per-pixel
+//!   skin prior) followed by [`select_caller`] (component scoring), which
+//!   the reconstruction session runs in separate passes so the prior is
+//!   evaluated once per frame.
 
 use crate::bgmodel::median_model;
 use bb_imaging::{components, morph, Frame, Mask};
@@ -37,9 +38,8 @@ const SKIN_EVIDENCE_FRAC: f64 = 0.02;
 /// Decided in integer arithmetic on the hot path; the handful of colors
 /// sitting exactly on a rational threshold boundary (where f32 rounding in
 /// the HSV conversion picks the side) defer to `is_skin_hsv`. The two
-/// agree on every one of the 2^24 RGB values — `skin_prior_is_exact` spot
-/// checks the strict regions, and the boundary cases are float by
-/// construction. The thresholds map as: `v >= 0.25` ⇔ `max >= 64`;
+/// agree on every one of the 2^24 RGB values, which `skin_prior_is_exact`
+/// checks exhaustively. The thresholds map as: `v >= 0.25` ⇔ `max >= 64`;
 /// `0.07 <= s <= 0.72` ⇔ `7·max <= 100·d` and `25·d <= 18·max` (d = max −
 /// min); warm hue (`h <= 50` or `h >= 340`) requires `max == r` and then
 /// `6(g−b) < 5d` (g ≥ b side) or `3(b−g) < d` (b > g side).
@@ -155,79 +155,103 @@ impl PersonSegmenter {
     }
 
     /// Pipeline segmentation: selects the person-shaped component(s) from a
-    /// candidate foreground mask.
-    ///
-    /// Candidates are scored by area, skin evidence and vertical anchoring
-    /// (a seated caller always reaches the lower third of the frame); the
-    /// best-scoring component is the caller, and every other component at
-    /// least 60 % its size with skin evidence joins it (two-component poses
-    /// like a detached waving hand).
+    /// candidate foreground mask. Evaluates the skin prior with
+    /// [`skin_evidence`] and selects with [`select_caller`]; the session
+    /// calls those two directly so the prior runs once per frame.
     ///
     /// Mismatched dimensions yield an empty mask.
     pub fn segment_candidates(&self, frame: &Frame, candidates: &Mask) -> Mask {
-        let (w, h) = frame.dims();
-        if candidates.dims() != (w, h) {
-            return Mask::new(w, h);
-        }
-        let cleaned = morph::close(candidates, CLOSE_RADIUS);
-        let labeling = components::label(&cleaned, components::Connectivity::Eight);
-        if labeling.components().is_empty() {
-            return Mask::new(w, h);
-        }
-
-        // Skin evidence: evaluate the prior once per candidate pixel, then
-        // count per component with a word AND + popcount. Components are
-        // disjoint, so this also caps total predicate work at |cleaned|.
-        let skin_mask = frame.mask_where(&cleaned, is_skin);
-        let mut scored: Vec<(f64, u32)> = Vec::new();
-        for comp in labeling.components() {
-            let area_frac = comp.area as f64 / (w * h) as f64;
-            if area_frac < MIN_COMPONENT_FRAC {
-                continue;
-            }
-            let comp_mask = labeling.component_mask(comp.label, h);
-            let skin = skin_mask.count_intersection(&comp_mask) as f64 / comp.area as f64;
-            // Anchoring: does the component reach the lower third?
-            let reaches_bottom = comp.bbox.3 >= h * 2 / 3;
-            let score = area_frac + skin * 0.5 + if reaches_bottom { 0.3 } else { 0.0 };
-            scored.push((score, comp.label));
-        }
-        if scored.is_empty() {
-            return Mask::new(w, h);
-        }
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-        let best_label = scored[0].1;
-        let best_area = labeling
-            .components()
-            .iter()
-            .find(|c| c.label == best_label)
-            .expect("label exists")
-            .area;
-
-        let mut out = labeling.component_mask(best_label, h);
-        for &(_, label) in &scored[1..] {
-            let comp = labeling
-                .components()
-                .iter()
-                .find(|c| c.label == label)
-                .expect("label exists");
-            if comp.area * 10 >= best_area * 6 {
-                let m = labeling.component_mask(label, h);
-                let skin_frac = skin_mask.count_intersection(&m) as f64 / comp.area as f64;
-                if skin_frac >= SKIN_EVIDENCE_FRAC {
-                    out.union_in_place(&m).expect("same dims");
-                }
-            }
-        }
-        // Restrict to the original candidates (close() may have annexed a
-        // ring of pixels the other masks already claimed).
-        out.intersect(candidates).expect("same dims")
+        select_caller(frame, candidates, &skin_evidence(frame, candidates))
     }
 
     /// Segments every frame of a stream with [`PersonSegmenter::segment`].
     pub fn segment_video(&self, video: &VideoStream) -> Vec<Mask> {
         video.iter().map(|f| self.segment(f)).collect()
     }
+}
+
+/// The skin evidence of one frame: the candidate pixels that satisfy
+/// [`is_skin`]. This is most of the per-pixel color work of caller
+/// selection, so the session computes it once and shares it between
+/// [`select_caller`] and the caller color model. Mismatched dimensions
+/// yield an empty mask.
+pub fn skin_evidence(frame: &Frame, candidates: &Mask) -> Mask {
+    frame.mask_where(candidates, is_skin)
+}
+
+/// Selects the person-shaped component(s) of a candidate foreground mask,
+/// given its [`skin_evidence`] `evidence`.
+///
+/// Candidates are scored by area, skin evidence and vertical anchoring
+/// (a seated caller always reaches the lower third of the frame); the
+/// best-scoring component is the caller, and every other component at
+/// least 60 % its size with skin evidence joins it (two-component poses
+/// like a detached waving hand). Like DeepLabv3, the result is deliberately
+/// imperfect — leak patches fused to the caller survive — which is what the
+/// §V-D color refinement repairs.
+///
+/// Mismatched dimensions yield an empty mask.
+pub fn select_caller(frame: &Frame, candidates: &Mask, evidence: &Mask) -> Mask {
+    let (w, h) = frame.dims();
+    if candidates.dims() != (w, h) || evidence.dims() != (w, h) {
+        return Mask::new(w, h);
+    }
+    let cleaned = morph::close(candidates, CLOSE_RADIUS);
+    let labeling = components::label(&cleaned, components::Connectivity::Eight);
+    if labeling.components().is_empty() {
+        return Mask::new(w, h);
+    }
+
+    // Components are scored over `cleaned`, which adds a ring of pixels
+    // outside the candidates (closing is extensive: candidates ⊆ cleaned).
+    // The prior runs on that ring only, so each pixel of `cleaned` is
+    // evaluated once; per-component counts are then a word AND + popcount.
+    let ring = cleaned.subtract(candidates).expect("same dims");
+    let mut skin_mask = frame.mask_where(&ring, is_skin);
+    skin_mask.union_in_place(evidence).expect("same dims");
+    let mut scored: Vec<(f64, u32)> = Vec::new();
+    for comp in labeling.components() {
+        let area_frac = comp.area as f64 / (w * h) as f64;
+        if area_frac < MIN_COMPONENT_FRAC {
+            continue;
+        }
+        let comp_mask = labeling.component_mask(comp.label, h);
+        let skin = skin_mask.count_intersection(&comp_mask) as f64 / comp.area as f64;
+        // Anchoring: does the component reach the lower third?
+        let reaches_bottom = comp.bbox.3 >= h * 2 / 3;
+        let score = area_frac + skin * 0.5 + if reaches_bottom { 0.3 } else { 0.0 };
+        scored.push((score, comp.label));
+    }
+    if scored.is_empty() {
+        return Mask::new(w, h);
+    }
+    scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let best_label = scored[0].1;
+    let best_area = labeling
+        .components()
+        .iter()
+        .find(|c| c.label == best_label)
+        .expect("label exists")
+        .area;
+
+    let mut out = labeling.component_mask(best_label, h);
+    for &(_, label) in &scored[1..] {
+        let comp = labeling
+            .components()
+            .iter()
+            .find(|c| c.label == label)
+            .expect("label exists");
+        if comp.area * 10 >= best_area * 6 {
+            let m = labeling.component_mask(label, h);
+            let skin_frac = skin_mask.count_intersection(&m) as f64 / comp.area as f64;
+            if skin_frac >= SKIN_EVIDENCE_FRAC {
+                out.union_in_place(&m).expect("same dims");
+            }
+        }
+    }
+    // Restrict to the original candidates (close() may have annexed a
+    // ring of pixels the other masks already claimed).
+    out.intersect(candidates).expect("same dims")
 }
 
 #[cfg(test)]
@@ -344,6 +368,43 @@ mod tests {
     }
 
     #[test]
+    fn evidence_over_candidates_selects_as_evidence_over_the_closing() {
+        // `select_caller` completes the candidates' evidence over the ring
+        // the closing adds, so it must select exactly what it selects from
+        // evidence over the whole closed mask. Holey, skin-rich candidates
+        // put skin pixels in that ring.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let (w, h) = (70, 24);
+        for _ in 0..200 {
+            let frame = Frame::from_fn(w, h, |_, _| match next(3) {
+                0 => Rgb::new(222, 180, 144),
+                1 => Rgb::new(30, 60, 150),
+                _ => Rgb::new(next(256) as u8, next(256) as u8, next(256) as u8),
+            });
+            let (x0, y0) = (next(w as u64 / 2) as usize, next(h as u64 / 2) as usize);
+            let (x1, y1) = (
+                x0 + 1 + next(w as u64) as usize,
+                y0 + 1 + next(h as u64) as usize,
+            );
+            let holes = 1 + next(4);
+            let candidates = Mask::from_fn(w, h, |x, y| {
+                (x0..x1).contains(&x) && (y0..y1).contains(&y) && next(8) >= holes
+            });
+            let closed = frame.mask_where(&morph::close(&candidates, CLOSE_RADIUS), is_skin);
+            assert_eq!(
+                select_caller(&frame, &candidates, &skin_evidence(&frame, &candidates)),
+                select_caller(&frame, &candidates, &closed)
+            );
+        }
+    }
+
+    #[test]
     fn skin_prior_accepts_skin_tones() {
         for tone in [
             Rgb::new(243, 211, 185),
@@ -360,37 +421,11 @@ mod tests {
 
     #[test]
     fn skin_prior_is_exact() {
-        // The integer fast path must agree with the f32 HSV definition.
-        // Pseudorandom colors cover the strict regions; near-boundary colors
-        // (hue ratios around 5/6 and -1/3, saturation around 0.07 and 0.72)
-        // are seeded explicitly since random sampling rarely lands on them.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 40) as u32
-        };
-        for _ in 0..200_000 {
-            let v = next();
+        // The integer fast path must agree with the f32 HSV definition on
+        // every one of the 2^24 colors, boundary cases included.
+        for v in 0..1u32 << 24 {
             let p = Rgb::new(v as u8, (v >> 8) as u8, (v >> 16) as u8);
             assert_eq!(is_skin(p), is_skin_hsv(p), "disagree at {p}");
-        }
-        for d in 0..=42u8 {
-            for m in 64..=255u8 {
-                // h == 50 boundary: 6(g-b) == 5d → d = 6k, g-b = 5k.
-                let (k6, k5) = (d.saturating_mul(6), d.saturating_mul(5));
-                if m >= k6 {
-                    let p = Rgb::new(m, m - k6 + k5, m - k6);
-                    assert_eq!(is_skin(p), is_skin_hsv(p), "h=50 boundary {p}");
-                }
-                // h == 340 boundary: 3(b-g) == d → d = 3k, b-g = k.
-                let k3 = d.saturating_mul(3);
-                if m >= k3 {
-                    let p = Rgb::new(m, m - k3, m - k3 + d);
-                    assert_eq!(is_skin(p), is_skin_hsv(p), "h=340 boundary {p}");
-                }
-            }
         }
     }
 }
