@@ -27,8 +27,6 @@ pub struct ClipOutcome {
     pub true_background: Frame,
     /// The ground truth used (for experiments needing raw frames).
     pub ground_truth: GroundTruth,
-    /// Mean VBMR over frames, percent.
-    pub vbmr: f64,
 }
 
 /// The default virtual image used when an experiment does not vary it: the
@@ -100,16 +98,6 @@ pub fn run_ground_truth(
     )
     .expect("precision computes");
 
-    // VBMR: removed vs ground-truth VB region (everything the software
-    // painted with virtual background = complement of its estimated mask).
-    let pairs: Vec<(bb_imaging::Mask, bb_imaging::Mask)> = reconstruction
-        .per_frame_removed
-        .iter()
-        .zip(&call.truth.est_masks)
-        .map(|(removed, est)| (removed.clone(), est.complement()))
-        .collect();
-    let vbmr = metrics::vbmr(&pairs).expect("vbmr computes");
-
     ClipOutcome {
         id: id.to_string(),
         truth_rbrr,
@@ -118,7 +106,6 @@ pub fn run_ground_truth(
         reconstruction,
         true_background: gt.background.clone(),
         ground_truth: gt,
-        vbmr,
     }
 }
 
@@ -143,10 +130,6 @@ mod tests {
         assert!(outcome.truth_rbrr > 0.0);
         assert!((0.0..=100.0).contains(&outcome.recon_rbrr));
         assert!((0.0..=100.0).contains(&outcome.precision));
-        assert!((0.0..=100.0).contains(&outcome.vbmr));
-        assert_eq!(
-            outcome.reconstruction.per_frame_leak.len(),
-            cfg.data.e1_frames
-        );
+        assert_eq!(outcome.ground_truth.video.len(), cfg.data.e1_frames);
     }
 }

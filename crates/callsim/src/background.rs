@@ -61,15 +61,6 @@ impl VbMode {
             VbMode::Blur { radius } => filter::box_blur(raw, *radius),
         }
     }
-
-    /// Index into the underlying media used at call-frame `i` (always 0 for
-    /// images and blur).
-    pub fn media_index(&self, i: usize) -> usize {
-        match self {
-            VbMode::Video(v) => i % v.len(),
-            _ => 0,
-        }
-    }
 }
 
 impl From<VirtualBackground> for VbMode {
@@ -398,15 +389,16 @@ mod tests {
     fn image_background_is_constant_over_time() {
         let vb = BackgroundId::Beach.realize(40, 30);
         assert_eq!(composited(&vb, 0, 40, 30), composited(&vb, 99, 40, 30));
-        assert_eq!(VbMode::from(vb).media_index(57), 0);
+        assert_eq!(composited(&vb, 0, 40, 30), composited(&vb, 57, 40, 30));
     }
 
     #[test]
     fn video_background_loops() {
-        let vb = VirtualBackground::Video(draw_lava_lamp(40, 30, 8));
+        let video = draw_lava_lamp(40, 30, 8);
+        let vb = VirtualBackground::Video(video.clone());
         assert_eq!(composited(&vb, 3, 40, 30), composited(&vb, 11, 40, 30));
         assert_ne!(composited(&vb, 0, 40, 30), composited(&vb, 4, 40, 30));
-        assert_eq!(VbMode::from(vb).media_index(11), 3);
+        assert_eq!(composited(&vb, 11, 40, 30), *video.frame(3));
     }
 
     #[test]
@@ -470,7 +462,6 @@ mod tests {
             blur.background_for(&raw, 0, 20, 10),
             filter::box_blur(&raw, 2)
         );
-        assert_eq!(blur.media_index(7), 0);
         // Radius 0 degenerates to a pass-through.
         let noop = VbMode::Blur { radius: 0 };
         assert_eq!(noop.background_for(&raw, 0, 20, 10), raw);
@@ -490,7 +481,10 @@ mod tests {
             unreachable!("lava lamp is a video background")
         };
         let mode = VbMode::from(vid.clone());
-        assert_eq!(mode.media_index(40), 40 % frames.len());
+        assert_eq!(
+            mode.background_for(&raw, 40, 24, 18),
+            *frames.frame(40 % frames.len())
+        );
     }
 
     #[test]

@@ -52,14 +52,6 @@ pub struct CallTruth {
     pub blend_bands: Vec<Mask>,
     /// The clean background frame (canonical pose, full lighting).
     pub background: Frame,
-    /// The raw (uncomposited) capture.
-    pub raw: VideoStream,
-    /// Index into the virtual media used per output frame.
-    pub vb_indices: Vec<usize>,
-    /// The exact virtual-background frames pasted (post-mitigation), per
-    /// output frame. Lets tests and metrics reason about the dynamic
-    /// defence.
-    pub vb_frames: Vec<Frame>,
 }
 
 /// A composited call: what the adversary records plus the truth.
@@ -210,9 +202,6 @@ impl<'a> CallSim<'a> {
         let mut true_fg = Vec::with_capacity(kept_indices.len());
         let mut leaked = Vec::with_capacity(kept_indices.len());
         let mut blend_bands = Vec::with_capacity(kept_indices.len());
-        let mut vb_indices = Vec::with_capacity(kept_indices.len());
-        let mut vb_frames = Vec::with_capacity(kept_indices.len());
-        let mut raw_frames = Vec::with_capacity(kept_indices.len());
 
         let mut first_composited: Option<Frame> = None;
 
@@ -268,9 +257,6 @@ impl<'a> CallSim<'a> {
             true_fg.push(gt.fg_masks[i].clone());
             leaked.push(leak);
             blend_bands.push(band);
-            vb_indices.push(vb.media_index(i));
-            vb_frames.push(vb_frame);
-            raw_frames.push(frame.clone());
         }
 
         let fps = match mitigation {
@@ -293,9 +279,6 @@ impl<'a> CallSim<'a> {
                 leaked,
                 blend_bands,
                 background: gt.background.clone(),
-                raw: VideoStream::from_frames(raw_frames, fps)?,
-                vb_indices,
-                vb_frames,
             },
         })
     }
@@ -342,7 +325,7 @@ mod tests {
         // from the caller the output pixels must differ from the real
         // background.
         let i = 15;
-        let raw = call.truth.raw.frame(i);
+        let raw = gt.video.frame(i);
         let out = call.video.frame(i);
         let bg_mask = call.truth.true_fg[i].complement();
         let mut hidden = 0usize;
@@ -370,7 +353,7 @@ mod tests {
         // With perfect matting, every non-caller pixel is exactly the
         // box-blurred raw frame (AlphaBand blending is identity off-band).
         let i = 10;
-        let raw = call.truth.raw.frame(i);
+        let raw = gt.video.frame(i);
         let blurred = filter::box_blur(raw, radius);
         let out = call.video.frame(i);
         let off_band = call.truth.true_fg[i]
@@ -462,19 +445,52 @@ mod tests {
         }
     }
 
+    /// Asserts that call frame `i` shows `vb_frame` wherever the software
+    /// pasted pure virtual background: outside its matte and off the blend
+    /// band.
+    fn assert_pasted(call: &CompositedCall, i: usize, vb_frame: &Frame) {
+        let pure_vb = call.truth.est_masks[i]
+            .complement()
+            .subtract(&call.truth.blend_bands[i])
+            .unwrap();
+        assert!(!pure_vb.is_empty(), "frame {i} shows no virtual background");
+        let out = call.video.frame(i);
+        for (x, y) in pure_vb.iter_set() {
+            assert_eq!(out.get(x, y), vb_frame.get(x, y), "frame {i} ({x},{y})");
+        }
+    }
+
     #[test]
     fn dynamic_background_changes_vb_every_frame() {
         let gt = ground_truth(Action::Still, 10);
+        let params = Default::default();
         let call = CallSim::new(&gt)
             .vb(image_bg())
-            .mitigation(Mitigation::DynamicBackground(Default::default()))
+            .mitigation(Mitigation::DynamicBackground(params))
             .seed(9)
             .run()
             .unwrap();
-        assert_ne!(call.truth.vb_frames[0], call.truth.vb_frames[1]);
+        let adapted: Vec<Frame> = (0..2)
+            .map(|i| {
+                let raw = gt.video.frame(i);
+                let vb_frame = image_bg().background_for(raw, i, 80, 60);
+                adapt_virtual_background(&vb_frame, raw, &params, 9, i)
+            })
+            .collect();
+        assert_ne!(adapted[0], adapted[1]);
+        for (i, vb_frame) in adapted.iter().enumerate() {
+            assert_pasted(&call, i, vb_frame);
+        }
         // Without mitigation the VB frames are constant (image background).
         let plain = CallSim::new(&gt).vb(image_bg()).seed(9).run().unwrap();
-        assert_eq!(plain.truth.vb_frames[0], plain.truth.vb_frames[1]);
+        let constant = image_bg().background_for(gt.video.frame(0), 0, 80, 60);
+        assert_eq!(
+            constant,
+            image_bg().background_for(gt.video.frame(1), 1, 80, 60)
+        );
+        for i in 0..2 {
+            assert_pasted(&plain, i, &constant);
+        }
     }
 
     #[test]
@@ -487,12 +503,14 @@ mod tests {
             VirtualBackground::Image(_) => unreachable!(),
         };
         let call = CallSim::new(&gt)
-            .vb(VbMode::Video(vid))
+            .vb(VbMode::Video(vid.clone()))
             .seed(0)
             .run()
             .unwrap();
-        assert_eq!(call.truth.vb_indices[0], 0);
-        assert_eq!(call.truth.vb_indices[5], 1);
-        assert_eq!(call.truth.vb_indices[4], 0);
+        assert_ne!(vid.frame(0), vid.frame(1));
+        // Call frame i pastes media frame i % 4.
+        for (i, media) in [(0usize, 0usize), (5, 1), (4, 0)] {
+            assert_pasted(&call, i, vid.frame(media));
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::args::Flags;
 use bb_callsim::{background, CallSim, ProfilePreset, SoftwareProfile, VbMode};
-use bb_core::pipeline::{MaskRetention, Reconstructor, ReconstructorConfig, VbSource};
+use bb_core::pipeline::{Reconstructor, ReconstructorConfig, VbSource};
 use bb_core::session::ReconstructionSession;
 use bb_sweep::VbSpec;
 use bb_synth::{Action, Lighting, Room, Scenario};
@@ -505,10 +505,6 @@ fn reconstruct_cmd(flags: &Flags) -> Result<(), String> {
     let mut reader = MmapSource::open(path).map_err(|e| format!("{path}: {e}"))?;
     let (w, h) = reader.dims();
     let (source, config) = reconstructor_from(flags, w, h)?;
-    let config = ReconstructorConfig {
-        mask_retention: MaskRetention::None,
-        ..config
-    };
     let recon = Reconstructor::new(source, config).with_telemetry(telemetry.clone());
 
     let ck_path = flags.get("checkpoint").map(str::to_string);

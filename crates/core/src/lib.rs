@@ -55,7 +55,7 @@ pub mod vcmask;
 pub mod workers;
 
 pub use pipeline::{
-    MaskRetention, ReconMode, Reconstruction, Reconstructor, ReconstructorConfig, VbSource,
+    FrameMasks, ReconMode, Reconstruction, Reconstructor, ReconstructorConfig, VbSource,
     DEBLUR_ITERATIONS,
 };
 pub use recon::ReconstructionCanvas;

@@ -7,13 +7,12 @@
 //! every frame into a session and finalizes it, so batch and streaming
 //! ingestion are byte-identical by construction.
 
-use crate::recon::ReconstructionCanvas;
-use crate::session::ReconstructionSession;
+use crate::session::{frame_leak, frame_removal, ReconstructionSession};
 use crate::vbmask::{
     derive_unknown_image, derive_unknown_video, identify_known_image, identify_known_video,
     VirtualReference, STABILITY_THRESHOLD,
 };
-use crate::vcmask::VcMaskParams;
+use crate::vcmask::{CallerColorModel, VcMaskParams};
 use crate::workers::CollectMode;
 use crate::CoreError;
 use bb_imaging::filter::MAX_BLUR_RADIUS;
@@ -73,23 +72,6 @@ impl VbSource {
     }
 }
 
-/// Whether the pipeline keeps the three per-frame mask vectors
-/// (`per_frame_leak` / `per_frame_vbm` / `per_frame_removed`) in its output.
-///
-/// The masks cost O(frames × frame size) memory; production streaming
-/// callers that only want the reconstructed background choose
-/// [`MaskRetention::None`] so session memory stays bounded by the frame
-/// size alone. The default keeps them, matching the historical API (and the
-/// golden determinism hash, which covers the per-frame leak masks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MaskRetention {
-    /// Keep every per-frame mask (batch/evaluation default).
-    #[default]
-    Full,
-    /// Drop per-frame masks as soon as their residue is accumulated.
-    None,
-}
-
 /// Van Cittert iteration count used by the blur-residue deconvolution
 /// stage ([`ReconMode::BlurResidue`]). Three iterations recover most of the
 /// edge energy a box blur removes; more mainly amplifies clamp noise.
@@ -142,9 +124,6 @@ pub struct ReconstructorConfig {
     /// `reconstruct` goes through the same session, so calls no longer than
     /// this lock over the whole call — the historical batch behaviour.
     pub warmup_frames: usize,
-    /// Whether per-frame masks are retained in the output (see
-    /// [`MaskRetention`]).
-    pub mask_retention: MaskRetention,
     /// What kind of residue is accumulated (see [`ReconMode`]). The default
     /// color-residue mode is the paper's attack; blur-residue adapts the
     /// pipeline to blurred (not replaced) backgrounds.
@@ -160,7 +139,6 @@ impl Default for ReconstructorConfig {
             parallelism: 4,
             collect_mode: CollectMode::default(),
             warmup_frames: DEFAULT_WARMUP_FRAMES,
-            mask_retention: MaskRetention::Full,
             mode: ReconMode::ColorResidue,
         }
     }
@@ -225,7 +203,9 @@ impl ReconstructorConfig {
     }
 }
 
-/// The output of a reconstruction run.
+/// The output of a reconstruction run: the accumulated background and what
+/// the per-frame masks need to be rebuilt on demand
+/// ([`Reconstructor::frame_masks`]).
 #[derive(Debug, Clone)]
 pub struct Reconstruction {
     /// The partially reconstructed background (unknown pixels black, as in
@@ -233,16 +213,22 @@ pub struct Reconstruction {
     pub background: Frame,
     /// Which pixels were recovered.
     pub recovered: Mask,
-    /// The accumulation canvas (counts available for confidence filtering).
-    pub canvas: ReconstructionCanvas,
     /// The virtual-background reference the pipeline used.
     pub vb_reference: VirtualReference,
-    /// Per-frame estimated leaked-background masks (`LBⁱ`).
-    pub per_frame_leak: Vec<Mask>,
-    /// Per-frame virtual-background masks (`VBMⁱ`), for VBMR evaluation.
-    pub per_frame_vbm: Vec<Mask>,
-    /// Per-frame removed-region masks (`VBMⁱ ∪ BBMⁱ`), for VBMR evaluation.
-    pub per_frame_removed: Vec<Mask>,
+    /// The cross-frame caller color model fitted at the lock (`None` when
+    /// the warmup window had no candidate pixel).
+    pub color_model: Option<CallerColorModel>,
+}
+
+/// One frame's masks, as the session computed them (§III's components).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FrameMasks {
+    /// Virtual-background mask (`VBMⁱ`, §V-B).
+    pub vbm: Mask,
+    /// Removed region (`VBMⁱ ∪ BBMⁱ`, §V-C).
+    pub removed: Mask,
+    /// Estimated leaked-background mask (`LBⁱ`, §V-D).
+    pub leak: Mask,
 }
 
 impl Reconstruction {
@@ -334,6 +320,33 @@ impl Reconstructor {
         let mut session = self.session();
         session.push_frames(video.frames())?;
         session.finalize()
+    }
+
+    /// Rebuilds frame `index`'s masks as the session that produced `rec`
+    /// computed them: pass1's and pass2's per-frame bodies, run against the
+    /// locked reference and color model. `frame` is the call's frame
+    /// `index`, and this reconstructor's config must be the one that
+    /// produced `rec`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Imaging`] when `frame`'s dimensions differ from the
+    /// reference's.
+    pub fn frame_masks(
+        &self,
+        rec: &Reconstruction,
+        index: usize,
+        frame: &Frame,
+    ) -> Result<FrameMasks, CoreError> {
+        let (vbm, removed, skin) = frame_removal(frame, index, &rec.vb_reference, &self.config)?;
+        let leak = frame_leak(
+            frame,
+            &removed,
+            &skin,
+            &self.config,
+            rec.color_model.as_ref(),
+        )?;
+        Ok(FrameMasks { vbm, removed, leak })
     }
 }
 
@@ -476,15 +489,13 @@ mod tests {
     fn known_image_pipeline_beats_or_matches_unknown() {
         let (video, _, _) = toy_call();
         let vb = Frame::from_fn(48, 36, |x, y| Rgb::new((x * 5) as u8, (y * 6) as u8, 80));
-        let known = Reconstructor::new(
+        let known_reconstructor = Reconstructor::new(
             VbSource::KnownImages(vec![vb, Frame::filled(48, 36, Rgb::grey(10))]),
             config(),
-        )
-        .reconstruct(&video)
-        .unwrap();
-        let unknown = Reconstructor::new(VbSource::UnknownImage, config())
-            .reconstruct(&video)
-            .unwrap();
+        );
+        let known = known_reconstructor.reconstruct(&video).unwrap();
+        let unknown_reconstructor = Reconstructor::new(VbSource::UnknownImage, config());
+        let unknown = unknown_reconstructor.reconstruct(&video).unwrap();
         // The known reference is fully valid, so its VBM covers at least as
         // much of the *true* virtual background. (The unknown VBM may be
         // larger in absolute terms because caller-core pixels that never
@@ -494,12 +505,19 @@ mod tests {
         let mut known_cover = 0usize;
         let mut unknown_cover = 0usize;
         for i in 0..video.len() {
-            let true_vb = video.frame(i).match_mask(&vb_ref, 4).unwrap();
-            known_cover += known.per_frame_vbm[i]
+            let frame = video.frame(i);
+            let true_vb = frame.match_mask(&vb_ref, 4).unwrap();
+            known_cover += known_reconstructor
+                .frame_masks(&known, i, frame)
+                .unwrap()
+                .vbm
                 .intersect(&true_vb)
                 .unwrap()
                 .count_set();
-            unknown_cover += unknown.per_frame_vbm[i]
+            unknown_cover += unknown_reconstructor
+                .frame_masks(&unknown, i, frame)
+                .unwrap()
+                .vbm
                 .intersect(&true_vb)
                 .unwrap()
                 .count_set();
@@ -513,15 +531,14 @@ mod tests {
     #[test]
     fn sequential_and_parallel_agree() {
         let (video, _, _) = toy_call();
-        let seq = Reconstructor::new(
+        let serial = Reconstructor::new(
             VbSource::UnknownImage,
             ReconstructorConfig {
                 parallelism: 1,
                 ..config()
             },
-        )
-        .reconstruct(&video)
-        .unwrap();
+        );
+        let seq = serial.reconstruct(&video).unwrap();
         let par = Reconstructor::new(
             VbSource::UnknownImage,
             ReconstructorConfig {
@@ -533,7 +550,12 @@ mod tests {
         .unwrap();
         assert_eq!(seq.recovered, par.recovered);
         assert_eq!(seq.background, par.background);
-        assert_eq!(seq.per_frame_leak, par.per_frame_leak);
+        for (i, frame) in video.iter().enumerate() {
+            assert_eq!(
+                serial.frame_masks(&seq, i, frame).unwrap().leak,
+                serial.frame_masks(&par, i, frame).unwrap().leak
+            );
+        }
     }
 
     #[test]
@@ -553,26 +575,28 @@ mod tests {
     #[test]
     fn per_frame_outputs_cover_all_frames() {
         let (video, _, _) = toy_call();
-        let rec = Reconstructor::new(VbSource::UnknownImage, config())
-            .reconstruct(&video)
-            .unwrap();
-        assert_eq!(rec.per_frame_leak.len(), video.len());
-        assert_eq!(rec.per_frame_vbm.len(), video.len());
-        assert_eq!(rec.per_frame_removed.len(), video.len());
-        // Removed ⊇ VBM for every frame.
-        for (vbm, removed) in rec.per_frame_vbm.iter().zip(&rec.per_frame_removed) {
-            assert!(vbm.subtract(removed).unwrap().is_empty());
+        let reconstructor = Reconstructor::new(VbSource::UnknownImage, config());
+        let rec = reconstructor.reconstruct(&video).unwrap();
+        for (i, frame) in video.iter().enumerate() {
+            let masks = reconstructor.frame_masks(&rec, i, frame).unwrap();
+            assert_eq!(masks.vbm.dims(), video.dims());
+            // Removed ⊇ VBM for every frame.
+            assert!(masks.vbm.subtract(&masks.removed).unwrap().is_empty());
         }
+        // A frame of the wrong geometry is refused, not misread.
+        assert!(reconstructor
+            .frame_masks(&rec, 0, &Frame::new(10, 10))
+            .is_err());
     }
 
     #[test]
     fn leak_disjoint_from_removed_regions() {
         let (video, _, _) = toy_call();
-        let rec = Reconstructor::new(VbSource::UnknownImage, config())
-            .reconstruct(&video)
-            .unwrap();
-        for (leak, removed) in rec.per_frame_leak.iter().zip(&rec.per_frame_removed) {
-            assert!(leak.intersect(removed).unwrap().is_empty());
+        let reconstructor = Reconstructor::new(VbSource::UnknownImage, config());
+        let rec = reconstructor.reconstruct(&video).unwrap();
+        for (i, frame) in video.iter().enumerate() {
+            let masks = reconstructor.frame_masks(&rec, i, frame).unwrap();
+            assert!(masks.leak.intersect(&masks.removed).unwrap().is_empty());
         }
     }
 
@@ -581,10 +605,9 @@ mod tests {
         let (video, _, _) = toy_call();
         let telemetry = bb_telemetry::Telemetry::enabled()
             .with_journal(bb_telemetry::Journal::with_capacity(1 << 16));
-        let rec = Reconstructor::new(VbSource::UnknownImage, config())
-            .with_telemetry(telemetry.clone())
-            .reconstruct(&video)
-            .unwrap();
+        let reconstructor =
+            Reconstructor::new(VbSource::UnknownImage, config()).with_telemetry(telemetry.clone());
+        let rec = reconstructor.reconstruct(&video).unwrap();
         let journal = telemetry.journal().unwrap();
         let frame_events: Vec<_> = journal
             .events()
@@ -597,13 +620,13 @@ mod tests {
         let mut fills = Vec::new();
         for (i, e) in frame_events.iter().enumerate() {
             assert_eq!(e.frame, Some(i as u64));
-            assert_eq!(
-                e.fields["residue_px"],
-                rec.per_frame_leak[i].count_set() as f64
-            );
+            // The session's own masks, as the journal saw them, equal the
+            // ones `frame_masks` rebuilds.
+            let masks = reconstructor.frame_masks(&rec, i, video.frame(i)).unwrap();
+            assert_eq!(e.fields["residue_px"], masks.leak.count_set() as f64);
             assert_eq!(
                 e.fields["mask_coverage"],
-                rec.per_frame_removed[i].count_set() as f64 / pixels
+                masks.removed.count_set() as f64 / pixels
             );
             fills.push(e.fields["canvas_fill"]);
         }
@@ -611,7 +634,7 @@ mod tests {
         assert!(fills.windows(2).all(|p| p[0] <= p[1]));
         assert_eq!(
             *fills.last().unwrap(),
-            rec.canvas.recovered_count() as f64 / pixels
+            rec.recovered.count_set() as f64 / pixels
         );
         // Worker spans made it into the journal too. The lane name depends
         // on how many threads the host allows (a single-core machine runs

@@ -21,9 +21,10 @@
 //! shorter calls) those models are fitted once over the buffered window,
 //! the window is processed through the standard pass1/pass2/accumulate
 //! stages, and the buffer is dropped. Every later frame streams through the
-//! locked models with memory bounded by O(frame size) (plus the per-frame
-//! masks when [`MaskRetention::Full`](crate::pipeline::MaskRetention) is
-//! selected).
+//! locked models with memory bounded by O(frame size): a frame's masks are
+//! dropped once its residue is accumulated, and
+//! [`Reconstructor::frame_masks`](crate::pipeline::Reconstructor::frame_masks)
+//! rebuilds them on demand from the finished [`Reconstruction`].
 //!
 //! Batch [`Reconstructor::reconstruct`](crate::pipeline::Reconstructor::reconstruct)
 //! pushes every frame through a session and finalizes it, so for calls no
@@ -32,15 +33,15 @@
 //! hash.
 //!
 //! [`ReconstructionSession::checkpoint`] serializes the full session state
-//! into a versioned binary format (magic `BBSC`, version 3 — see
+//! into a versioned binary format (magic `BBSC`, version 4 — see
 //! DESIGN.md §7) so a long-running capture survives process restart;
 //! [`Reconstructor::resume_session`](crate::pipeline::Reconstructor::resume_session)
 //! restores it.
 
 use crate::bbmask::bb_mask;
 use crate::pipeline::{
-    resolve_reference_impl, MaskRetention, ReconMode, Reconstruction, ReconstructorConfig,
-    VbSource, DEBLUR_ITERATIONS,
+    resolve_reference_impl, ReconMode, Reconstruction, ReconstructorConfig, VbSource,
+    DEBLUR_ITERATIONS,
 };
 use crate::recon::ReconstructionCanvas;
 use crate::vbmask::{vb_mask, VirtualReference};
@@ -59,7 +60,7 @@ use bb_video::VideoStream;
 /// Checkpoint container magic ("Background buster Streaming Checkpoint").
 const MAGIC: &[u8; 4] = b"BBSC";
 /// Checkpoint format version (bump on any layout change).
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 /// Dimension sanity bound for decoded frames/masks (matches the `.bbv`
 /// decoder's bound).
 const MAX_DIM: u64 = 1 << 14;
@@ -128,9 +129,6 @@ struct LockedState {
     segmenter: PersonSegmenter,
     model: Option<CallerColorModel>,
     canvas: ReconstructionCanvas,
-    leaks: Vec<Mask>,
-    vbms: Vec<Mask>,
-    removeds: Vec<Mask>,
 }
 
 enum SessionState {
@@ -189,10 +187,11 @@ impl ReconstructionSession {
     }
 
     /// Approximate heap bytes held by the session — the bounded-memory
-    /// claim made measurable. After the lock, with
-    /// [`MaskRetention::None`], this stays constant no matter how many
-    /// frames are pushed. Every frame buffer the session keeps is counted:
-    /// the warmup copies until the lock, none after it.
+    /// claim made measurable. After the lock this stays constant no matter
+    /// how many frames are pushed: the canvas, reference, segmenter model
+    /// and color model, all sized by the frame. Every frame buffer the
+    /// session keeps is counted: the warmup copies until the lock, none
+    /// after it.
     pub fn state_bytes(&self) -> usize {
         fn frame_bytes(w: usize, h: usize) -> usize {
             w * h * 3
@@ -223,8 +222,7 @@ impl ReconstructionSession {
                     .model
                     .as_ref()
                     .map_or(0, |m| m.histogram().bucket_counts().len() * 4);
-                let masks = (l.leaks.len() + l.vbms.len() + l.removeds.len()) * mask_bytes(w, h);
-                canvas + reference + segmenter + model + masks
+                canvas + reference + segmenter + model
             }
         }
     }
@@ -364,10 +362,8 @@ impl ReconstructionSession {
         let LockedState {
             frames_seen,
             reference,
+            model,
             canvas,
-            leaks,
-            vbms,
-            removeds,
             ..
         } = locked;
         if telemetry.is_enabled() {
@@ -380,11 +376,8 @@ impl ReconstructionSession {
         Ok(Reconstruction {
             background: canvas.to_frame(Rgb::BLACK),
             recovered,
-            canvas,
             vb_reference: reference,
-            per_frame_leak: leaks,
-            per_frame_vbm: vbms,
-            per_frame_removed: removeds,
+            color_model: model,
         })
     }
 
@@ -454,9 +447,6 @@ impl ReconstructionSession {
             segmenter,
             model: None,
             canvas: ReconstructionCanvas::new(w, h),
-            leaks: Vec::new(),
-            vbms: Vec::new(),
-            removeds: Vec::new(),
         };
         process_block(&mut locked, &self.config, telemetry, stream.frames(), true)?;
         Ok(locked)
@@ -534,14 +524,6 @@ impl ReconstructionSession {
                     }
                     put_i32(&mut buf, l.canvas.votes[i]);
                     put_u32(&mut buf, l.canvas.counts[i]);
-                }
-                if self.config.mask_retention == MaskRetention::Full {
-                    for masks in [&l.leaks, &l.vbms, &l.removeds] {
-                        put_u64(&mut buf, masks.len() as u64);
-                        for m in masks {
-                            put_mask(&mut buf, m);
-                        }
-                    }
                 }
             }
         }
@@ -662,25 +644,6 @@ impl ReconstructionSession {
                     canvas.votes[i] = r.i32()?;
                     canvas.counts[i] = r.u32()?;
                 }
-                let mut retained: [Vec<Mask>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-                if config.mask_retention == MaskRetention::Full {
-                    for slot in &mut retained {
-                        let count = r.count()?;
-                        if count != frames_seen {
-                            return Err(corrupt(format!(
-                                "retained mask count {count} != frames_seen {frames_seen}"
-                            )));
-                        }
-                        for _ in 0..count {
-                            let m = read_mask(&mut r)?;
-                            if m.dims() != dims {
-                                return Err(corrupt("retained mask geometry mismatch"));
-                            }
-                            slot.push(m);
-                        }
-                    }
-                }
-                let [leaks, vbms, removeds] = retained;
                 SessionState::Locked(Box::new(LockedState {
                     width,
                     height,
@@ -689,9 +652,6 @@ impl ReconstructionSession {
                     segmenter,
                     model,
                     canvas,
-                    leaks,
-                    vbms,
-                    removeds,
                 }))
             }
             t => return Err(corrupt(format!("unknown phase tag {t}"))),
@@ -734,33 +694,25 @@ fn process_block(
     // threads than the host can run.
     let workers = crate::workers::effective_workers(config.parallelism, n);
     let base = locked.frames_seen;
-    let tau = config.tau;
-    let phi = config.phi;
 
     // Pass 1: VBM (§V-B) and BBM (§V-C) per frame, on the worker pool,
     // and the skin evidence of the candidates they leave (§V-D), which the
     // color model and pass2 both read. Candidates are the complement of
     // `removed`, rebuilt where needed rather than kept per frame.
     let reference = &locked.reference;
-    let pass1: Vec<(Mask, Mask, Mask)> = {
+    let pass1: Vec<(Mask, Mask)> = {
         let _span = telemetry.time("reconstruct/pass1");
         run_stage(n, workers, config.collect_mode, telemetry, "pass1", |i| {
-            let frame = &frames[i];
-            let (ref_frame, ref_valid) = reference.for_frame(base + i);
-            let vbm = vb_mask(frame, ref_frame, ref_valid, tau)?;
-            let bbm = bb_mask(&vbm, phi);
-            let removed = vbm.union(&bbm)?;
-            let skin = skin_evidence(frame, &removed.complement());
+            let (vbm, removed, skin) = frame_removal(&frames[i], base + i, reference, config)?;
             if telemetry.is_enabled() {
                 telemetry.add("frames/pass1", 1);
                 telemetry.add("pixels/vbm", vbm.count_set() as u64);
                 telemetry.add("pixels/removed", removed.count_set() as u64);
             }
-            Ok((vbm, removed, skin))
+            Ok((removed, skin))
         })?
     };
-    let ((vbms, removeds), skins): ((Vec<Mask>, Vec<Mask>), Vec<Mask>) =
-        pass1.into_iter().map(|(v, r, s)| ((v, r), s)).unzip();
+    let (removeds, skins): (Vec<Mask>, Vec<Mask>) = pass1.into_iter().unzip();
 
     // Cross-frame caller color model from the quietest frames (§V-D color
     // analysis across frames) — fitted once, over the warmup window.
@@ -783,9 +735,7 @@ fn process_block(
     let leaks: Vec<Mask> = {
         let _span = telemetry.time("reconstruct/pass2");
         run_stage(n, workers, config.collect_mode, telemetry, "pass2", |i| {
-            let candidates = removeds[i].complement();
-            let vc = vc_mask_from_evidence(&frames[i], &candidates, &skins[i], &config.vc, model);
-            let leak = candidates.subtract(&vc.vcm)?;
+            let leak = frame_leak(&frames[i], &removeds[i], &skins[i], config, model)?;
             if telemetry.is_enabled() {
                 telemetry.add("frames/pass2", 1);
                 telemetry.add("pixels/leak", leak.count_set() as u64);
@@ -845,16 +795,42 @@ fn process_block(
             }
         }
     }
-    match config.mask_retention {
-        MaskRetention::Full => {
-            locked.leaks.extend(leaks);
-            locked.vbms.extend(vbms);
-            locked.removeds.extend(removeds);
-        }
-        MaskRetention::None => {}
-    }
     locked.frames_seen += n;
     Ok(last_residue)
+}
+
+/// Pass1's per-frame body: frame `index`'s VBM (§V-B), its removed region
+/// `VBM ∪ BBM` (§V-C) and the skin evidence of the candidates that region
+/// leaves (§V-D). [`process_block`] and
+/// [`Reconstructor::frame_masks`](crate::pipeline::Reconstructor::frame_masks)
+/// both call it, so stored output and rebuilt masks cannot drift.
+pub(crate) fn frame_removal(
+    frame: &Frame,
+    index: usize,
+    reference: &VirtualReference,
+    config: &ReconstructorConfig,
+) -> Result<(Mask, Mask, Mask), CoreError> {
+    let (ref_frame, ref_valid) = reference.for_frame(index);
+    let vbm = vb_mask(frame, ref_frame, ref_valid, config.tau)?;
+    let bbm = bb_mask(&vbm, config.phi);
+    let removed = vbm.union(&bbm)?;
+    let skin = skin_evidence(frame, &removed.complement());
+    Ok((vbm, removed, skin))
+}
+
+/// Pass2's per-frame body: the leak mask `LBⁱ`, the candidates (the
+/// complement of `removed`) minus the caller mask VCM (§V-D) selected from
+/// pass1's skin evidence and refined by the caller color `model`.
+pub(crate) fn frame_leak(
+    frame: &Frame,
+    removed: &Mask,
+    skin: &Mask,
+    config: &ReconstructorConfig,
+    model: Option<&CallerColorModel>,
+) -> Result<Mask, CoreError> {
+    let candidates = removed.complement();
+    let vc = vc_mask_from_evidence(frame, &candidates, skin, &config.vc, model);
+    Ok(candidates.subtract(&vc.vcm)?)
 }
 
 // ---- checkpoint byte codec -------------------------------------------------
@@ -915,10 +891,6 @@ fn put_config(buf: &mut Vec<u8>, c: &ReconstructorConfig) {
     buf.push(c.tau);
     put_u64(buf, c.phi as u64);
     put_u64(buf, c.warmup_frames as u64);
-    buf.push(match c.mask_retention {
-        MaskRetention::Full => 0,
-        MaskRetention::None => 1,
-    });
     put_f64(buf, c.vc.refine_min_freq);
     buf.push(c.vc.refine_bits);
     put_u64(buf, c.vc.min_flip_cluster as u64);
@@ -1001,11 +973,6 @@ fn read_config(
         tau: r.u8()?,
         phi: r.count()?,
         warmup_frames: r.count()?,
-        mask_retention: match r.u8()? {
-            0 => MaskRetention::Full,
-            1 => MaskRetention::None,
-            t => return Err(corrupt(format!("unknown mask retention {t}"))),
-        },
         vc: crate::vcmask::VcMaskParams {
             refine_min_freq: r.f64()?,
             refine_bits: r.u8()?,
@@ -1089,12 +1056,23 @@ mod tests {
         }
     }
 
-    fn assert_same(a: &Reconstruction, b: &Reconstruction) {
+    /// The two runs agree on their output and on every frame's masks, as
+    /// `frame_masks` rebuilds them.
+    fn assert_same(
+        reconstructor: &Reconstructor,
+        video: &VideoStream,
+        a: &Reconstruction,
+        b: &Reconstruction,
+    ) {
         assert_eq!(a.background, b.background);
         assert_eq!(a.recovered, b.recovered);
-        assert_eq!(a.per_frame_leak, b.per_frame_leak);
-        assert_eq!(a.per_frame_vbm, b.per_frame_vbm);
-        assert_eq!(a.per_frame_removed, b.per_frame_removed);
+        for (i, frame) in video.iter().enumerate() {
+            assert_eq!(
+                reconstructor.frame_masks(a, i, frame).unwrap(),
+                reconstructor.frame_masks(b, i, frame).unwrap(),
+                "frame {i}"
+            );
+        }
     }
 
     #[test]
@@ -1126,7 +1104,7 @@ mod tests {
             }
         }
         let streamed = session.finalize().unwrap();
-        assert_same(&batch, &streamed);
+        assert_same(&reconstructor, &video, &batch, &streamed);
     }
 
     #[test]
@@ -1143,7 +1121,7 @@ mod tests {
         assert!(!session.is_locked());
         let streamed = session.finalize().unwrap();
         let batch = reconstructor.reconstruct(&video).unwrap();
-        assert_same(&batch, &streamed);
+        assert_same(&reconstructor, &video, &batch, &streamed);
     }
 
     #[test]
@@ -1171,7 +1149,7 @@ mod tests {
                 session.push_frame(&f).unwrap();
             }
             let streamed = session.finalize().unwrap();
-            assert_same(&batch, &streamed);
+            assert_same(&reconstructor, &video, &batch, &streamed);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1199,7 +1177,7 @@ mod tests {
                 resumed.push_frame(frame).unwrap();
             }
             let rec = resumed.finalize().unwrap();
-            assert_same(&full, &rec);
+            assert_same(&reconstructor, &video, &full, &rec);
         }
     }
 
@@ -1228,7 +1206,7 @@ mod tests {
                 resumed.push_frame(frame).unwrap();
             }
             let rec = resumed.finalize().unwrap();
-            assert_same(&full, &rec);
+            assert_same(&reconstructor, &video, &full, &rec);
         }
         // A checkpoint claiming a radius past MAX_BLUR_RADIUS is corrupt: the
         // deblur kernel's u16 lanes are only exact up to it.
@@ -1308,35 +1286,10 @@ mod tests {
     }
 
     #[test]
-    fn mask_retention_none_matches_full_output_without_masks() {
-        let video = toy_call(30);
-        let cfg = ReconstructorConfig {
-            warmup_frames: 10,
-            ..config()
-        };
-        let full = Reconstructor::new(VbSource::UnknownImage, cfg)
-            .reconstruct(&video)
-            .unwrap();
-        let lean_cfg = ReconstructorConfig {
-            mask_retention: MaskRetention::None,
-            ..cfg
-        };
-        let lean = Reconstructor::new(VbSource::UnknownImage, lean_cfg)
-            .reconstruct(&video)
-            .unwrap();
-        assert_eq!(full.background, lean.background);
-        assert_eq!(full.recovered, lean.recovered);
-        assert!(lean.per_frame_leak.is_empty());
-        assert!(lean.per_frame_vbm.is_empty());
-        assert!(lean.per_frame_removed.is_empty());
-    }
-
-    #[test]
     fn state_is_bounded_after_lock_with_no_retention() {
         let video = toy_call(40);
         let cfg = ReconstructorConfig {
             warmup_frames: 10,
-            mask_retention: MaskRetention::None,
             ..config()
         };
         let mut session = Reconstructor::new(VbSource::UnknownImage, cfg).session();
@@ -1351,10 +1304,7 @@ mod tests {
             }
         }
         assert!(at_lock > 0);
-        assert_eq!(
-            peak_after, at_lock,
-            "state grew after lock despite MaskRetention::None"
-        );
+        assert_eq!(peak_after, at_lock, "state grew after the lock");
     }
 
     #[test]

@@ -153,7 +153,14 @@ proptest! {
                         "session {} diverged from its never-evicted twin", id
                     );
                     prop_assert_eq!(served.recovered, twin.recovered);
-                    prop_assert_eq!(served.per_frame_leak, twin.per_frame_leak);
+                    let reconstructor = prototype();
+                    for (i, frame) in call.frames()[..frames].iter().enumerate() {
+                        prop_assert_eq!(
+                            reconstructor.frame_masks(&served, i, frame).unwrap(),
+                            reconstructor.frame_masks(&twin, i, frame).unwrap(),
+                            "session {} frame {} masks diverged", id, i
+                        );
+                    }
                 }
                 // Zero-frame sessions fail finalize identically on both
                 // sides (VideoTooShort) — the server must reap, not wedge.

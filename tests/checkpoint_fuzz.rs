@@ -1,11 +1,10 @@
-//! Adversarial input for the `BBSC` session checkpoint, mirroring the BBV v2
+//! Adversarial input for the `BBSC` v4 session checkpoint, mirroring the BBV v2
 //! and BBWS sweeps (`v2_fuzz.rs`, `wire_fuzz.rs`): a truncation at *every*
 //! byte boundary must come back as a typed error, and a bit flip at *every*
 //! byte offset must either fail typed or resume into a session that can
 //! take more frames and finalize — never a panic. Both checkpoint phases are
 //! covered: a warmup-phase checkpoint (buffered raw frames) and a
-//! locked-phase one (reference, segmenter, color model, canvas and
-//! per-frame masks).
+//! locked-phase one (reference, segmenter, color model and canvas).
 
 use bb_core::pipeline::{Reconstructor, ReconstructorConfig, VbSource};
 use bb_core::CoreError;
@@ -118,27 +117,51 @@ fn every_bit_flip_is_typed_or_a_working_session() {
     }
 }
 
+/// Offset of the byte after `warmup_frames` in the settings block: magic
+/// (4), version (4), tau (1), phi (8), warmup_frames (8). Version 3 stored
+/// its mask-retention byte here.
+const V3_RETENTION_OFFSET: usize = 25;
+
 #[test]
 fn earlier_format_versions_are_refused_by_name() {
-    // Bytes 4..8 hold the format version. Versions 1 and 2 stored settings
-    // this build no longer has; their checkpoints must not be misread.
+    // Bytes 4..8 hold the format version. Versions 1 to 3 stored settings
+    // or sections this build no longer has; their checkpoints must not be
+    // misread.
     let reconstructor = reconstructor();
-    for (phase, mut bytes, _) in phases() {
-        assert_eq!(bytes[4..8], 3u32.to_le_bytes(), "{phase}: layout moved");
-        for version in [1u32, 2] {
-            bytes[4..8].copy_from_slice(&version.to_le_bytes());
-            match reconstructor.resume_session(&bytes) {
-                Err(CoreError::CheckpointCorrupt(msg)) => {
-                    assert!(
-                        msg.contains(&format!("version {version}")),
-                        "{phase}: {msg}"
-                    );
-                }
-                other => panic!(
-                    "{phase}: expected CheckpointCorrupt, got {:?}",
-                    other.map(|_| ())
-                ),
-            }
+    let refused = |bytes: &[u8], version: u32, what: &str| match reconstructor.resume_session(bytes)
+    {
+        Err(CoreError::CheckpointCorrupt(msg)) => assert!(
+            msg.contains(&format!("unsupported checkpoint version {version}")),
+            "{what}: {msg}"
+        ),
+        other => panic!(
+            "{what}: expected CheckpointCorrupt, got {:?}",
+            other.map(|_| ())
+        ),
+    };
+    for (phase, bytes, _) in phases() {
+        assert_eq!(bytes[4..8], 4u32.to_le_bytes(), "{phase}: layout moved");
+        for version in [1u32, 2, 3] {
+            let mut relabelled = bytes.clone();
+            relabelled[4..8].copy_from_slice(&version.to_le_bytes());
+            refused(&relabelled, version, phase);
         }
+        // A genuine v3 checkpoint of a session that kept no masks: the v4
+        // bytes plus v3's retention byte (1 = none), which v3 followed with
+        // no mask section.
+        let mut v3 = bytes.clone();
+        v3[4..8].copy_from_slice(&3u32.to_le_bytes());
+        v3.insert(V3_RETENTION_OFFSET, 1);
+        refused(&v3, 3, phase);
     }
+}
+
+#[test]
+fn locked_checkpoints_do_not_grow_with_the_call() {
+    // Nothing per frame is kept after the lock, so a locked checkpoint is
+    // the same size at any frame count.
+    let sizes: Vec<usize> = (WARMUP..=FRAMES)
+        .map(|pushed| checkpoint_after(pushed).0.len())
+        .collect();
+    assert!(sizes.windows(2).all(|p| p[0] == p[1]), "{sizes:?}");
 }

@@ -52,7 +52,8 @@ fn seeded_call_behind(vb: VbMode) -> VideoStream {
         .video
 }
 
-fn reconstruct(video: &VideoStream, parallelism: usize, telemetry: &Telemetry) -> Reconstruction {
+/// The golden scenario's reconstructor: the known-image gallery at φ = 3.
+fn golden_reconstructor(parallelism: usize) -> Reconstructor {
     let config = ReconstructorConfig {
         phi: 3,
         parallelism,
@@ -62,23 +63,36 @@ fn reconstruct(video: &VideoStream, parallelism: usize, telemetry: &Telemetry) -
         VbSource::KnownImages(background::catalog_images(W, H)),
         config,
     )
-    .with_telemetry(telemetry.clone())
-    .reconstruct(video)
-    .expect("reconstruction succeeds")
 }
 
-fn assert_identical(a: &Reconstruction, b: &Reconstruction, what: &str) {
+fn reconstruct(video: &VideoStream, parallelism: usize, telemetry: &Telemetry) -> Reconstruction {
+    golden_reconstructor(parallelism)
+        .with_telemetry(telemetry.clone())
+        .reconstruct(video)
+        .expect("reconstruction succeeds")
+}
+
+/// The two runs agree on their output and on every frame's VBM, removed
+/// and leak masks, as `reconstructor.frame_masks` rebuilds them.
+fn assert_identical(
+    reconstructor: &Reconstructor,
+    video: &VideoStream,
+    a: &Reconstruction,
+    b: &Reconstruction,
+    what: &str,
+) {
     assert_eq!(a.background, b.background, "{what}: background differs");
     assert_eq!(a.recovered, b.recovered, "{what}: recovered mask differs");
-    assert_eq!(
-        a.per_frame_leak, b.per_frame_leak,
-        "{what}: leak masks differ"
-    );
-    assert_eq!(a.per_frame_vbm, b.per_frame_vbm, "{what}: VBMs differ");
-    assert_eq!(
-        a.per_frame_removed, b.per_frame_removed,
-        "{what}: removed masks differ"
-    );
+    for (i, frame) in video.iter().enumerate() {
+        let ma = reconstructor.frame_masks(a, i, frame).expect("masks");
+        let mb = reconstructor.frame_masks(b, i, frame).expect("masks");
+        assert_eq!(ma.leak, mb.leak, "{what}: leak masks differ at {i}");
+        assert_eq!(ma.vbm, mb.vbm, "{what}: VBMs differ at {i}");
+        assert_eq!(
+            ma.removed, mb.removed,
+            "{what}: removed masks differ at {i}"
+        );
+    }
 }
 
 #[test]
@@ -87,12 +101,20 @@ fn output_is_byte_identical_across_parallelism_and_collect_modes() {
     let baseline = reconstruct(&video, 1, &Telemetry::disabled());
     for parallelism in [2usize, 8] {
         let other = reconstruct(&video, parallelism, &Telemetry::disabled());
-        assert_identical(&baseline, &other, &format!("parallelism={parallelism}"));
+        assert_identical(
+            &golden_reconstructor(1),
+            &video,
+            &baseline,
+            &other,
+            &format!("parallelism={parallelism}"),
+        );
     }
 }
 
-/// FNV-1a over the reconstruction's observable output.
-fn fnv1a_of(recon: &Reconstruction) -> u64 {
+/// FNV-1a over the reconstruction's observable output: the background, the
+/// recovered mask and every frame's leak mask, rebuilt by
+/// `reconstructor.frame_masks` from `video`.
+fn fnv1a_of(reconstructor: &Reconstructor, video: &VideoStream, recon: &Reconstruction) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |byte: u8| {
         hash ^= u64::from(byte);
@@ -115,8 +137,9 @@ fn fnv1a_of(recon: &Reconstruction) -> u64 {
     };
     feed_frame(&mut eat, &recon.background);
     feed_mask(&mut eat, &recon.recovered);
-    for leak in &recon.per_frame_leak {
-        feed_mask(&mut eat, leak);
+    for (i, frame) in video.iter().enumerate() {
+        let masks = reconstructor.frame_masks(recon, i, frame).expect("masks");
+        feed_mask(&mut eat, &masks.leak);
     }
     hash
 }
@@ -141,7 +164,7 @@ const GOLDEN_HASH: u64 = 0x0122_7bed_58af_d18d;
 fn golden_hash_regression() {
     let video = seeded_call();
     let recon = reconstruct(&video, 8, &Telemetry::disabled());
-    let hash = fnv1a_of(&recon);
+    let hash = fnv1a_of(&golden_reconstructor(8), &video, &recon);
     assert_eq!(
         hash, GOLDEN_HASH,
         "end-to-end output drifted: got {hash:#018x}, pinned {GOLDEN_HASH:#018x}"
@@ -153,21 +176,13 @@ fn golden_hash_holds_for_streaming_push_and_finalize() {
     // The streaming session, fed one frame at a time, must land on the exact
     // batch bytes: `reconstruct` is a thin wrapper over the same session.
     let video = seeded_call();
-    let config = ReconstructorConfig {
-        phi: 3,
-        parallelism: 8,
-        ..Default::default()
-    };
-    let reconstructor = Reconstructor::new(
-        VbSource::KnownImages(background::catalog_images(W, H)),
-        config,
-    );
+    let reconstructor = golden_reconstructor(8);
     let mut session = reconstructor.session();
     for frame in video.iter() {
         session.push_frame(frame).expect("push");
     }
     let recon = session.finalize().expect("finalize");
-    let hash = fnv1a_of(&recon);
+    let hash = fnv1a_of(&reconstructor, &video, &recon);
     assert_eq!(
         hash, GOLDEN_HASH,
         "streaming output drifted from batch: got {hash:#018x}, pinned {GOLDEN_HASH:#018x}"
@@ -180,15 +195,7 @@ fn golden_hash_holds_for_streaming_push_and_finalize() {
 fn starved_server(tag: &str) -> (bb_serve::server::ReconServer, std::path::PathBuf) {
     use bb_serve::server::{ReconServer, ServeConfig};
 
-    let config = ReconstructorConfig {
-        phi: 3,
-        parallelism: 8,
-        ..Default::default()
-    };
-    let prototype = Reconstructor::new(
-        VbSource::KnownImages(background::catalog_images(W, H)),
-        config,
-    );
+    let prototype = golden_reconstructor(8);
     let dir = std::env::temp_dir().join(format!("bb_determinism_{tag}_{}", std::process::id()));
     let serve_config = ServeConfig {
         budget_bytes: 16 * 1024,
@@ -213,7 +220,7 @@ fn wire_served_session_lands_on_the_golden_hash() {
         "the 16 KiB budget must evict between batched pushes"
     );
     let (_, recon) = closed.pop().unwrap();
-    let hash = fnv1a_of(&recon);
+    let hash = fnv1a_of(&golden_reconstructor(8), &video, &recon);
     assert_eq!(
         hash, GOLDEN_HASH,
         "wire-served output drifted from batch: got {hash:#018x}, pinned {GOLDEN_HASH:#018x}"
@@ -241,7 +248,7 @@ fn per_frame_pushes_under_eviction_land_on_the_golden_hash() {
         stats.evicted
     );
     assert_eq!(stats.evicted, stats.resumed, "every eviction was resumed");
-    let hash = fnv1a_of(&recon);
+    let hash = fnv1a_of(&golden_reconstructor(8), &video, &recon);
     assert_eq!(
         hash, GOLDEN_HASH,
         "per-frame served output drifted from batch: got {hash:#018x}, pinned {GOLDEN_HASH:#018x}"
@@ -270,22 +277,14 @@ fn golden_hash_holds_through_v2_containers_and_mmap_ingest() {
     let decoded =
         bb_core::ingest::load_video(&v2_path, 8, &Telemetry::disabled()).expect("parallel decode");
     let recon = reconstruct(&decoded, 8, &Telemetry::disabled());
-    let hash = fnv1a_of(&recon);
+    let hash = fnv1a_of(&golden_reconstructor(8), &decoded, &recon);
     assert_eq!(
         hash, GOLDEN_HASH,
         "v2 parallel-decode output drifted: got {hash:#018x}, pinned {GOLDEN_HASH:#018x}"
     );
 
     // Streaming: frames read off the mapping, pushed one at a time.
-    let config = ReconstructorConfig {
-        phi: 3,
-        parallelism: 8,
-        ..Default::default()
-    };
-    let reconstructor = Reconstructor::new(
-        VbSource::KnownImages(background::catalog_images(W, H)),
-        config,
-    );
+    let reconstructor = golden_reconstructor(8);
     for path in [&v1_path, &v2_path] {
         let mut session = reconstructor.session();
         let mut src = MmapSource::open(path).expect("mmap");
@@ -294,7 +293,7 @@ fn golden_hash_holds_through_v2_containers_and_mmap_ingest() {
         }
         assert_eq!(session.frames_seen(), FRAMES);
         let recon = session.finalize().expect("finalize");
-        let hash = fnv1a_of(&recon);
+        let hash = fnv1a_of(&reconstructor, &video, &recon);
         assert_eq!(
             hash,
             GOLDEN_HASH,
@@ -345,7 +344,13 @@ fn checkpoint_resume_is_byte_identical_to_the_uninterrupted_run() {
             .push_frames(&video.frames()[cut..])
             .expect("push rest");
         let recon = resumed.finalize().expect("finalize");
-        assert_identical(&uncut, &recon, &format!("checkpoint cut at {cut}"));
+        assert_identical(
+            &reconstructor,
+            &video,
+            &uncut,
+            &recon,
+            &format!("checkpoint cut at {cut}"),
+        );
     }
 }
 
@@ -360,7 +365,7 @@ fn golden_hash_is_unchanged_by_observability() {
         .with_journal(bb_telemetry::Journal::with_capacity(1 << 18))
         .with_metrics(hub.clone());
     let recon = reconstruct(&video, 8, &telemetry);
-    let hash = fnv1a_of(&recon);
+    let hash = fnv1a_of(&golden_reconstructor(8), &video, &recon);
     assert_eq!(
         hash, GOLDEN_HASH,
         "telemetry+journal+metrics changed the output: got {hash:#018x}, pinned {GOLDEN_HASH:#018x}"
@@ -489,8 +494,8 @@ fn blur_reconstructor(parallelism: usize) -> Reconstructor {
     )
 }
 
-fn assert_blur_golden(recon: &Reconstruction, what: &str) {
-    let hash = fnv1a_of(recon);
+fn assert_blur_golden(video: &VideoStream, recon: &Reconstruction, what: &str) {
+    let hash = fnv1a_of(&blur_reconstructor(1), video, recon);
     assert_eq!(
         hash, BLUR_GOLDEN_HASH,
         "{what}: blur-residue output drifted: got {hash:#018x}, pinned {BLUR_GOLDEN_HASH:#018x}"
@@ -509,7 +514,11 @@ fn blur_residue_golden_hash_holds_across_parallelism_streaming_and_resume() {
             batch.recovered.count_set() > 0,
             "blur residue recovered nothing"
         );
-        assert_blur_golden(&batch, &format!("batch at parallelism {parallelism}"));
+        assert_blur_golden(
+            &video,
+            &batch,
+            &format!("batch at parallelism {parallelism}"),
+        );
 
         let mut session = reconstructor.session();
         for frame in video.iter() {
@@ -517,6 +526,7 @@ fn blur_residue_golden_hash_holds_across_parallelism_streaming_and_resume() {
         }
         let streamed = session.finalize().expect("finalize");
         assert_blur_golden(
+            &video,
             &streamed,
             &format!("streaming at parallelism {parallelism}"),
         );
@@ -532,6 +542,6 @@ fn blur_residue_golden_hash_holds_across_parallelism_streaming_and_resume() {
             .push_frames(&video.frames()[cut..])
             .expect("push rest");
         let recon = resumed.finalize().expect("finalize");
-        assert_blur_golden(&recon, &format!("checkpoint cut at {cut}"));
+        assert_blur_golden(&video, &recon, &format!("checkpoint cut at {cut}"));
     }
 }

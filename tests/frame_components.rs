@@ -59,21 +59,21 @@ fn pipeline_masks_are_disjoint_and_tile_the_frame() {
     let VirtualBackground::Image(office) = BackgroundId::Office.realize(W, H) else {
         unreachable!("office is a static image")
     };
-    let rec = Reconstructor::new(
+    let reconstructor = Reconstructor::new(
         VbSource::KnownImages(vec![office]),
         ReconstructorConfig {
             tau: 12,
             phi: 3,
             ..Default::default()
         },
-    )
-    .reconstruct(&call.video)
-    .expect("reconstruct");
+    );
+    let rec = reconstructor.reconstruct(&call.video).expect("reconstruct");
 
     for i in [0usize, 20, 44] {
-        let vbm = &rec.per_frame_vbm[i];
-        let removed = &rec.per_frame_removed[i];
-        let leak = &rec.per_frame_leak[i];
+        let masks = reconstructor
+            .frame_masks(&rec, i, call.video.frame(i))
+            .expect("masks");
+        let (vbm, removed, leak) = (&masks.vbm, &masks.removed, &masks.leak);
         let bbm = removed.subtract(vbm).unwrap();
         // VBM and BBM are disjoint by construction.
         assert!(vbm.intersect(&bbm).unwrap().is_empty());

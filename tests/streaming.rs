@@ -4,12 +4,10 @@
 //! [`ReconstructionSession`] — one frame at a time, in ragged chunks, or cut
 //! by a checkpoint/resume round trip at an arbitrary point — the finalized
 //! output is **byte-identical** to the batch `reconstruct` call with the
-//! same configuration. Mask retention may drop the per-frame masks but must
-//! not move a single background byte.
+//! same configuration, and so is every frame's masks, as
+//! `Reconstructor::frame_masks` rebuilds them.
 
-use bb_core::pipeline::{
-    MaskRetention, Reconstruction, Reconstructor, ReconstructorConfig, VbSource,
-};
+use bb_core::pipeline::{Reconstruction, Reconstructor, ReconstructorConfig, VbSource};
 use bb_core::vcmask::VcMaskParams;
 use bb_imaging::{draw, Frame, Rgb};
 use bb_video::VideoStream;
@@ -52,15 +50,21 @@ fn config(warmup_frames: usize) -> ReconstructorConfig {
     }
 }
 
-fn assert_same(a: &Reconstruction, b: &Reconstruction) {
+fn assert_same(
+    reconstructor: &Reconstructor,
+    video: &VideoStream,
+    a: &Reconstruction,
+    b: &Reconstruction,
+) {
     assert_eq!(a.background, b.background, "background differs");
     assert_eq!(a.recovered, b.recovered, "recovered mask differs");
-    assert_eq!(a.per_frame_leak, b.per_frame_leak, "leak masks differ");
-    assert_eq!(a.per_frame_vbm, b.per_frame_vbm, "VBMs differ");
-    assert_eq!(
-        a.per_frame_removed, b.per_frame_removed,
-        "removed masks differ"
-    );
+    for (i, frame) in video.iter().enumerate() {
+        let ma = reconstructor.frame_masks(a, i, frame).expect("masks");
+        let mb = reconstructor.frame_masks(b, i, frame).expect("masks");
+        assert_eq!(ma.leak, mb.leak, "leak masks differ at {i}");
+        assert_eq!(ma.vbm, mb.vbm, "VBMs differ at {i}");
+        assert_eq!(ma.removed, mb.removed, "removed masks differ at {i}");
+    }
 }
 
 fn arb_caller() -> impl Strategy<Value = Rgb> {
@@ -89,14 +93,14 @@ proptest! {
         for frame in video.iter() {
             one_by_one.push_frame(frame).expect("push");
         }
-        assert_same(&batch, &one_by_one.finalize().expect("finalize"));
+        assert_same(&reconstructor, &video, &batch, &one_by_one.finalize().expect("finalize"));
 
         // Ragged chunks that straddle the lock boundary.
         let mut chunked = reconstructor.session();
         for block in video.frames().chunks(chunk) {
             chunked.push_frames(block).expect("push chunk");
         }
-        assert_same(&batch, &chunked.finalize().expect("finalize"));
+        assert_same(&reconstructor, &video, &batch, &chunked.finalize().expect("finalize"));
     }
 
     #[test]
@@ -120,30 +124,7 @@ proptest! {
         let mut resumed = reconstructor.resume_session(&bytes).expect("resume");
         prop_assert_eq!(resumed.frames_seen(), cut);
         resumed.push_frames(&video.frames()[cut..]).expect("push tail");
-        assert_same(&batch, &resumed.finalize().expect("finalize"));
+        assert_same(&reconstructor, &video, &batch, &resumed.finalize().expect("finalize"));
     }
 
-    #[test]
-    fn mask_retention_never_moves_the_background(
-        frames in 14usize..24,
-        warmup in 10usize..14,
-        caller in arb_caller(),
-    ) {
-        let video = toy_call(frames, caller, Rgb::new(230, 195, 165), 3, 0);
-        let full = Reconstructor::new(VbSource::UnknownImage, config(warmup))
-            .reconstruct(&video)
-            .expect("full retention");
-        let lean_cfg = ReconstructorConfig {
-            mask_retention: MaskRetention::None,
-            ..config(warmup)
-        };
-        let mut session = Reconstructor::new(VbSource::UnknownImage, lean_cfg).session();
-        session.push_frames(video.frames()).expect("push");
-        let lean = session.finalize().expect("finalize");
-        prop_assert_eq!(&lean.background, &full.background);
-        prop_assert_eq!(&lean.recovered, &full.recovered);
-        prop_assert!(lean.per_frame_leak.is_empty());
-        prop_assert!(lean.per_frame_vbm.is_empty());
-        prop_assert!(lean.per_frame_removed.is_empty());
-    }
 }
