@@ -66,10 +66,10 @@ pub fn run(cfg: &ExpConfig) -> String {
         .collect();
 
     // Single-call derivation vs cross-call fusion.
-    let single = derive_unknown_image(&calls[0].video, cfg.recon.tau).expect("derive");
+    let single = derive_unknown_image(calls[0].video.frames(), cfg.recon.tau).expect("derive");
     let refs: Vec<_> = calls
         .iter()
-        .map(|c| derive_unknown_image(&c.video, cfg.recon.tau).expect("derive"))
+        .map(|c| derive_unknown_image(c.video.frames(), cfg.recon.tau).expect("derive"))
         .collect();
     let fused = merge_references_voting(&refs, cfg.recon.tau).expect("merge");
 

@@ -9,6 +9,7 @@
 //! tmp+rename, so a well-formed file is the steady state).
 
 use crate::args::Flags;
+use crate::report_cmd::{fmt_bp, fmt_ns};
 use bb_telemetry::{HealthState, MetricsSnapshot};
 
 /// Entry point for `bbuster metrics …`.
@@ -174,23 +175,6 @@ fn row(label: &str, instant: Option<String>, window: Option<String>) {
         instant.unwrap_or_else(|| "-".into()),
         window.unwrap_or_else(|| "-".into())
     );
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.1}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.1}µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
-/// RBRR histograms store basis points (1/100 of a percent).
-fn fmt_bp(bp: u64) -> String {
-    format!("{:.2}%", bp as f64 / 100.0)
 }
 
 fn fmt_bytes(bytes: f64) -> String {

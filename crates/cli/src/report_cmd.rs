@@ -203,11 +203,11 @@ fn parent_share(report: &RunReport, name: &str, total_ns: u64) -> String {
 }
 
 /// Basis points (1/100 of a percent) as a percentage.
-fn fmt_bp(bp: u64) -> String {
+pub(crate) fn fmt_bp(bp: u64) -> String {
     format!("{:.2}%", bp as f64 / 100.0)
 }
 
-fn fmt_ns(ns: u64) -> String {
+pub(crate) fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.2}s", ns as f64 / 1e9)
     } else if ns >= 1_000_000 {

@@ -3,7 +3,7 @@
 //! `bb_video` keeps its striped v2 decoder single-threaded (the crate has
 //! no worker pool); this module supplies the parallel driver: one
 //! [`crate::workers`] job per stripe, results spliced back in frame order.
-//! [`load_video`] is the batch fast path the CLI and benches use — it
+//! [`load_video`] is the batch fast path the CLI and the benchmark use — it
 //! memory-maps the file, sniffs the container version and picks the
 //! fastest decode for each.
 

@@ -3,9 +3,11 @@
 //! masking → video-caller masking → residue accumulation.
 //!
 //! Since the streaming redesign, the batch entry points are thin wrappers
-//! over [`crate::session::ReconstructionSession`]: `reconstruct` pushes
-//! every frame into a session and finalizes it, so batch and streaming
-//! ingestion are byte-identical by construction.
+//! over [`crate::session::ReconstructionSession`]: `reconstruct` locks a
+//! session directly over the call's first `warmup_frames` frames (no
+//! copy), runs the rest through it as one block and finalizes it. The lock
+//! and the per-frame stages are the streaming session's own, so batch and
+//! streaming ingestion are byte-identical by construction.
 
 use crate::session::{frame_leak, frame_removal, ReconstructionSession};
 use crate::vbmask::{
@@ -277,7 +279,7 @@ impl Reconstructor {
     ///
     /// Propagates identification/derivation failures.
     pub fn resolve_reference(&self, video: &VideoStream) -> Result<VirtualReference, CoreError> {
-        resolve_reference_impl(&self.source, &self.config, &self.telemetry, video)
+        resolve_reference_impl(&self.source, &self.config, &self.telemetry, video.frames())
     }
 
     /// Opens a streaming [`ReconstructionSession`] that ingests frames one
@@ -308,18 +310,18 @@ impl Reconstructor {
 
     /// Runs the full pipeline over a recorded call.
     ///
-    /// Internally this pushes every frame through a streaming
-    /// [`ReconstructionSession`] and finalizes it — batch and streaming
-    /// ingestion share one engine.
+    /// Internally a streaming [`ReconstructionSession`] locks over the
+    /// call's first `warmup_frames` frames where they lie, without copying
+    /// them into its warmup buffer, then takes the remaining frames as one
+    /// block and finalizes — batch and streaming ingestion share one
+    /// engine, and the output equals pushing every frame.
     ///
     /// # Errors
     ///
     /// Propagates reference resolution and masking failures.
     pub fn reconstruct(&self, video: &VideoStream) -> Result<Reconstruction, CoreError> {
         let _whole = self.telemetry.time("reconstruct");
-        let mut session = self.session();
-        session.push_frames(video.frames())?;
-        session.finalize()
+        self.session().reconstruct(video.frames())
     }
 
     /// Rebuilds frame `index`'s masks as the session that produced `rec`
@@ -356,10 +358,10 @@ pub(crate) fn resolve_reference_impl(
     source: &VbSource,
     config: &ReconstructorConfig,
     telemetry: &Telemetry,
-    video: &VideoStream,
+    video: &[Frame],
 ) -> Result<VirtualReference, CoreError> {
     let _span = telemetry.time("resolve_reference");
-    let (w, h) = video.dims();
+    let (w, h) = video[0].dims();
     match source {
         VbSource::KnownImages(candidates) => {
             let resized: Vec<Frame> = candidates

@@ -6,31 +6,32 @@
 //!
 //! ```text
 //! Warmup ──(warmup_frames reached, or finalize)──▶ Locked
-//!   │  buffers raw frames                            │ per-frame pipeline,
-//!   │  O(warmup × frame)                             │ O(frame size) state
+//!   │  streaming: buffers raw frames,                │ per-frame pipeline,
+//!   │  O(warmup × frame); batch: buffers nothing     │ O(frame size) state
 //!   ▼                                                ▼
 //! checkpoint = raw buffer               checkpoint = canvas + reference
 //!                                                    + segmenter + model
 //! ```
 //!
-//! During **Warmup** the session only buffers frames — the VB reference
-//! (identification or unknown-VB derivation), the person segmenter's
-//! background model and the caller color model all need a window of frames
-//! to fit, exactly as the batch pipeline fits them over the whole call. At
-//! the **lock** point (the `warmup_frames`-th frame, or `finalize()` for
-//! shorter calls) those models are fitted once over the buffered window,
-//! the window is processed through the standard pass1/pass2/accumulate
-//! stages, and the buffer is dropped. Every later frame streams through the
-//! locked models with memory bounded by O(frame size): a frame's masks are
-//! dropped once its residue is accumulated, and
+//! During **Warmup** a streaming session only buffers frames — the VB
+//! reference (identification or unknown-VB derivation), the person
+//! segmenter's background model and the caller color model all need a
+//! window of frames to fit. At the **lock** point (the `warmup_frames`-th
+//! frame, or `finalize()` for shorter calls) those models are fitted once
+//! over the buffered window, read where it lies, the window is processed
+//! through the standard pass1/pass2/accumulate stages, and the buffer is
+//! dropped. Every later frame streams through the locked models with memory
+//! bounded by O(frame size): a frame's masks are dropped once its residue
+//! is accumulated, and
 //! [`Reconstructor::frame_masks`](crate::pipeline::Reconstructor::frame_masks)
 //! rebuilds them on demand from the finished [`Reconstruction`].
 //!
 //! Batch [`Reconstructor::reconstruct`](crate::pipeline::Reconstructor::reconstruct)
-//! pushes every frame through a session and finalizes it, so for calls no
-//! longer than `warmup_frames` the streaming path *is* the historical batch
-//! path, byte for byte — `tests/determinism.rs` pins this with the golden
-//! hash.
+//! buffers nothing: it locks directly over the call's first
+//! `warmup_frames` frames, in the caller's own slice, then takes the rest
+//! as one block. The lock and the stage body are the ones streaming uses,
+//! so batch output equals pushing every frame, byte for byte —
+//! `tests/determinism.rs` pins this with the golden hash.
 //!
 //! [`ReconstructionSession::checkpoint`] serializes the full session state
 //! into a versioned binary format (magic `BBSC`, version 4 — see
@@ -52,10 +53,8 @@ use bb_imaging::filter::MAX_BLUR_RADIUS;
 use bb_imaging::hist::ColorHistogram;
 use bb_imaging::{Frame, Mask, Rgb};
 use bb_segment::person::skin_evidence;
-use bb_segment::PersonSegmenter;
+use bb_segment::{median_model, PersonSegmenter};
 use bb_telemetry::Telemetry;
-use bb_video::stream::STANDARD_FPS;
-use bb_video::VideoStream;
 
 /// Checkpoint container magic ("Background buster Streaming Checkpoint").
 const MAGIC: &[u8; 4] = b"BBSC";
@@ -227,12 +226,21 @@ impl ReconstructionSession {
         }
     }
 
-    fn validate_dims(&self, frame: &Frame) -> Result<(), CoreError> {
-        if let Some(expected) = self.dims() {
-            let got = frame.dims();
-            if got != expected {
-                return Err(CoreError::CanvasDimensionMismatch { expected, got });
+    /// Checks each frame against the session geometry (fixed by the first
+    /// frame the session takes) and counts the frames in.
+    fn admit(&self, frames: &[Frame]) -> Result<(), CoreError> {
+        if let Some(expected) = self.dims().or(frames.first().map(Frame::dims)) {
+            if let Some(f) = frames.iter().find(|f| f.dims() != expected) {
+                return Err(CoreError::CanvasDimensionMismatch {
+                    expected,
+                    got: f.dims(),
+                });
             }
+        }
+        if self.telemetry.is_enabled() {
+            self.telemetry.add("frames/input", frames.len() as u64);
+            let pixels: usize = frames.iter().map(|f| f.width() * f.height()).sum();
+            self.telemetry.add("session/pixels", pixels as u64);
         }
         Ok(())
     }
@@ -254,12 +262,7 @@ impl ReconstructionSession {
     /// the session geometry; reference-resolution errors when this frame
     /// triggers the lock; worker failures from the per-frame stages.
     pub fn push_frame(&mut self, frame: &Frame) -> Result<FrameOutcome, CoreError> {
-        self.validate_dims(frame)?;
-        if self.telemetry.is_enabled() {
-            self.telemetry.add("frames/input", 1);
-            self.telemetry
-                .add("session/pixels", (frame.width() * frame.height()) as u64);
-        }
+        self.admit(std::slice::from_ref(frame))?;
         let buffered = match &mut self.state {
             SessionState::Warmup(w) => {
                 w.frames.push(frame.clone());
@@ -305,17 +308,24 @@ impl ReconstructionSession {
         }
         if i < frames.len() {
             let block = &frames[i..];
-            for f in block {
-                self.validate_dims(f)?;
-            }
-            if self.telemetry.is_enabled() {
-                self.telemetry.add("frames/input", block.len() as u64);
-                let pixels: usize = block.iter().map(|f| f.width() * f.height()).sum();
-                self.telemetry.add("session/pixels", pixels as u64);
-            }
+            self.admit(block)?;
             self.process_locked_block(block)?;
         }
         Ok(self.frames_seen())
+    }
+
+    /// Batch reconstruction of a whole call by a fresh session: the result
+    /// of pushing every frame and finalizing, without buffering any. The
+    /// session locks over the first `warmup_frames` frames where they lie
+    /// and pushes the rest as one block.
+    pub(crate) fn reconstruct(mut self, frames: &[Frame]) -> Result<Reconstruction, CoreError> {
+        // `push_frame` locks once the buffer holds `warmup_frames` frames,
+        // and never before the first.
+        let (window, rest) = frames.split_at(frames.len().min(self.config.warmup_frames.max(1)));
+        self.admit(window)?;
+        self.state = SessionState::Locked(Box::new(self.lock_over(window)?));
+        self.push_frames(rest)?;
+        self.finalize()
     }
 
     /// A point-in-time view of the partial reconstruction (`None` before
@@ -381,53 +391,49 @@ impl ReconstructionSession {
         })
     }
 
-    /// Fits the models over the warmup buffer and processes it, moving the
-    /// session to the locked phase and dropping the buffered frames. On
-    /// failure the buffer is kept so a retry (at `finalize`, with more
-    /// frames) is possible.
+    /// Fits the models over the warmup buffer, in place, and processes it,
+    /// moving the session to the locked phase and dropping the buffered
+    /// frames. A failed lock leaves the buffer untouched, so a retry (at
+    /// `finalize`, with more frames) is possible.
     fn lock(&mut self) -> Result<(), CoreError> {
-        let frames = match &mut self.state {
-            SessionState::Warmup(w) => std::mem::take(&mut w.frames),
-            SessionState::Locked(_) => return Ok(()),
+        let SessionState::Warmup(w) = &self.state else {
+            return Ok(());
         };
-        if frames.is_empty() {
-            return Err(CoreError::VideoTooShort { needed: 1, have: 0 });
-        }
-        // Cannot fail: non-empty, push-time dimension checks, finite fps.
-        let stream = VideoStream::from_frames(frames, STANDARD_FPS)?;
-        match self.lock_over(&stream) {
+        match self.lock_over(&w.frames) {
             Ok(locked) => {
                 self.state = SessionState::Locked(Box::new(locked));
-                self.lock_failed = false;
                 Ok(())
             }
             Err(e) => {
-                self.state = SessionState::Warmup(WarmupState {
-                    frames: stream.into_frames(),
-                });
                 self.lock_failed = true;
                 Err(e)
             }
         }
     }
 
-    fn lock_over(&self, stream: &VideoStream) -> Result<LockedState, CoreError> {
+    /// Fits the models over a window of frames and processes the window:
+    /// the lock both streaming (the warmup buffer) and batch (the call's
+    /// own frames) go through.
+    fn lock_over(&self, frames: &[Frame]) -> Result<LockedState, CoreError> {
+        let Some(first) = frames.first() else {
+            return Err(CoreError::VideoTooShort { needed: 1, have: 0 });
+        };
         let telemetry = &self.telemetry;
-        let (w, h) = stream.dims();
+        let (w, h) = first.dims();
         // Blur residue has no identifiable background media to match
         // against: an empty-valid reference makes the VBM (and hence the
         // BBM) empty, so every non-caller pixel becomes residue and the
         // deblurred frames carry the evidence into the canvas.
         let reference = match self.config.mode {
             ReconMode::ColorResidue => {
-                resolve_reference_impl(&self.source, &self.config, telemetry, stream)?
+                resolve_reference_impl(&self.source, &self.config, telemetry, frames)?
             }
             ReconMode::BlurResidue { .. } => VirtualReference::Image {
                 image: Frame::new(w, h),
                 valid: Mask::new(w, h),
             },
         };
-        let n = stream.len();
+        let n = frames.len();
         let workers = self.config.parallelism.max(1).min(n.max(1));
         if telemetry.is_enabled() {
             telemetry.set_meta("frames", n);
@@ -437,7 +443,7 @@ impl ReconstructionSession {
         }
         let segmenter = {
             let _span = telemetry.time("reconstruct/segmenter_fit");
-            PersonSegmenter::fit(stream)
+            PersonSegmenter::from_parts(median_model(frames))
         };
         let mut locked = LockedState {
             width: w,
@@ -448,7 +454,7 @@ impl ReconstructionSession {
             model: None,
             canvas: ReconstructionCanvas::new(w, h),
         };
-        process_block(&mut locked, &self.config, telemetry, stream.frames(), true)?;
+        process_block(&mut locked, &self.config, telemetry, frames, true)?;
         Ok(locked)
     }
 
@@ -1025,6 +1031,7 @@ mod tests {
     use super::*;
     use crate::pipeline::Reconstructor;
     use bb_imaging::draw;
+    use bb_video::VideoStream;
 
     /// Same miniature call as the pipeline tests: VB gradient, swaying
     /// caller, boundary leak strip.

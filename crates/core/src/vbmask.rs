@@ -84,21 +84,22 @@ impl VirtualReference {
 /// * [`CoreError::EmptyCandidateSet`] when `candidates` is empty.
 /// * Propagates dimension mismatches.
 pub fn identify_known_image(
-    video: &VideoStream,
+    video: &[Frame],
     candidates: &[Frame],
     tau: u8,
 ) -> Result<(usize, u64), CoreError> {
     if candidates.is_empty() {
         return Err(CoreError::EmptyCandidateSet);
     }
-    // Sample up to 16 frames evenly — the estimator's argmax is stable long
-    // before summing every frame.
+    // Sample every `len / 16`-th frame (16 to 31 frames; every frame of a
+    // shorter window) — the estimator's argmax is stable long before
+    // summing every frame.
     let step = (video.len() / 16).max(1);
     let mut best = (0usize, 0u64);
     for (ci, cand) in candidates.iter().enumerate() {
         let mut score = 0u64;
-        for i in (0..video.len()).step_by(step) {
-            score += video.frame(i).match_score(cand, tau)? as u64;
+        for frame in video.iter().step_by(step) {
+            score += frame.match_score(cand, tau)? as u64;
         }
         if ci == 0 || score > best.1 {
             best = (ci, score);
@@ -116,7 +117,7 @@ pub fn identify_known_image(
 /// * [`CoreError::EmptyCandidateSet`] when `candidates` is empty.
 /// * Propagates dimension mismatches.
 pub fn identify_known_video(
-    video: &VideoStream,
+    video: &[Frame],
     candidates: &[VideoStream],
     tau: u8,
 ) -> Result<(usize, usize, u64), CoreError> {
@@ -134,7 +135,7 @@ pub fn identify_known_video(
             for s in 0..samples {
                 let i = s * video.len() / samples;
                 let cf = cand.frame((offset + i) % period);
-                score += video.frame(i).match_score(cf, tau)? as u64;
+                score += video[i].match_score(cf, tau)? as u64;
             }
             if best.is_none_or(|(_, _, bs)| score > bs) {
                 best = Some((vi, offset, score));
@@ -154,15 +155,19 @@ pub fn identify_known_video(
 /// # Errors
 ///
 /// Returns [`CoreError::VideoTooShort`] when the video has fewer frames than
-/// [`STABILITY_THRESHOLD`].
-pub fn derive_unknown_image(video: &VideoStream, tau: u8) -> Result<VirtualReference, CoreError> {
+/// [`STABILITY_THRESHOLD`], and a dimension mismatch when its frames differ
+/// in size.
+pub fn derive_unknown_image(video: &[Frame], tau: u8) -> Result<VirtualReference, CoreError> {
     if video.len() < STABILITY_THRESHOLD {
         return Err(CoreError::VideoTooShort {
             needed: STABILITY_THRESHOLD,
             have: video.len(),
         });
     }
-    let (w, h) = video.dims();
+    for frame in video {
+        video[0].check_same_dims(frame)?;
+    }
+    let (w, h) = video[0].dims();
     let mut image = Frame::new(w, h);
     let mut valid = Mask::new(w, h);
 
@@ -172,10 +177,10 @@ pub fn derive_unknown_image(video: &VideoStream, tau: u8) -> Result<VirtualRefer
         for x in 0..w {
             let mut best_len = 0usize;
             let mut best_anchor = Rgb::BLACK;
-            let mut anchor = video.frame(0).get(x, y);
+            let mut anchor = video[0].get(x, y);
             let mut run = 1usize;
-            for i in 1..video.len() {
-                let p = video.frame(i).get(x, y);
+            for frame in &video[1..] {
+                let p = frame.get(x, y);
                 if p.matches(anchor, tau) {
                     run += 1;
                 } else {
@@ -212,8 +217,9 @@ pub fn derive_unknown_image(video: &VideoStream, tau: u8) -> Result<VirtualRefer
 /// * [`CoreError::NoPeriodFound`] when the stream shows no periodicity in
 ///   `[min_period, max_period]`.
 /// * [`CoreError::VideoTooShort`] / propagated errors from detection.
+/// * A dimension mismatch when the frames differ in size.
 pub fn derive_unknown_video(
-    video: &VideoStream,
+    video: &[Frame],
     min_period: usize,
     max_period: usize,
     tau: u8,
@@ -222,7 +228,10 @@ pub fn derive_unknown_video(
     let period = loopdet::detect_period(video, min_period, max_period, 18.0)?
         .ok_or(CoreError::NoPeriodFound)?
         .frames;
-    let (w, h) = video.dims();
+    for frame in video {
+        video[0].check_same_dims(frame)?;
+    }
+    let (w, h) = video[0].dims();
     let buckets = loopdet::phase_buckets(video.len(), period);
     let min_occ = min_occurrences.max(2);
 
@@ -236,10 +245,10 @@ pub fn derive_unknown_video(
                     // Stability across this phase's occurrences.
                     let mut best_len = 0usize;
                     let mut best_anchor = Rgb::BLACK;
-                    let mut anchor = video.frame(bucket[0]).get(x, y);
+                    let mut anchor = video[bucket[0]].get(x, y);
                     let mut run = 1usize;
                     for &i in &bucket[1..] {
-                        let p = video.frame(i).get(x, y);
+                        let p = video[i].get(x, y);
                         if p.matches(anchor, tau) {
                             run += 1;
                         } else {
@@ -420,7 +429,7 @@ mod tests {
             vb_image(),
             Frame::filled(24, 18, Rgb::grey(200)),
         ];
-        let (idx, score) = identify_known_image(&video, &candidates, 2).unwrap();
+        let (idx, score) = identify_known_image(video.frames(), &candidates, 2).unwrap();
         assert_eq!(idx, 1);
         assert!(score > 0);
     }
@@ -429,11 +438,11 @@ mod tests {
     fn empty_candidates_rejected() {
         let video = call_stream(5);
         assert!(matches!(
-            identify_known_image(&video, &[], 0),
+            identify_known_image(video.frames(), &[], 0),
             Err(CoreError::EmptyCandidateSet)
         ));
         assert!(matches!(
-            identify_known_video(&video, &[], 0),
+            identify_known_video(video.frames(), &[], 0),
             Err(CoreError::EmptyCandidateSet)
         ));
     }
@@ -455,7 +464,7 @@ mod tests {
             Frame::filled(20, 16, Rgb::new((p * 40) as u8, 0, 128))
         })
         .unwrap();
-        let (vi, offset, _) = identify_known_video(&call, &[decoy, vb_video], 2).unwrap();
+        let (vi, offset, _) = identify_known_video(call.frames(), &[decoy, vb_video], 2).unwrap();
         assert_eq!(vi, 1);
         assert_eq!(offset, 2);
     }
@@ -463,7 +472,7 @@ mod tests {
     #[test]
     fn unknown_image_derivation_recovers_vb() {
         let video = call_stream(40);
-        let r = derive_unknown_image(&video, 2).unwrap();
+        let r = derive_unknown_image(video.frames(), 2).unwrap();
         let VirtualReference::Image { image, valid } = &r else {
             panic!("expected image reference");
         };
@@ -478,8 +487,23 @@ mod tests {
     fn derivation_needs_enough_frames() {
         let video = call_stream(5);
         assert!(matches!(
-            derive_unknown_image(&video, 2),
+            derive_unknown_image(video.frames(), 2),
             Err(CoreError::VideoTooShort { .. })
+        ));
+    }
+
+    #[test]
+    fn derivation_refuses_frames_of_mixed_size() {
+        let mut frames = call_stream(40).into_frames();
+        frames.push(Frame::new(12, 9));
+        assert!(matches!(
+            derive_unknown_image(&frames, 2),
+            Err(CoreError::Imaging(_))
+        ));
+        // Period detection may meet the odd frame before derivation does.
+        assert!(matches!(
+            derive_unknown_video(&frames, 2, 10, 2, 3),
+            Err(CoreError::Imaging(_) | CoreError::Video(_))
         ));
     }
 
@@ -494,7 +518,7 @@ mod tests {
             f
         })
         .unwrap();
-        let r = derive_unknown_video(&call, 2, 10, 2, 3).unwrap();
+        let r = derive_unknown_video(call.frames(), 2, 10, 2, 3).unwrap();
         let VirtualReference::Video { phases, .. } = &r else {
             panic!("expected video reference");
         };
@@ -522,7 +546,7 @@ mod tests {
         })
         .unwrap();
         assert!(matches!(
-            derive_unknown_video(&call, 2, 12, 1, 2),
+            derive_unknown_video(call.frames(), 2, 12, 1, 2),
             Err(CoreError::NoPeriodFound)
         ));
     }

@@ -140,7 +140,7 @@ proptest! {
             })
         })
         .unwrap();
-        let r = vbmask::derive_unknown_image(&video, 2).unwrap();
+        let r = vbmask::derive_unknown_image(video.frames(), 2).unwrap();
         let vbmask::VirtualReference::Image { image, valid } = r else { panic!() };
         for y in 0..4 {
             for x in 0..4 {

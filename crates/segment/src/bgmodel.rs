@@ -6,16 +6,19 @@
 //! background, giving the person segmenter a reference to diff against.
 
 use bb_imaging::{Frame, Rgb};
-use bb_video::VideoStream;
 
 /// Maximum number of frames sampled per pixel for the median (evenly
 /// spaced); bounds memory on long calls.
 pub const MAX_SAMPLES: usize = 64;
 
 /// Per-pixel, per-channel temporal median over (up to [`MAX_SAMPLES`]
-/// evenly-spaced) frames of the stream.
-pub fn median_model(video: &VideoStream) -> Frame {
-    let (w, h) = video.dims();
+/// evenly-spaced) frames of the window.
+///
+/// # Panics
+///
+/// When `video` is empty or its frames differ in size.
+pub fn median_model(video: &[Frame]) -> Frame {
+    let (w, h) = video[0].dims();
     let step = (video.len() / MAX_SAMPLES).max(1);
     let indices: Vec<usize> = (0..video.len()).step_by(step).collect();
     let n = indices.len();
@@ -32,7 +35,7 @@ pub fn median_model(video: &VideoStream) -> Frame {
     // difference scan inside one or two cache lines per sampled row.
     const TILE: usize = 16;
     for y in 0..h {
-        let rows: Vec<&[Rgb]> = indices.iter().map(|&i| video.frame(i).row(y)).collect();
+        let rows: Vec<&[Rgb]> = indices.iter().map(|&i| video[i].row(y)).collect();
         let dst = out.row_mut(y);
         let mut x0 = 0usize;
         while x0 < w {
@@ -120,6 +123,7 @@ fn median_u8(values: &mut [u8]) -> u8 {
 mod tests {
     use super::*;
     use bb_imaging::draw;
+    use bb_video::VideoStream;
 
     #[test]
     fn median_of_static_stream_is_the_frame() {
@@ -127,7 +131,7 @@ mod tests {
             Frame::from_fn(8, 8, |x, y| Rgb::new((x * 30) as u8, (y * 30) as u8, 9))
         })
         .unwrap();
-        assert_eq!(median_model(&v), v.frame(0).clone());
+        assert_eq!(median_model(v.frames()), v.frame(0).clone());
     }
 
     #[test]
@@ -141,7 +145,7 @@ mod tests {
             f
         })
         .unwrap();
-        let model = median_model(&v);
+        let model = median_model(v.frames());
         assert_eq!(
             model.get(5, 5),
             Rgb::grey(100),
@@ -164,14 +168,14 @@ mod tests {
             )
         })
         .unwrap();
-        let model = median_model(&v);
+        let model = median_model(v.frames());
         assert_eq!(model.get(0, 0), Rgb::new(255, 0, 0));
     }
 
     #[test]
     fn long_stream_is_subsampled_but_stable() {
         let v = VideoStream::generate(500, 30.0, |_| Frame::filled(4, 4, Rgb::grey(42))).unwrap();
-        assert_eq!(median_model(&v), Frame::filled(4, 4, Rgb::grey(42)));
+        assert_eq!(median_model(v.frames()), Frame::filled(4, 4, Rgb::grey(42)));
     }
 
     #[test]

@@ -106,9 +106,7 @@ pub struct PersonSegmenter {
 impl PersonSegmenter {
     /// Fits the background model over the stream.
     pub fn fit(video: &VideoStream) -> Self {
-        PersonSegmenter {
-            model: median_model(video),
-        }
+        PersonSegmenter::from_parts(median_model(video.frames()))
     }
 
     /// Reassembles a segmenter from its fitted background model — the

@@ -13,7 +13,8 @@
 //! score is close to the global minimum (favouring the fundamental period
 //! over its multiples).
 
-use crate::{VideoError, VideoStream};
+use crate::VideoError;
+use bb_imaging::Frame;
 
 /// Result of period detection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,7 +25,7 @@ pub struct Period {
     pub score: f64,
 }
 
-/// Detects the loop period of a stream, searching lags in
+/// Detects the loop period of a run of frames, searching lags in
 /// `[min_period, max_period]`.
 ///
 /// Returns `None` when no lag scores below `noise_floor` (stream is not
@@ -40,7 +41,7 @@ pub struct Period {
 ///   `2 × max_period` (at least two full loops are needed to observe
 ///   periodicity).
 pub fn detect_period(
-    stream: &VideoStream,
+    stream: &[Frame],
     min_period: usize,
     max_period: usize,
     noise_floor: f64,
@@ -62,7 +63,7 @@ pub fn detect_period(
         let step = (available / 64).max(1);
         let mut i = 0usize;
         while i < available {
-            total += stream.frame(i).mean_abs_diff(stream.frame(i + lag))?;
+            total += stream[i].mean_abs_diff(&stream[i + lag])?;
             pairs += 1;
             i += step;
         }
@@ -107,7 +108,8 @@ pub fn phase_buckets(len: usize, period: usize) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_imaging::{Frame, Rgb};
+    use crate::VideoStream;
+    use bb_imaging::Rgb;
 
     fn periodic_stream(period: usize, len: usize, noise: bool) -> VideoStream {
         VideoStream::generate(len, 30.0, |i| {
@@ -134,7 +136,7 @@ mod tests {
     #[test]
     fn detects_clean_period() {
         let v = periodic_stream(7, 70, false);
-        let p = detect_period(&v, 2, 20, 5.0).unwrap().unwrap();
+        let p = detect_period(v.frames(), 2, 20, 5.0).unwrap().unwrap();
         assert_eq!(p.frames, 7);
         assert!(p.score < 1e-9);
     }
@@ -142,7 +144,7 @@ mod tests {
     #[test]
     fn detects_period_under_occlusion() {
         let v = periodic_stream(9, 120, true);
-        let p = detect_period(&v, 2, 30, 15.0).unwrap().unwrap();
+        let p = detect_period(v.frames(), 2, 30, 15.0).unwrap().unwrap();
         // The caller loop (12) and background loop (9) interact; the
         // fundamental joint period at lag 9 still scores lowest among
         // lags where the background aligns... allow 9 or its harmonic 18/27
@@ -153,7 +155,7 @@ mod tests {
     #[test]
     fn prefers_fundamental_over_multiple() {
         let v = periodic_stream(5, 100, false);
-        let p = detect_period(&v, 2, 25, 5.0).unwrap().unwrap();
+        let p = detect_period(v.frames(), 2, 25, 5.0).unwrap().unwrap();
         assert_eq!(p.frames, 5, "must not return 10/15/20");
     }
 
@@ -165,7 +167,7 @@ mod tests {
             })
         })
         .unwrap();
-        let p = detect_period(&v, 2, 20, 2.0).unwrap();
+        let p = detect_period(v.frames(), 2, 20, 2.0).unwrap();
         assert!(p.is_none());
     }
 
@@ -173,7 +175,7 @@ mod tests {
     fn short_stream_is_error() {
         let v = periodic_stream(5, 20, false);
         assert!(matches!(
-            detect_period(&v, 2, 15, 5.0),
+            detect_period(v.frames(), 2, 15, 5.0),
             Err(VideoError::EmptyStream)
         ));
     }
@@ -181,8 +183,8 @@ mod tests {
     #[test]
     fn bad_bounds_are_error() {
         let v = periodic_stream(5, 100, false);
-        assert!(detect_period(&v, 0, 10, 5.0).is_err());
-        assert!(detect_period(&v, 12, 10, 5.0).is_err());
+        assert!(detect_period(v.frames(), 0, 10, 5.0).is_err());
+        assert!(detect_period(v.frames(), 12, 10, 5.0).is_err());
     }
 
     #[test]

@@ -84,7 +84,7 @@ proptest! {
             Frame::filled(8, 8, Rgb::grey(((i % period) * 37 % 255) as u8))
         })
         .unwrap();
-        let found = loopdet::detect_period(&v, 2, period * 2, 4.0).unwrap();
+        let found = loopdet::detect_period(v.frames(), 2, period * 2, 4.0).unwrap();
         prop_assert!(found.is_some());
         // Detected period divides into the true one (fundamental or the
         // same); it must reproduce the stream.

@@ -16,6 +16,30 @@ const W: usize = 64;
 const H: usize = 48;
 const FRAMES: usize = 12;
 
+/// The fixtures' shared settings: a small match tolerance and blend radius.
+fn config() -> ReconstructorConfig {
+    ReconstructorConfig {
+        tau: 4,
+        phi: 1,
+        parallelism: 2,
+        ..Default::default()
+    }
+}
+
+/// Reconstructs `video` and returns its digest with the reference used.
+fn run(source: VbSource, video: &VideoStream) -> (u64, VirtualReference) {
+    let reconstructor = Reconstructor::new(source, config());
+    let rec = reconstructor.reconstruct(video).expect("reconstruct");
+    (digest(&reconstructor, video, &rec), rec.vb_reference)
+}
+
+fn assert_pinned(got: u64, pinned: u64, what: &str) {
+    assert_eq!(
+        got, pinned,
+        "{what} fixture drifted: got {got:#018x}, pinned {pinned:#018x}"
+    );
+}
+
 /// FNV-1a over the background, the recovered mask and every frame's leak
 /// mask, as `reconstructor.frame_masks` rebuilds it from `video`.
 fn digest(reconstructor: &Reconstructor, video: &VideoStream, rec: &Reconstruction) -> u64 {
@@ -103,12 +127,7 @@ fn closing_ring_skin_lets_a_detached_component_join_the_caller() {
             image: vb,
             valid: Mask::full(W, H),
         }),
-        ReconstructorConfig {
-            tau: 4,
-            phi: 1,
-            parallelism: 2,
-            ..Default::default()
-        },
+        config(),
     );
     let rec = reconstructor.reconstruct(&video).expect("reconstruct");
     let (sx, sy, sw, sh) = SLEEVE;
@@ -126,8 +145,150 @@ fn closing_ring_skin_lets_a_detached_component_join_the_caller() {
         );
     }
     let got = digest(&reconstructor, &video, &rec);
+    assert_pinned(got, CLOSING_RING_DIGEST, "closing-ring");
+}
+
+/// A caller block, in a color no VB of these fixtures uses.
+const CALLER: Rgb = Rgb::new(90, 160, 90);
+
+/// Two gallery images that differ by far more than `tau` everywhere.
+fn gallery() -> Vec<Frame> {
+    vec![
+        Frame::from_fn(W, H, |x, y| Rgb::new(200, (x * 3) as u8, (y * 2) as u8)),
+        Frame::from_fn(W, H, |x, y| Rgb::new((y * 2) as u8, (x * 3) as u8, 200)),
+    ]
+}
+
+/// 32 frames, so the estimator samples every second frame. Half the
+/// sampled frames show image 1 beside a narrow caller, the other half image
+/// 0 beside a wide one; every unsampled frame shows image 0 beside a narrow
+/// caller.
+fn sampled_call(gallery: &[Frame]) -> VideoStream {
+    VideoStream::generate(32, 30.0, |i| {
+        let mut f = gallery[usize::from(i % 4 == 2)].clone();
+        let width = if i % 4 == 0 { 40 } else { 8 };
+        draw::fill_rect(&mut f, (i % 3) as i64, 8, width, 40, CALLER);
+        f
+    })
+    .expect("call")
+}
+
+/// Pinned digest of [`sampled_call`]'s reconstruction.
+const KNOWN_IMAGE_DIGEST: u64 = 0xd8fc_0ede_d611_2dd5;
+
+/// `identify_known_image` sums its match scores over an even sample of
+/// about 16 frames, not over every frame. Here the sample (every second
+/// frame) picks image 1; a sum over every frame, or a sample of every
+/// fourth frame, picks image 0.
+#[test]
+fn known_image_identification_scores_its_frame_sample() {
+    let gallery = gallery();
+    let video = sampled_call(&gallery);
+    let (got, reference) = run(VbSource::KnownImages(gallery.clone()), &video);
     assert_eq!(
-        got, CLOSING_RING_DIGEST,
-        "closing-ring fixture drifted: got {got:#018x}, pinned {CLOSING_RING_DIGEST:#018x}"
+        reference,
+        VirtualReference::Image {
+            image: gallery[1].clone(),
+            valid: Mask::full(W, H),
+        },
+        "the sampled frames' image was not identified"
     );
+    assert_pinned(got, KNOWN_IMAGE_DIGEST, "known-image");
+}
+
+/// Occluded columns: over 20 frames, the first band is covered for the
+/// first 10, the second for the first 11.
+const STABLE_BAND: std::ops::Range<usize> = 8..16;
+const SHORT_BAND: std::ops::Range<usize> = 32..40;
+
+/// A static VB with two flickering occluders (a new color every frame, so
+/// no run forms under them): the VB is stable for the last 10 frames under
+/// the first and for the last 9 under the second.
+fn stability_call() -> VideoStream {
+    let vb = Frame::from_fn(W, H, |x, y| Rgb::new((x * 3) as u8, (y * 4) as u8, 200));
+    VideoStream::generate(20, 30.0, |i| {
+        let mut f = vb.clone();
+        let flicker = Rgb::new(30 + (i * 23 % 200) as u8, 30, 30);
+        for (band, covered) in [(STABLE_BAND, 10), (SHORT_BAND, 11)] {
+            if i < covered {
+                draw::fill_rect(&mut f, band.start as i64, 0, band.len(), H, flicker);
+            }
+        }
+        f
+    })
+    .expect("call")
+}
+
+/// Pinned digest of [`stability_call`]'s reconstruction.
+const STABILITY_DIGEST: u64 = 0xd85d_cf5d_cf3e_db25;
+
+/// `derive_unknown_image` keeps a pixel when its longest stable run
+/// reaches `STABILITY_THRESHOLD`, the paper's 10 frames, and not when it
+/// falls one short.
+#[test]
+fn unknown_image_derivation_keeps_runs_of_exactly_the_threshold() {
+    let video = stability_call();
+    let (got, reference) = run(VbSource::UnknownImage, &video);
+    let VirtualReference::Image { valid, .. } = &reference else {
+        panic!("expected an image reference");
+    };
+    for y in 0..H {
+        assert!(
+            valid.get(STABLE_BAND.start, y),
+            "a threshold run was dropped"
+        );
+        assert!(!valid.get(SHORT_BAND.start, y), "a short run was kept");
+    }
+    assert_pinned(got, STABILITY_DIGEST, "stability");
+}
+
+/// The VB video's period, and the phase the call's first frame shows.
+const PERIOD: usize = 6;
+const PHASE: usize = 2;
+
+/// A looping VB video whose phases differ by far more than `tau`.
+fn vb_video(blue: u8) -> VideoStream {
+    VideoStream::generate(PERIOD, 30.0, |p| {
+        Frame::from_fn(W, H, |x, y| {
+            Rgb::new((30 + p * 35) as u8, (x * 3 + y) as u8, blue)
+        })
+    })
+    .expect("vb video")
+}
+
+/// A caller in front of the VB video, joined at phase [`PHASE`], with a
+/// strip of real background leaking beside it in most frames. At 22 frames
+/// the estimator's 8 sampled frames fall unevenly on the loop, so a phase
+/// scored in the wrong direction would win at another offset.
+fn phase_call(vb: &VideoStream) -> VideoStream {
+    VideoStream::generate(22, 30.0, |i| {
+        let mut f = vb.frame((PHASE + i) % PERIOD).clone();
+        let cx = 12 + (i % 2) as i64;
+        draw::fill_rect(&mut f, cx, 20, 12, 28, CALLER);
+        if i % 3 != 0 {
+            draw::fill_rect(&mut f, cx + 12, 26, 3, 6, Rgb::new(20, 140, 60));
+        }
+        f
+    })
+    .expect("call")
+}
+
+/// Pinned digest of [`phase_call`]'s reconstruction.
+const PHASE_DIGEST: u64 = 0x74a2_e214_66e3_dd25;
+
+/// `identify_known_video` finds which phase call frame 0 shows, and the
+/// reference keeps that offset, so call frame `i` is compared with phase
+/// `(offset + i) % period`.
+#[test]
+fn known_video_identification_keeps_the_phase_offset() {
+    let vb = vb_video(120);
+    let video = phase_call(&vb);
+    let source = VbSource::KnownVideos(vec![vb_video(20), vb.clone()]);
+    let (got, reference) = run(source, &video);
+    let VirtualReference::Video { phases, offset } = &reference else {
+        panic!("expected a video reference");
+    };
+    assert_eq!(*offset, PHASE, "wrong phase offset");
+    assert_eq!(&phases[0].0, vb.frame(0), "wrong video identified");
+    assert_pinned(got, PHASE_DIGEST, "phase-offset");
 }
