@@ -55,6 +55,7 @@ use bb_imaging::{Frame, Mask, Rgb};
 use bb_segment::person::skin_evidence;
 use bb_segment::{median_model, PersonSegmenter};
 use bb_telemetry::Telemetry;
+use std::sync::{Mutex, PoisonError};
 
 /// Checkpoint container magic ("Background buster Streaming Checkpoint").
 const MAGIC: &[u8; 4] = b"BBSC";
@@ -65,6 +66,10 @@ const VERSION: u32 = 4;
 const MAX_DIM: u64 = 1 << 14;
 /// Frame-count sanity bound for decoded collections.
 const MAX_FRAMES: u64 = 1 << 20;
+/// Blur-residue frames deblurred per worker before the chunk is
+/// accumulated: enough jobs per chunk to balance the pool, few enough that
+/// the chunk's output frames stay small next to the block.
+const DEBLUR_CHUNK_PER_WORKER: usize = 4;
 
 /// What happened to a frame handed to
 /// [`ReconstructionSession::push_frame`].
@@ -752,35 +757,58 @@ fn process_block(
     drop(skins);
     // Blur residue: invert the compositor's box blur per frame (on the
     // worker pool) so the canvas accumulates deblurred evidence instead of
-    // smoothed colors.
-    let deblurred: Option<Vec<Frame>> = match config.mode {
-        ReconMode::ColorResidue => None,
-        ReconMode::BlurResidue { radius } => {
+    // smoothed colors. Frames are deblurred and accumulated a chunk at a
+    // time, in frame order, into one chunk of output frames reused across
+    // chunks: a few deblurred frames per worker are alive, not the block's.
+    let (chunk, deblurred): (usize, Vec<Mutex<Frame>>) = match config.mode {
+        ReconMode::ColorResidue => (n, Vec::new()),
+        ReconMode::BlurResidue { .. } => {
+            let chunk = (DEBLUR_CHUNK_PER_WORKER * workers).min(n);
+            let (w, h) = (locked.width, locked.height);
+            (
+                chunk,
+                (0..chunk).map(|_| Mutex::new(Frame::new(w, h))).collect(),
+            )
+        }
+    };
+    let journal_frames = telemetry.has_journal();
+    let pixels = (locked.width * locked.height).max(1) as f64;
+    let mut last_residue = 0usize;
+    for start in (0..n).step_by(chunk) {
+        let block = &frames[start..(start + chunk).min(n)];
+        if let ReconMode::BlurResidue { radius } = config.mode {
             let _span = telemetry.time("reconstruct/deblur");
-            Some(run_stage(
-                n,
+            run_stage(
+                block.len(),
                 workers,
                 config.collect_mode,
                 telemetry,
                 "deblur",
-                |i| {
-                    Ok(bb_imaging::filter::deblur_box(
-                        &frames[i],
+                |k| {
+                    // A buffer is only ever overwritten whole, and a deblur
+                    // that panics fails the stage before its chunk is read,
+                    // so a poisoned buffer is safe to reuse.
+                    let mut out = deblurred[k].lock().unwrap_or_else(PoisonError::into_inner);
+                    bb_imaging::filter::deblur_box_into(
+                        &block[k],
                         radius,
                         DEBLUR_ITERATIONS,
-                    ))
+                        &mut out,
+                    );
+                    Ok(())
                 },
-            )?)
+            )?;
         }
-    };
-    let mut last_residue = 0usize;
-    {
         let _span = telemetry.time("reconstruct/accumulate");
-        let journal_frames = telemetry.has_journal();
-        let pixels = (locked.width * locked.height).max(1) as f64;
-        for (i, leak) in leaks.iter().enumerate() {
-            let evidence = deblurred.as_ref().map_or(&frames[i], |d| &d[i]);
-            locked.canvas.accumulate(evidence, leak)?;
+        for (k, frame) in block.iter().enumerate() {
+            let i = start + k;
+            let leak = &leaks[i];
+            let evidence = deblurred
+                .get(k)
+                .map(|d| d.lock().unwrap_or_else(PoisonError::into_inner));
+            locked
+                .canvas
+                .accumulate(evidence.as_deref().unwrap_or(frame), leak)?;
             last_residue = leak.count_set();
             if journal_frames {
                 // One structured event per frame: how much the masks

@@ -73,8 +73,23 @@ pub fn box_blur(frame: &Frame, radius: usize) -> Frame {
 ///
 /// If `radius` exceeds [`MAX_BLUR_RADIUS`].
 pub fn deblur_box(frame: &Frame, radius: usize, iterations: usize) -> Frame {
+    let mut out = Frame::new(frame.width(), frame.height());
+    deblur_box_into(frame, radius, iterations, &mut out);
+    out
+}
+
+/// [`deblur_box`] into a caller-owned frame of the same size, so a caller
+/// that deblurs many frames can reuse its output buffers.
+///
+/// # Panics
+///
+/// If `radius` exceeds [`MAX_BLUR_RADIUS`], or `out` differs from `frame`
+/// in size.
+pub fn deblur_box_into(frame: &Frame, radius: usize, iterations: usize, out: &mut Frame) {
+    assert_eq!(out.dims(), frame.dims(), "deblur_box_into: size mismatch");
     if radius == 0 || iterations == 0 {
-        return frame.clone();
+        out.pixels_mut().copy_from_slice(frame.pixels());
+        return;
     }
     let (w, h) = frame.dims();
     let mut estimate = vec![0; 3 * w * h];
@@ -100,9 +115,7 @@ pub fn deblur_box(frame: &Frame, radius: usize, iterations: usize) -> Frame {
             }
         }
     }
-    let mut out = Frame::new(w, h);
     unpack(out.pixels_mut(), &estimate);
-    out
 }
 
 /// Round-to-nearest division by a fixed window size `n` without a division:

@@ -11,7 +11,8 @@
 //! is checked exhaustively against [`round_div`].
 
 use bb_imaging::filter::{
-    box_blur, deblur_box, gaussian_blur, gaussian_kernel, round_div, Reciprocal, MAX_BLUR_RADIUS,
+    box_blur, deblur_box, deblur_box_into, gaussian_blur, gaussian_kernel, round_div, Reciprocal,
+    MAX_BLUR_RADIUS,
 };
 use bb_imaging::morph::dilate;
 use bb_imaging::{Frame, Mask, Rgb};
@@ -142,6 +143,8 @@ fn deblur_box_matches_naive_van_cittert() {
             // A blurred observation (the kernel's real input) and raw noise
             // (which drives the clamp at both ends).
             let noise = rng.frame(w, h);
+            // A reused output buffer holds an earlier frame's pixels.
+            let mut reused = rng.frame(w, h);
             for observed in [box_blur(&noise, radius), noise] {
                 let mut expect = observed.clone();
                 for iterations in 0..=4 {
@@ -150,6 +153,8 @@ fn deblur_box_matches_naive_van_cittert() {
                         expect,
                         "deblur_box diverged at {w}x{h} radius {radius} iterations {iterations}"
                     );
+                    deblur_box_into(&observed, radius, iterations, &mut reused);
+                    assert_eq!(reused, expect, "deblur_box_into diverged at {w}x{h}");
                     expect = naive_van_cittert_step(&expect, &observed, radius);
                 }
             }

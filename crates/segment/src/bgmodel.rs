@@ -4,15 +4,28 @@
 //! series; the caller and leak patches are transient. A per-channel temporal
 //! median therefore reconstructs (approximately) the pure composited
 //! background, giving the person segmenter a reference to diff against.
+//!
+//! The median is a bitwise select, one row at a time. The sampled frames'
+//! rows are packed into one byte buffer, one byte lane per pixel channel,
+//! and every lane's median is built from its top bit down by counting the
+//! samples below each candidate. Each step is a straight loop over a row's
+//! lanes with no per-pixel branch, so the compiler vectorizes it.
 
 use bb_imaging::{Frame, Rgb};
 
-/// Maximum number of frames sampled per pixel for the median (evenly
-/// spaced); bounds memory on long calls.
+/// Frames sampled per pixel for the median: a longer window is sampled
+/// every `len / MAX_SAMPLES`-th frame, which keeps at most
+/// `2 · MAX_SAMPLES − 1` samples and bounds memory on long calls.
 pub const MAX_SAMPLES: usize = 64;
 
-/// Per-pixel, per-channel temporal median over (up to [`MAX_SAMPLES`]
-/// evenly-spaced) frames of the window.
+/// Per-pixel, per-channel temporal (upper) median over every
+/// `max(1, len / MAX_SAMPLES)`-th frame of the window (see [`MAX_SAMPLES`]).
+///
+/// For each row, the sampled frames' rows are packed into one `n × 3w` byte
+/// buffer. The upper median of a lane's `n` samples is `sorted[n / 2]`, the
+/// largest `v` with `#{samples < v} ≤ n / 2`. It is found greedily from bit
+/// 7 down to bit 0: a lane keeps a bit when fewer than `n / 2 + 1` of its
+/// samples lie below its prefix with that bit set.
 ///
 /// # Panics
 ///
@@ -20,98 +33,45 @@ pub const MAX_SAMPLES: usize = 64;
 pub fn median_model(video: &[Frame]) -> Frame {
     let (w, h) = video[0].dims();
     let step = (video.len() / MAX_SAMPLES).max(1);
-    let indices: Vec<usize> = (0..video.len()).step_by(step).collect();
-    let n = indices.len();
-
+    let sampled: Vec<&Frame> = video.iter().step_by(step).collect();
+    assert!(
+        sampled.iter().all(|f| f.dims() == (w, h)),
+        "median_model: frames differ in size"
+    );
+    // A lane's count is at most `n ≤ 127`, so it fits a byte.
+    let half = (sampled.len() / 2) as u8;
+    let lanes = 3 * w;
+    let mut packed = vec![0u8; sampled.len() * lanes];
+    let mut median = vec![0u8; lanes];
+    let mut below = vec![0u8; lanes];
     let mut out = Frame::new(w, h);
-    let mut rs = vec![0u8; n];
-    let mut gs = vec![0u8; n];
-    let mut bs = vec![0u8; n];
-    let mut hist = [0u16; 256];
-    // Row-at-a-time: resolve the sampled frames' row slices once per row so
-    // the per-pixel transpose is straight slice indexing, not a strided
-    // `frame(i).get(x, y)` walk through every sampled frame per pixel.
-    // Chunk width for the constant-span fast path below. 16 pixels keeps the
-    // difference scan inside one or two cache lines per sampled row.
-    const TILE: usize = 16;
     for y in 0..h {
-        let rows: Vec<&[Rgb]> = indices.iter().map(|&i| video[i].row(y)).collect();
-        let dst = out.row_mut(y);
-        let mut x0 = 0usize;
-        while x0 < w {
-            let x1 = (x0 + TILE).min(w);
-            // Virtual backgrounds are static over most of the frame. Scan
-            // the chunk across all samples with a branchless XOR/OR
-            // reduction first: when nothing ever differed from the first
-            // sample, the chunk IS the median and the per-pixel transpose
-            // is skipped entirely.
-            let base = &rows[0][x0..x1];
-            let mut acc = 0u8;
-            for row in &rows[1..] {
-                for (pa, pb) in row[x0..x1].iter().zip(base) {
-                    acc |= (pa.r ^ pb.r) | (pa.g ^ pb.g) | (pa.b ^ pb.b);
+        for (dst, frame) in packed.chunks_exact_mut(lanes).zip(&sampled) {
+            for (d, p) in dst.chunks_exact_mut(3).zip(frame.row(y)) {
+                d.copy_from_slice(&[p.r, p.g, p.b]);
+            }
+        }
+        median.fill(0);
+        for bit in (0..8).map(|k| 0x80u8 >> k) {
+            below.fill(0);
+            for sample in packed.chunks_exact(lanes) {
+                for ((c, &s), &m) in below.iter_mut().zip(sample).zip(&median) {
+                    *c += u8::from(s < (m | bit));
                 }
             }
-            if acc == 0 {
-                dst[x0..x1].copy_from_slice(base);
-                x0 = x1;
-                continue;
+            for (m, &c) in median.iter_mut().zip(&below) {
+                *m |= bit & u8::from(c <= half).wrapping_neg();
             }
-            for (x, d) in dst[x0..x1].iter_mut().enumerate() {
-                let x = x0 + x;
-                let p0 = rows[0][x];
-                let (mut lo, mut hi) = ([p0.r, p0.g, p0.b], [p0.r, p0.g, p0.b]);
-                for (k, row) in rows.iter().enumerate() {
-                    let p = row[x];
-                    rs[k] = p.r;
-                    gs[k] = p.g;
-                    bs[k] = p.b;
-                    lo = [lo[0].min(p.r), lo[1].min(p.g), lo[2].min(p.b)];
-                    hi = [hi[0].max(p.r), hi[1].max(p.g), hi[2].max(p.b)];
-                }
-                // A pixel whose samples never vary needs no median either.
-                *d = if lo == hi {
-                    p0
-                } else {
-                    Rgb::new(
-                        counting_median(&rs, lo[0], &mut hist),
-                        counting_median(&gs, lo[1], &mut hist),
-                        counting_median(&bs, lo[2], &mut hist),
-                    )
-                };
-            }
-            x0 = x1;
+        }
+        for (d, m) in out.row_mut(y).iter_mut().zip(median.chunks_exact(3)) {
+            *d = Rgb::new(m[0], m[1], m[2]);
         }
     }
     out
 }
 
-/// Upper median of `values` via a counting scan starting at `lo` (the known
-/// minimum). Equivalent to sorting and taking index `len / 2`, but touches
-/// only the occupied histogram bins; the caller's scratch `hist` is returned
-/// to all-zero before this returns.
-fn counting_median(values: &[u8], lo: u8, hist: &mut [u16; 256]) -> u8 {
-    for &v in values {
-        hist[v as usize] += 1;
-    }
-    let mid = values.len() / 2;
-    let mut cum = 0usize;
-    let mut v = lo as usize;
-    loop {
-        cum += hist[v] as usize;
-        if cum > mid {
-            break;
-        }
-        v += 1;
-    }
-    for &val in values {
-        hist[val as usize] = 0;
-    }
-    v as u8
-}
-
-/// Sort-based upper median; retained as the model reference that
-/// [`counting_median`] is property-tested against.
+/// Sort-based upper median; the reference that [`median_model`] is tested
+/// against.
 #[cfg(test)]
 fn median_u8(values: &mut [u8]) -> u8 {
     let mid = values.len() / 2;
@@ -185,23 +145,60 @@ mod tests {
         assert_eq!(median_u8(&mut [7u8]), 7);
     }
 
+    /// The per-lane sort reference: `median_u8` over the same evenly-spaced
+    /// samples `median_model` takes.
+    fn reference_model(video: &[Frame]) -> Frame {
+        let (w, h) = video[0].dims();
+        let step = (video.len() / MAX_SAMPLES).max(1);
+        Frame::from_fn(w, h, |x, y| {
+            let mut channels = [0u8; 3];
+            for (c, out) in channels.iter_mut().enumerate() {
+                let mut samples: Vec<u8> = video
+                    .iter()
+                    .step_by(step)
+                    .map(|f| {
+                        let p = f.get(x, y);
+                        [p.r, p.g, p.b][c]
+                    })
+                    .collect();
+                *out = median_u8(&mut samples);
+            }
+            Rgb::new(channels[0], channels[1], channels[2])
+        })
+    }
+
     #[test]
-    fn counting_median_matches_sort_based_reference() {
-        let mut hist = [0u16; 256];
+    fn median_model_matches_sort_based_reference() {
+        // 19 pixels (57 lanes, not a multiple of 16) per row. Each pixel
+        // draws from one value class by `x % 4`: a constant (0 on row 0,
+        // 255 on row 1), narrow noise straddling 127/128, narrow noise
+        // straddling 255/0, or the full range.
+        const W: usize = 19;
+        const H: usize = 2;
         let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = || {
+        let mut next = move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             (state >> 56) as u8
         };
-        for n in 1..=64usize {
-            let vals: Vec<u8> = (0..n).map(|_| next()).collect();
-            let lo = *vals.iter().min().unwrap();
-            let fast = counting_median(&vals, lo, &mut hist);
-            let slow = median_u8(&mut vals.clone());
-            assert_eq!(fast, slow, "n={n} vals={vals:?}");
-            assert!(hist.iter().all(|&c| c == 0), "scratch not cleared at n={n}");
+        let mut frame = |_| {
+            Frame::from_fn(W, H, |x, y| {
+                let mut value = || match x % 4 {
+                    0 => [0, 255][y],
+                    1 => 126 + next() % 4,
+                    2 => 254u8.wrapping_add(next() % 4),
+                    _ => next(),
+                };
+                Rgb::new(value(), value(), value())
+            })
+        };
+        // Every window of up to `MAX_SAMPLES` frames, then windows that are
+        // sampled whole (65 and 127 frames, past 64 samples) or subsampled
+        // (128 and 200 frames).
+        for n in (1..=MAX_SAMPLES).chain([65, 127, 128, 200]) {
+            let video: Vec<Frame> = (0..n).map(&mut frame).collect();
+            assert_eq!(median_model(&video), reference_model(&video), "n={n}");
         }
     }
 }

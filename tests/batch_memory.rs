@@ -1,23 +1,31 @@
-//! Batch `reconstruct` locks over the call's own frames: the warmup window
-//! is read where it lies, never copied into the session.
+//! Batch `reconstruct` holds no per-frame copy of the call it reads.
 //!
-//! A counting global allocator tracks live heap bytes. One color-residue
-//! call, longer than its warmup window, runs at `parallelism: 1` (no worker
-//! threads). Everything `reconstruct` allocates — the reference, the
-//! segmenter model, the per-frame masks, the canvas and the output — must
-//! stay below the bytes of the window's frames, which a copy of the window
-//! would reach on its own.
+//! A counting global allocator tracks live heap bytes, and each call runs
+//! at `parallelism: 1` (no worker threads):
+//!
+//! * A color-residue call, longer than its warmup window, locks over the
+//!   window where it lies. Everything `reconstruct` allocates — the
+//!   reference, the segmenter model, the per-frame masks, the canvas and
+//!   the output — must stay below the bytes of the window's frames, which a
+//!   copy of the window would reach on its own.
+//! * A blur-residue call deblurs and accumulates its frames a few at a
+//!   time. Its growth must stay below the bytes of half the call's frames,
+//!   which holding every frame's deblurred copy would pass.
 
-use bb_callsim::{background, BackgroundId, CallSim, ProfilePreset, SoftwareProfile};
-use bb_core::pipeline::{Reconstructor, ReconstructorConfig, VbSource};
+use bb_callsim::{background, BackgroundId, CallSim, ProfilePreset, SoftwareProfile, VbMode};
+use bb_core::pipeline::{ReconMode, Reconstructor, ReconstructorConfig, VbSource};
+use bb_imaging::Rgb;
 use bb_synth::{Action, Lighting, Room, Scenario};
 use rand::{rngs::StdRng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
 
 /// Live heap bytes, and the most ever live since the last reset.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// The counters are process-wide, so the tests take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 struct Counting;
 
@@ -71,8 +79,8 @@ const H: usize = 72;
 const FRAMES: usize = 48;
 const WARMUP: usize = 32;
 
-#[test]
-fn batch_reconstruct_does_not_copy_the_warmup_window() {
+/// The seeded arm-waving call composited behind `vb`.
+fn call(vb: VbMode) -> bb_video::VideoStream {
     let room = Room::sample(SEED, W, H, 4, &mut StdRng::seed_from_u64(SEED));
     let gt = Scenario {
         action: Action::ArmWaving,
@@ -84,15 +92,30 @@ fn batch_reconstruct_does_not_copy_the_warmup_window() {
     }
     .render()
     .expect("scenario renders");
-    let video = CallSim::new(&gt)
-        .vb(BackgroundId::Beach.realize(W, H))
+    CallSim::new(&gt)
+        .vb(vb)
         .profile(SoftwareProfile::preset(ProfilePreset::ZoomLike))
         .lighting(Lighting::On)
         .seed(SEED)
         .run()
         .expect("call composites")
-        .video;
-    drop(gt);
+        .video
+}
+
+/// Peak live-heap growth while `reconstructor` reconstructs `video`.
+fn peak_growth(reconstructor: &Reconstructor, video: &bb_video::VideoStream) -> usize {
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    let rec = reconstructor.reconstruct(video).expect("reconstructs");
+    let growth = PEAK.load(Relaxed) - before;
+    assert!(rec.rbrr() > 0.0, "the call recovered nothing");
+    growth
+}
+
+#[test]
+fn batch_reconstruct_does_not_copy_the_warmup_window() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let video = call(BackgroundId::Beach.realize(W, H).into());
     let reconstructor = Reconstructor::new(
         VbSource::KnownImages(background::catalog_images(W, H)),
         ReconstructorConfig {
@@ -102,17 +125,35 @@ fn batch_reconstruct_does_not_copy_the_warmup_window() {
             ..Default::default()
         },
     );
-
-    let before = LIVE.load(Relaxed);
-    PEAK.store(before, Relaxed);
-    let rec = reconstructor.reconstruct(&video).expect("reconstructs");
-    let growth = PEAK.load(Relaxed) - before;
-    assert!(rec.rbrr() > 0.0, "the call recovered nothing");
-
-    let window_bytes = WARMUP * W * H * std::mem::size_of::<bb_imaging::Rgb>();
+    let growth = peak_growth(&reconstructor, &video);
+    let window_bytes = WARMUP * W * H * std::mem::size_of::<Rgb>();
     assert!(
         growth < window_bytes,
         "reconstruct grew the live heap by {growth} bytes at its peak; \
          a copy of the {WARMUP}-frame window alone is {window_bytes}"
+    );
+}
+
+#[test]
+fn blur_residue_does_not_hold_every_deblurred_frame() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let video = call(VbMode::Blur { radius: 2 });
+    // The call is shorter than the default warmup, so, as in a short blur
+    // call, the lock runs at finalize over every frame in one block.
+    let reconstructor = Reconstructor::new(
+        VbSource::UnknownImage,
+        ReconstructorConfig {
+            parallelism: 1,
+            mode: ReconMode::BlurResidue { radius: 2 },
+            ..Default::default()
+        },
+    );
+    assert!(FRAMES < reconstructor.config().warmup_frames);
+    let growth = peak_growth(&reconstructor, &video);
+    let half_call_bytes = FRAMES / 2 * W * H * std::mem::size_of::<Rgb>();
+    assert!(
+        growth < half_call_bytes,
+        "reconstruct grew the live heap by {growth} bytes at its peak; \
+         half the call's {FRAMES} frames is {half_call_bytes}"
     );
 }

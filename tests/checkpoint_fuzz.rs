@@ -4,7 +4,8 @@
 //! byte offset must either fail typed or resume into a session that can
 //! take more frames and finalize — never a panic. Both checkpoint phases are
 //! covered: a warmup-phase checkpoint (buffered raw frames) and a
-//! locked-phase one (reference, segmenter, color model and canvas).
+//! locked-phase one (reference, segmenter, color model and canvas). The
+//! locked checkpoint's bytes are also pinned by digest.
 
 use bb_core::pipeline::{Reconstructor, ReconstructorConfig, VbSource};
 use bb_core::CoreError;
@@ -164,4 +165,45 @@ fn locked_checkpoints_do_not_grow_with_the_call() {
         .map(|pushed| checkpoint_after(pushed).0.len())
         .collect();
     assert!(sizes.windows(2).all(|p| p[0] == p[1]), "{sizes:?}");
+}
+
+/// FNV-1a digest of a locked checkpoint: the toy call under sensor noise,
+/// taken one frame after the lock. The checkpoint carries the fitted
+/// segmenter model, and no golden hash reads that model, so this digest is
+/// what pins the median kernel's output end to end (along with the
+/// reference, color model and canvas). The noise makes each pixel's median
+/// depend on exactly which of its sorted samples the kernel picks.
+const LOCKED_CHECKPOINT_DIGEST: u64 = 0xdbdc_1ea0_8158_6380;
+
+#[test]
+fn locked_checkpoint_is_pinned() {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut noise = move |v: u8| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        v.saturating_add((state >> 62) as u8)
+    };
+    let frames: Vec<Frame> = toy_call().frames()[..=WARMUP]
+        .iter()
+        .map(|f| {
+            Frame::from_fn(W, H, |x, y| {
+                let p = f.get(x, y);
+                Rgb::new(noise(p.r), noise(p.g), noise(p.b))
+            })
+        })
+        .collect();
+    let mut session = reconstructor().session();
+    session.push_frames(&frames).unwrap();
+    assert!(session.is_locked());
+    let digest = session
+        .checkpoint()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(
+        digest, LOCKED_CHECKPOINT_DIGEST,
+        "locked checkpoint drifted: got {digest:#018x}, pinned {LOCKED_CHECKPOINT_DIGEST:#018x}"
+    );
 }
