@@ -180,7 +180,7 @@ impl ObjectDetector {
                 continue;
             }
             let comp_mask = labeling
-                .component_mask(comp.label, h)
+                .component_mask(comp.label)
                 .intersect(recovered)
                 .expect("same dims");
             consider(&comp_mask, comp.bbox, &mut detections);

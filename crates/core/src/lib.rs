@@ -49,6 +49,7 @@ pub mod ingest;
 pub mod metrics;
 pub mod pipeline;
 pub mod recon;
+mod refine;
 pub mod session;
 pub mod vbmask;
 pub mod vcmask;

@@ -391,14 +391,16 @@ pub fn merge_references_voting(
 
 /// Generates the per-frame virtual background mask (§V-B):
 /// `VBM(u,w) = 1 iff µ(M ⊕ f(u,w)) = 1` — i.e. the frame pixel matches the
-/// reference within `tau` *and* the reference knows that pixel.
+/// reference within `tau` *and* the reference knows that pixel. Only the
+/// pixels `valid` marks are compared, so a reference that knows nothing (the
+/// blur-residue mode's) costs one comparison per 64 pixels.
 ///
 /// # Errors
 ///
-/// Propagates dimension mismatches.
+/// Propagates dimension mismatches of `reference` or `valid` against
+/// `frame`.
 pub fn vb_mask(frame: &Frame, reference: &Frame, valid: &Mask, tau: u8) -> Result<Mask, CoreError> {
-    let matched = frame.match_mask(reference, tau)?;
-    Ok(matched.intersect(valid)?)
+    Ok(frame.match_mask_within(reference, valid, tau)?)
 }
 
 #[cfg(test)]
@@ -561,6 +563,30 @@ mod tests {
         assert!(!m.get(0, 0), "invalid reference pixel must not mask");
         assert!(m.get(5, 5));
         assert_eq!(m.count_set(), 24 * 18 - 1);
+    }
+
+    #[test]
+    fn vb_mask_of_an_empty_validity_is_empty() {
+        let frame = vb_image();
+        let m = vb_mask(&frame, &frame, &Mask::new(24, 18), 255).unwrap();
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn vb_mask_refuses_mismatched_reference_or_validity() {
+        let frame = vb_image();
+        for valid in [Mask::new(24, 18), Mask::full(24, 18)] {
+            assert!(matches!(
+                vb_mask(&frame, &Frame::new(12, 9), &valid, 0),
+                Err(CoreError::Imaging(_))
+            ));
+        }
+        for valid in [Mask::new(12, 9), Mask::full(25, 18)] {
+            assert!(matches!(
+                vb_mask(&frame, &frame, &valid, 0),
+                Err(CoreError::Imaging(_))
+            ));
+        }
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! low frequency (presumably from the real background), we modify
 //! VCM(u,w) = 0".
 
+use crate::refine::refine_caller;
 use bb_imaging::hist::ColorHistogram;
-use bb_imaging::{components, Frame, Mask};
+use bb_imaging::{Frame, Mask};
 use bb_segment::person::{select_caller, skin_evidence};
-use bb_segment::{color_refine, PersonSegmenter};
+use bb_segment::PersonSegmenter;
 
 /// A cross-frame caller color model (§V-D's color analysis, applied across
 /// frames): a histogram built from the candidate pixels of *quiet* frames —
@@ -197,65 +198,6 @@ pub fn vc_mask_from_evidence(
     model: Option<&CallerColorModel>,
 ) -> VcMaskResult {
     refine_caller(frame, select_caller(frame, candidates, skin), params, model)
-}
-
-/// The §V-D color refinement of the raw caller segmentation `raw`.
-fn refine_caller(
-    frame: &Frame,
-    raw: Mask,
-    params: &VcMaskParams,
-    model: Option<&CallerColorModel>,
-) -> VcMaskResult {
-    let (mut refined, _) = color_refine(frame, &raw, params.refine_min_freq, params.refine_bits);
-    if let Some(model) = model {
-        // Word-directed: pixels still in `refined` (⊆ raw) are tested
-        // against the cross-frame model via the contiguous row slice, and
-        // flips clear whole words at a time. Rarity resolves to one integer
-        // compare per pixel (`frequency < min_freq` ⇔ `count < rare_below`).
-        let rare_below = model.histogram().rarity_threshold(params.model_min_freq);
-        let (_, h) = refined.dims();
-        for y in 0..h {
-            let row = frame.row(y);
-            for wi in 0..refined.words_per_row() {
-                let word = refined.row_words(y)[wi];
-                if word == 0 {
-                    continue;
-                }
-                let lo = wi * 64;
-                let mut cleared = 0u64;
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    if u64::from(model.histogram().count(row[lo + b])) < rare_below {
-                        cleared |= 1u64 << b;
-                    }
-                    bits &= bits - 1;
-                }
-                if cleared != 0 {
-                    refined.set_row_word(y, wi, word & !cleared);
-                }
-            }
-        }
-    }
-    if params.min_flip_cluster <= 1 {
-        let flipped = raw.count_set() - refined.count_set();
-        return VcMaskResult {
-            vcm: refined,
-            flipped,
-        };
-    }
-    // Cluster guard: only blob-shaped flip regions are treated as leaked
-    // background; isolated rare-color pixels are blend noise on the caller
-    // boundary and return to the VCM.
-    let flipped_mask = raw.subtract(&refined).expect("refined ⊆ raw");
-    let clusters = components::remove_small_components(
-        &flipped_mask,
-        params.min_flip_cluster,
-        components::Connectivity::Eight,
-    );
-    let vcm = raw.subtract(&clusters).expect("same dims");
-    let flipped = clusters.count_set();
-    VcMaskResult { vcm, flipped }
 }
 
 #[cfg(test)]

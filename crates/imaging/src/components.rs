@@ -2,8 +2,13 @@
 //!
 //! Used by the text-inference attack to find candidate text boxes in a
 //! reconstructed background (the bounding-box stage TextFuseNet performs with
-//! Mask R-CNN in §VI), and by the segmentation substitute to keep the largest
-//! person-shaped region.
+//! Mask R-CNN in §VI), by the segmentation substitute to keep the largest
+//! person-shaped region, and by the §V-D cluster guard.
+//!
+//! A [`Labeling`] holds each component's horizontal runs, not a per-pixel
+//! label image: masks are painted from the runs, and per-component counts
+//! read only the runs, so the work follows the mask's runs rather than the
+//! frame's area.
 
 use crate::mask::Mask;
 
@@ -39,17 +44,23 @@ pub enum Connectivity {
     Eight,
 }
 
-/// Result of labelling: a per-pixel label image (0 = background) and the
-/// component table.
+/// Result of labelling: the component table and each component's
+/// horizontal runs. Nothing is stored per pixel; a component's mask is
+/// painted from its runs on demand.
 #[derive(Debug, Clone)]
 pub struct Labeling {
     width: usize,
-    labels: Vec<u32>,
+    height: usize,
+    /// Every run, grouped by component: label `l`'s runs are
+    /// `runs[starts[l - 1]..starts[l]]`, in row-major order.
+    runs: Vec<Run>,
+    starts: Vec<usize>,
     components: Vec<Component>,
 }
 
 impl Labeling {
-    /// The component table, ordered by label.
+    /// The component table, ordered by label: the component with label `l`
+    /// is `components()[l - 1]`.
     pub fn components(&self) -> &[Component] {
         &self.components
     }
@@ -59,41 +70,46 @@ impl Labeling {
         self.components.iter().max_by_key(|c| c.area)
     }
 
+    /// The runs of component `label` (none when the label does not exist).
+    fn runs_of(&self, label: u32) -> &[Run] {
+        match (label as usize).checked_sub(1) {
+            Some(i) if i < self.components.len() => &self.runs[self.starts[i]..self.starts[i + 1]],
+            _ => &[],
+        }
+    }
+
     /// Extracts the mask of a single component.
     ///
     /// Returns an all-background mask when the label does not exist. Only
-    /// the component's bounding box is scanned, and the comparison bits are
-    /// packed 64 at a time straight into mask words.
-    pub fn component_mask(&self, label: u32, height: usize) -> Mask {
-        let mut out = Mask::new(self.width, height);
-        let comp = match self.components.get((label as usize).wrapping_sub(1)) {
-            Some(c) if c.label == label => c,
-            _ => return out,
-        };
-        let (x0, y0, x1, y1) = comp.bbox;
-        let (w0, w1) = (x0 / 64, x1 / 64);
-        for y in y0..=y1 {
-            let row = &self.labels[y * self.width..(y + 1) * self.width];
-            for wi in w0..=w1 {
-                let lo = wi * 64;
-                let hi = (lo + 64).min(self.width);
-                let mut word = 0u64;
-                for (bit, &l) in row[lo..hi].iter().enumerate() {
-                    word |= u64::from(l == label) << bit;
-                }
-                out.set_row_word(y, wi, word);
-            }
+    /// the component's runs are painted, a word at a time.
+    pub fn component_mask(&self, label: u32) -> Mask {
+        let mut out = Mask::new(self.width, self.height);
+        for r in self.runs_of(label) {
+            out.fill_span(r.y as usize, r.x0 as usize, r.x1 as usize);
         }
         out
+    }
+
+    /// Number of pixels of component `label` that are set in `mask`,
+    /// counted over the component's runs only. Zero when the label does not
+    /// exist or the dimensions differ.
+    pub fn count_in(&self, label: u32, mask: &Mask) -> usize {
+        if mask.dims() != (self.width, self.height) {
+            return 0;
+        }
+        self.runs_of(label)
+            .iter()
+            .map(|r| mask.count_span(r.y as usize, r.x0 as usize, r.x1 as usize))
+            .sum()
     }
 }
 
 /// A horizontal run of set pixels: row `y`, columns `x0..=x1`.
 #[derive(Debug, Clone, Copy)]
 struct Run {
-    y: usize,
-    x0: usize,
-    x1: usize,
+    y: u32,
+    x0: u32,
+    x1: u32,
 }
 
 /// First bit position `>= from` whose value equals `set`, or `w` when none.
@@ -128,10 +144,11 @@ fn find(parent: &mut [u32], mut i: u32) -> u32 {
 /// from the packed mask words (empty 64-pixel spans cost one comparison),
 /// merged across adjacent rows with a union-find, then numbered by the
 /// row-major position of each component's first pixel. That numbering is
-/// exactly the discovery order of the historical per-pixel flood fill — the
-/// same labels, areas, bounding boxes, and label image — at a fraction of
-/// the per-pixel cost. Downstream tie-breaking (stable sorts over component
-/// scores) therefore sees identical input.
+/// exactly the discovery order of a per-pixel flood fill, so the labels,
+/// areas, bounding boxes and component masks are the ones a flood fill
+/// finds, at the cost of the runs rather than the pixels. Downstream
+/// tie-breaking (stable sorts over component scores) therefore sees
+/// identical input.
 pub fn label(mask: &Mask, connectivity: Connectivity) -> Labeling {
     let (w, h) = mask.dims();
 
@@ -145,9 +162,9 @@ pub fn label(mask: &Mask, connectivity: Connectivity) -> Labeling {
         while x < w {
             let end = next_bit(words, x, w, false);
             runs.push(Run {
-                y,
-                x0: x,
-                x1: end - 1,
+                y: y as u32,
+                x0: x as u32,
+                x1: (end - 1) as u32,
             });
             x = next_bit(words, end, w, true);
         }
@@ -157,7 +174,7 @@ pub fn label(mask: &Mask, connectivity: Connectivity) -> Labeling {
     // Pass 2: union runs that touch across adjacent rows. Eight-connectivity
     // lets runs meet diagonally, i.e. with a horizontal reach of one.
     let reach = match connectivity {
-        Connectivity::Four => 0usize,
+        Connectivity::Four => 0u32,
         Connectivity::Eight => 1,
     };
     let mut parent: Vec<u32> = (0..runs.len() as u32).collect();
@@ -182,7 +199,7 @@ pub fn label(mask: &Mask, connectivity: Connectivity) -> Labeling {
 
     // Number components in row-major first-run order and fold up area/bbox.
     let mut label_of_root = vec![0u32; runs.len()];
-    let mut comp_of_run = vec![0u32; runs.len()];
+    let mut label_of_run = vec![0u32; runs.len()];
     let mut components: Vec<Component> = Vec::new();
     for i in 0..runs.len() {
         let root = find(&mut parent, i as u32) as usize;
@@ -192,52 +209,55 @@ pub fn label(mask: &Mask, connectivity: Connectivity) -> Labeling {
             components.push(Component {
                 label: label_of_root[root],
                 area: 0,
-                bbox: (r.x0, r.y, r.x1, r.y),
+                bbox: (r.x0 as usize, r.y as usize, r.x1 as usize, r.y as usize),
             });
         }
         let lbl = label_of_root[root];
-        comp_of_run[i] = lbl;
         let r = runs[i];
         let c = &mut components[(lbl - 1) as usize];
-        c.area += r.x1 - r.x0 + 1;
-        c.bbox.0 = c.bbox.0.min(r.x0);
-        c.bbox.1 = c.bbox.1.min(r.y);
-        c.bbox.2 = c.bbox.2.max(r.x1);
-        c.bbox.3 = c.bbox.3.max(r.y);
+        c.area += (r.x1 - r.x0 + 1) as usize;
+        c.bbox.0 = c.bbox.0.min(r.x0 as usize);
+        c.bbox.2 = c.bbox.2.max(r.x1 as usize);
+        c.bbox.3 = r.y as usize;
+        label_of_run[i] = lbl;
     }
 
-    // Paint the label image by runs (contiguous fills, not per-pixel writes).
-    let mut labels = vec![0u32; w * h];
-    for (run, &lbl) in runs.iter().zip(&comp_of_run) {
-        labels[run.y * w + run.x0..run.y * w + run.x1 + 1].fill(lbl);
+    // Group the runs by label (a stable counting sort keeps each
+    // component's runs row-major).
+    let mut starts = vec![0usize; components.len() + 1];
+    for &lbl in &label_of_run {
+        starts[lbl as usize] += 1;
+    }
+    for l in 1..starts.len() {
+        starts[l] += starts[l - 1];
+    }
+    let mut next = starts.clone();
+    let mut grouped = vec![Run { y: 0, x0: 0, x1: 0 }; runs.len()];
+    for (run, &lbl) in runs.iter().zip(&label_of_run) {
+        let slot = &mut next[lbl as usize - 1];
+        grouped[*slot] = *run;
+        *slot += 1;
     }
 
     Labeling {
         width: w,
-        labels,
+        height: h,
+        runs: grouped,
+        starts,
         components,
     }
 }
 
-/// Removes components smaller than `min_area` pixels from a mask.
+/// Removes components smaller than `min_area` pixels from a mask: the
+/// output paints only the runs of the components it keeps.
 pub fn remove_small_components(mask: &Mask, min_area: usize, connectivity: Connectivity) -> Mask {
-    let (w, h) = mask.dims();
     let labeling = label(mask, connectivity);
-    // keep[l] answers "does label l survive?" in O(1); keep[0] (background)
-    // is false. The output words are packed 64 pixels at a time.
-    let mut keep = vec![false; labeling.components.len() + 1];
+    let mut out = Mask::new(labeling.width, labeling.height);
     for c in &labeling.components {
-        keep[c.label as usize] = c.area >= min_area;
-    }
-    let mut out = Mask::new(w, h);
-    for y in 0..h {
-        let row = &labeling.labels[y * w..(y + 1) * w];
-        for (wi, chunk) in row.chunks(64).enumerate() {
-            let mut word = 0u64;
-            for (bit, &l) in chunk.iter().enumerate() {
-                word |= u64::from(keep[l as usize]) << bit;
+        if c.area >= min_area {
+            for r in labeling.runs_of(c.label) {
+                out.fill_span(r.y as usize, r.x0 as usize, r.x1 as usize);
             }
-            out.set_row_word(y, wi, word);
         }
     }
     out
@@ -304,7 +324,7 @@ mod tests {
         m.set(1, 1, true);
         m.set(4, 4, true);
         let l = label(&m, Connectivity::Four);
-        let c1 = l.component_mask(1, 5);
+        let c1 = l.component_mask(1);
         assert!(c1.get(1, 1));
         assert!(!c1.get(4, 4));
         assert_eq!(c1.count_set(), 1);

@@ -5,7 +5,7 @@
 //! (`bb-video`) builds streams out of it.
 
 use crate::error::ImagingError;
-use crate::mask::Mask;
+use crate::mask::{pack_bytes, Mask};
 use crate::pixel::Rgb;
 
 /// A fixed-size RGB image, stored row-major.
@@ -272,11 +272,13 @@ impl Frame {
 
     /// Builds the sub-mask of `mask` whose pixels satisfy `pred`, walking
     /// the mask's packed words so all-zero 64-pixel spans cost one
-    /// comparison and set pixels are read from the contiguous row slice.
-    /// Each selected pixel is evaluated exactly once, so callers that need
-    /// several counts over subsets of `mask` (per-component evidence, say)
-    /// can build this once and intersect instead of re-running the
-    /// predicate. Mismatched dimensions yield an empty mask.
+    /// comparison, all-one words take a branch-free pass over their 64
+    /// pixels, and set pixels are read from the contiguous row slice.
+    /// Each selected pixel is evaluated exactly once, in row-major order,
+    /// so callers that need several counts over subsets of `mask`
+    /// (per-component evidence, say) can build this once and intersect
+    /// instead of re-running the predicate. Mismatched dimensions yield an
+    /// empty mask.
     pub fn mask_where(&self, mask: &Mask, mut pred: impl FnMut(Rgb) -> bool) -> Mask {
         let mut out = Mask::new(self.width, self.height);
         if (self.width, self.height) != mask.dims() {
@@ -290,11 +292,17 @@ impl Frame {
                 }
                 let lo = wi * 64;
                 let mut keep = 0u64;
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    keep |= u64::from(pred(row[lo + b])) << b;
-                    bits &= bits - 1;
+                if word == u64::MAX {
+                    for (b, &p) in row[lo..lo + 64].iter().enumerate() {
+                        keep |= u64::from(pred(p)) << b;
+                    }
+                } else {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let b = bits.trailing_zeros() as usize;
+                        keep |= u64::from(pred(row[lo + b])) << b;
+                        bits &= bits - 1;
+                    }
                 }
                 out.set_row_word(y, wi, keep);
             }
@@ -317,18 +325,45 @@ impl Frame {
     ///
     /// Returns [`ImagingError::DimensionMismatch`] when sizes differ.
     pub fn match_mask(&self, other: &Frame, tau: u8) -> Result<Mask, ImagingError> {
+        self.match_mask_within(other, &Mask::full(self.width, self.height), tau)
+    }
+
+    /// [`Frame::match_mask`] restricted to `within`: the pixels of
+    /// `within` that match `other` within tolerance `tau`. Only the words
+    /// where `within` has set pixels are compared, so an empty `within`
+    /// costs one comparison per 64 pixels.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImagingError::DimensionMismatch`] when `other` or `within`
+    /// differs in size from `self`.
+    pub fn match_mask_within(
+        &self,
+        other: &Frame,
+        within: &Mask,
+        tau: u8,
+    ) -> Result<Mask, ImagingError> {
         self.check_same_dims(other)?;
-        // Two-step per row: a vectorisable compare loop fills 0/1 bytes,
-        // then the mask packs them 8-per-multiply — no per-pixel coordinate
-        // arithmetic and no serial shift-OR chain.
         let mut out = Mask::new(self.width, self.height);
-        let mut bits = vec![0u8; self.width];
+        out.check_same_dims(within)?;
+        // Per word: a vectorisable compare loop fills 0/1 bytes for the
+        // word's (at most 64) pixels, then one multiply-pack and one AND —
+        // no per-pixel coordinate arithmetic and no serial shift-OR chain.
+        let mut bits = [0u8; 64];
         for y in 0..self.height {
             let (a, b) = (self.row(y), other.row(y));
-            for ((pa, pb), d) in a.iter().zip(b).zip(&mut bits) {
-                *d = u8::from(pa.matches(*pb, tau));
+            for (wi, &word) in within.row_words(y).iter().enumerate() {
+                if word == 0 {
+                    continue;
+                }
+                let lo = wi * 64;
+                let hi = (lo + 64).min(self.width);
+                let bits = &mut bits[..hi - lo];
+                for ((pa, pb), d) in a[lo..hi].iter().zip(&b[lo..hi]).zip(bits.iter_mut()) {
+                    *d = u8::from(pa.matches(*pb, tau));
+                }
+                out.set_row_word(y, wi, pack_bytes(bits) & word);
             }
-            out.set_row_from_bytes(y, &bits);
         }
         Ok(out)
     }

@@ -9,6 +9,8 @@
 //!   classifies windows by hue histogram plus shape moments
 //!   ([`hue_histogram`], [`ShapeMoments`]).
 
+use std::borrow::Cow;
+
 use crate::frame::Frame;
 use crate::mask::Mask;
 use crate::pixel::Rgb;
@@ -42,11 +44,7 @@ impl ColorHistogram {
     }
 
     fn bucket(&self, p: Rgb) -> usize {
-        let shift = 8 - self.bits;
-        let r = (p.r >> shift) as usize;
-        let g = (p.g >> shift) as usize;
-        let b = (p.b >> shift) as usize;
-        (r << (2 * self.bits)) | (g << self.bits) | b
+        bucket(p, self.bits)
     }
 
     /// Adds one pixel.
@@ -131,14 +129,9 @@ impl ColorHistogram {
         self.counts[self.bucket(p)] as f64 / self.total as f64
     }
 
-    /// Raw count of the bucket containing `p`.
-    pub fn count(&self, p: Rgb) -> u32 {
-        self.counts[self.bucket(p)]
-    }
-
     /// Smallest bucket count whose [`ColorHistogram::frequency`] is at
-    /// least `min_freq` — i.e. `frequency(p) < min_freq` exactly when
-    /// `count(p) < rarity_threshold(min_freq)`.
+    /// least `min_freq` — i.e. `frequency(p) < min_freq` exactly when the
+    /// count of `p`'s bucket is below `rarity_threshold(min_freq)`.
     ///
     /// `c ↦ (c as f64) / (total as f64)` is monotone non-decreasing in `c`
     /// (both the exact quotient and its rounding are), so a binary search
@@ -165,6 +158,26 @@ impl ColorHistogram {
         lo
     }
 
+    /// The buckets whose count is below `rarity_threshold(min_freq)`, as a
+    /// lookup table: [`RareColors::contains`] answers the hot loops'
+    /// rarity test with one table read per pixel.
+    pub fn rare_colors(&self, min_freq: f64) -> RareColors {
+        // `count < below` as `count <= below - 1` in the counts' own `u32`
+        // lanes, which vectorise; a threshold past `u32::MAX` makes every
+        // count rare, and a zero threshold none.
+        let rare = match self.rarity_threshold(min_freq).checked_sub(1) {
+            None => vec![false; self.counts.len()],
+            Some(last) => {
+                let last = u32::try_from(last).unwrap_or(u32::MAX);
+                self.counts.iter().map(|&c| c <= last).collect()
+            }
+        };
+        RareColors {
+            bits: self.bits,
+            rare,
+        }
+    }
+
     /// Histogram intersection similarity with another histogram of the same
     /// quantisation, in `[0, 1]` (1 = identical distributions).
     ///
@@ -180,6 +193,67 @@ impl ColorHistogram {
             acc += fa.min(fb);
         }
         acc
+    }
+}
+
+/// The bucket of `p` at `bits` bits per channel.
+#[inline]
+fn bucket(p: Rgb, bits: u8) -> usize {
+    let shift = 8 - bits;
+    let r = (p.r >> shift) as usize;
+    let g = (p.g >> shift) as usize;
+    let b = (p.b >> shift) as usize;
+    (r << (2 * bits)) | (g << bits) | b
+}
+
+/// The rare buckets of a [`ColorHistogram`] at one frequency threshold
+/// ([`ColorHistogram::rare_colors`]), indexed at that histogram's own
+/// quantisation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RareColors {
+    bits: u8,
+    rare: Vec<bool>,
+}
+
+impl RareColors {
+    /// Whether `p`'s bucket is rare: its count in the histogram this table
+    /// was built from is below `rarity_threshold(min_freq)`, i.e. its
+    /// `frequency` is below `min_freq`.
+    #[inline]
+    pub fn contains(&self, p: Rgb) -> bool {
+        self.rare[bucket(p, self.bits)]
+    }
+
+    /// The colors rare in `self` or in `other`, as one table at the finer
+    /// of the two quantisations, so that
+    /// `union.contains(p) == self.contains(p) || other.contains(p)` for
+    /// every color at one table read.
+    pub fn union(&self, other: &RareColors) -> RareColors {
+        let bits = self.bits.max(other.bits);
+        let (a, b) = (self.at_bits(bits), other.at_bits(bits));
+        RareColors {
+            bits,
+            rare: a.iter().zip(b.iter()).map(|(&x, &y)| x | y).collect(),
+        }
+    }
+
+    /// This table requantised to `bits >= self.bits` per channel: a bucket
+    /// at `bits` lies in exactly one bucket at `self.bits` (its channels
+    /// shifted right) and takes that bucket's rarity.
+    fn at_bits(&self, bits: u8) -> Cow<'_, [bool]> {
+        if bits == self.bits {
+            return Cow::Borrowed(&self.rare);
+        }
+        let (shift, low) = (bits - self.bits, (1usize << bits) - 1);
+        let coarse = |v: usize| v >> shift;
+        Cow::Owned(
+            (0..1usize << (3 * bits))
+                .map(|i| {
+                    let (r, g, b) = (i >> (2 * bits), (i >> bits) & low, i & low);
+                    self.rare[(coarse(r) << (2 * self.bits)) | (coarse(g) << self.bits) | coarse(b)]
+                })
+                .collect(),
+        )
     }
 }
 
@@ -324,8 +398,8 @@ mod tests {
     fn histogram_quantisation_groups_similar_colors() {
         let mut h = ColorHistogram::new(3); // 32-wide buckets
         h.add(Rgb::new(100, 100, 100));
-        assert_eq!(h.count(Rgb::new(101, 99, 100)), 1);
-        assert_eq!(h.count(Rgb::new(140, 100, 100)), 0);
+        assert_eq!(h.frequency(Rgb::new(101, 99, 100)), 1.0);
+        assert_eq!(h.frequency(Rgb::new(140, 100, 100)), 0.0);
     }
 
     #[test]

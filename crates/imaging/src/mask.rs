@@ -160,28 +160,51 @@ impl Mask {
     /// This is the fast lane for predicates evaluated over a whole row: the
     /// caller fills a plain byte buffer (a loop compilers happily
     /// vectorise, unlike a variable-distance shift-OR chain), and the bytes
-    /// are packed eight at a time with one multiply. The multiplier places
-    /// byte `k`'s low bit at bit `56 + k` of the product; every
-    /// intermediate bit position receives exactly one term, so no carries
-    /// cross between lanes. Bytes must be 0 or 1; anything else corrupts
-    /// the packing (enforced with a debug assertion).
+    /// are packed eight at a time with one multiply ([`pack_bytes`]). Bytes
+    /// must be 0 or 1; anything else corrupts the packing (enforced with a
+    /// debug assertion).
     ///
     /// # Panics
     ///
     /// Panics when `y` is out of bounds or `bytes.len() != width`.
     pub fn set_row_from_bytes(&mut self, y: usize, bytes: &[u8]) {
         assert!(y < self.height && bytes.len() == self.width);
-        debug_assert!(bytes.iter().all(|&b| b <= 1));
         for (wi, chunk) in bytes.chunks(WORD_BITS).enumerate() {
-            let mut word = 0u64;
-            for (g, group) in chunk.chunks(8).enumerate() {
-                let mut raw = [0u8; 8];
-                raw[..group.len()].copy_from_slice(group);
-                let x = u64::from_le_bytes(raw);
-                word |= (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
-            }
-            self.set_row_word(y, wi, word);
+            self.set_row_word(y, wi, pack_bytes(chunk));
         }
+    }
+
+    /// The bits of columns `x0..=x1` within a row, word by word: yields
+    /// `(word index, bit mask)` pairs covering the span.
+    fn span_words(x0: usize, x1: usize) -> impl Iterator<Item = (usize, u64)> {
+        let (w0, w1) = (x0 / WORD_BITS, x1 / WORD_BITS);
+        (w0..=w1).map(move |wi| {
+            let lo = if wi == w0 { x0 % WORD_BITS } else { 0 };
+            let hi = if wi == w1 {
+                x1 % WORD_BITS
+            } else {
+                WORD_BITS - 1
+            };
+            (wi, (!0u64 << lo) & (!0u64 >> (WORD_BITS - 1 - hi)))
+        })
+    }
+
+    /// Sets columns `x0..=x1` of row `y`, a word at a time.
+    pub(crate) fn fill_span(&mut self, y: usize, x0: usize, x1: usize) {
+        debug_assert!(x0 <= x1 && x1 < self.width && y < self.height);
+        let base = y * self.words_per_row;
+        for (wi, bits) in Self::span_words(x0, x1) {
+            self.words[base + wi] |= bits;
+        }
+    }
+
+    /// Number of set pixels among columns `x0..=x1` of row `y`.
+    pub(crate) fn count_span(&self, y: usize, x0: usize, x1: usize) -> usize {
+        debug_assert!(x0 <= x1 && x1 < self.width && y < self.height);
+        let row = self.row_words(y);
+        Self::span_words(x0, x1)
+            .map(|(wi, bits)| (row[wi] & bits).count_ones() as usize)
+            .sum()
     }
 
     /// Value at `(x, y)`.
@@ -305,19 +328,6 @@ impl Mask {
         Ok(out)
     }
 
-    /// Size of the intersection (`|self ∩ other|`) without materialising it:
-    /// one AND + popcount per word pair. Mismatched dimensions count zero.
-    pub fn count_intersection(&self, other: &Mask) -> usize {
-        if self.dims() != other.dims() {
-            return 0;
-        }
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// Set difference (`self \ other`) — the residue operator of §V-E, where
     /// leaked background is what remains after removing VB, BB and VC.
     ///
@@ -400,6 +410,25 @@ impl Mask {
         }
         rows.map(|(y0, y1)| (x0, y0, x1, y1))
     }
+}
+
+/// Packs up to 64 bytes of 0/1 values into one word, byte `k` to bit `k`.
+///
+/// Eight bytes at a time with one multiply: the multiplier places byte
+/// `k`'s low bit at bit `56 + k` of the product, and every intermediate bit
+/// position receives exactly one term, so no carries cross between lanes.
+/// Bytes must be 0 or 1; anything else corrupts the packing (enforced with
+/// a debug assertion).
+pub(crate) fn pack_bytes(bytes: &[u8]) -> u64 {
+    debug_assert!(bytes.len() <= WORD_BITS && bytes.iter().all(|&b| b <= 1));
+    let mut word = 0u64;
+    for (g, group) in bytes.chunks(8).enumerate() {
+        let mut raw = [0u8; 8];
+        raw[..group.len()].copy_from_slice(group);
+        let x = u64::from_le_bytes(raw);
+        word |= (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
+    }
+    word
 }
 
 /// Iterator over the set bit positions of a single word (ascending).

@@ -1,19 +1,24 @@
 //! Model-based tests for the rewritten per-pixel kernels.
 //!
 //! Every data-parallel kernel (sliding-window blurs, the interior/border
-//! convolution, the word-parallel dilation, the byte-packed frame matcher)
-//! is checked bit-for-bit against a naive scalar reference — the per-pixel
-//! formulation the kernel replaced. Dimensions are drawn around the 64-bit
+//! convolution, the word-parallel dilation, the byte-packed frame matcher,
+//! the word-directed mask walk, the run-based component labelling and the
+//! rare-color tables) is checked bit-for-bit against a naive scalar
+//! reference — the per-pixel formulation the kernel replaced. Dimensions are drawn around the 64-bit
 //! word boundaries (sub-word, exact multiples, partial last words) and radii
 //! span `0..=7`, the regimes where window clamping and tail-bit handling can
 //! go wrong. The box kernels are also checked at `MAX_BLUR_RADIUS`, the
 //! widest window their `u16` lanes hold, and their division-free rounding
 //! is checked exhaustively against [`round_div`].
 
+use std::collections::VecDeque;
+
+use bb_imaging::components::{label, remove_small_components, Connectivity};
 use bb_imaging::filter::{
     box_blur, deblur_box, deblur_box_into, gaussian_blur, gaussian_kernel, round_div, Reciprocal,
     MAX_BLUR_RADIUS,
 };
+use bb_imaging::hist::ColorHistogram;
 use bb_imaging::morph::dilate;
 use bb_imaging::{Frame, Mask, Rgb};
 
@@ -56,6 +61,15 @@ impl Rng {
         let mut bits = Vec::with_capacity(w * h);
         for _ in 0..w * h {
             bits.push(self.next().is_multiple_of(3));
+        }
+        Mask::from_fn(w, h, |x, y| bits[y * w + x])
+    }
+
+    /// A mask whose pixels are set with probability `quarters / 4`.
+    fn mask_of_density(&mut self, w: usize, h: usize, quarters: u64) -> Mask {
+        let mut bits = Vec::with_capacity(w * h);
+        for _ in 0..w * h {
+            bits.push(self.next() % 4 < quarters);
         }
         Mask::from_fn(w, h, |x, y| bits[y * w + x])
     }
@@ -272,6 +286,244 @@ fn match_mask_and_score_match_per_pixel_loop() {
                 expect.count_set(),
                 "match_score diverged at {w}x{h} tau {tau}"
             );
+        }
+    }
+}
+
+#[test]
+fn match_mask_within_equals_match_mask_on_the_given_pixels() {
+    let mut rng = Rng(0x0dd_ba11_cafe_f00d);
+    for &(w, h) in DIMS {
+        let a = rng.frame(w, h);
+        let mut b = rng.frame(w, h);
+        for y in 0..h {
+            let src = a.row(y);
+            for (x, p) in b.row_mut(y).iter_mut().enumerate() {
+                if x % 3 != 0 {
+                    *p = src[x];
+                }
+            }
+        }
+        let withins = [
+            Mask::new(w, h),
+            Mask::full(w, h),
+            rng.mask_of_density(w, h, 1),
+            rng.mask_of_density(w, h, 3),
+        ];
+        for within in &withins {
+            for tau in [0u8, 5] {
+                let expect = Mask::from_fn(w, h, |x, y| {
+                    within.get(x, y) && a.get(x, y).matches(b.get(x, y), tau)
+                });
+                let got = a.match_mask_within(&b, within, tau).unwrap();
+                assert_eq!(
+                    got, expect,
+                    "match_mask_within diverged at {w}x{h} tau {tau}"
+                );
+            }
+        }
+        assert!(a.match_mask_within(&b, &Mask::new(w + 1, h), 0).is_err());
+        assert!(a
+            .match_mask_within(&Frame::new(w, h + 1), &withins[1], 0)
+            .is_err());
+    }
+}
+
+#[test]
+fn mask_where_visits_exactly_the_set_pixels_in_row_major_order() {
+    let mut rng = Rng(0x1357_9bdf_2468_ace0);
+    for &(w, h) in DIMS {
+        let frame = rng.frame(w, h);
+        // Dense masks hold all-one words, which take the branch-free path.
+        for mask in [
+            Mask::full(w, h),
+            rng.mask_of_density(w, h, 2),
+            rng.mask_of_density(w, h, 4),
+        ] {
+            let mut visited = Vec::new();
+            let got = frame.mask_where(&mask, |p| {
+                visited.push(p);
+                p.r < 128
+            });
+            let expect = Mask::from_fn(w, h, |x, y| mask.get(x, y) && frame.get(x, y).r < 128);
+            assert_eq!(got, expect, "mask_where diverged at {w}x{h}");
+            let order: Vec<Rgb> = mask.iter_set().map(|(x, y)| frame.get(x, y)).collect();
+            assert_eq!(visited, order, "mask_where visit order at {w}x{h}");
+        }
+    }
+}
+
+#[test]
+fn rare_colors_equal_the_frequency_test() {
+    let mut rng = Rng(0xfeed_0123_4567_89ab);
+    // A few dominant colors plus noise, so buckets span common to empty.
+    let palette: Vec<Rgb> = (0..6).map(|_| rng.frame(1, 1).get(0, 0)).collect();
+    let mut frame = rng.frame(130, 7);
+    for y in 0..7 {
+        for p in frame.row_mut(y) {
+            let v = rng.next();
+            if !v.is_multiple_of(8) {
+                *p = palette[(v >> 8) as usize % palette.len()];
+            }
+        }
+    }
+    for bits in 1..=6u8 {
+        let mut hist = ColorHistogram::new(bits);
+        hist.add_masked(&frame, &Mask::full(130, 7));
+        let probes: Vec<Rgb> = frame
+            .pixels()
+            .iter()
+            .copied()
+            .chain(rng.frame(40, 1).pixels().to_vec())
+            .collect();
+        for min_freq in [0.0, 0.001, 0.02, 0.05, 0.15, 0.5, 1.0] {
+            let rare = hist.rare_colors(min_freq);
+            for &p in &probes {
+                assert_eq!(
+                    rare.contains(p),
+                    hist.frequency(p) < min_freq,
+                    "bits {bits} min_freq {min_freq} color {p:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn rare_colors_union_equals_either_table() {
+    let mut rng = Rng(0x0bad_cafe_dead_beef);
+    let frame = rng.frame(64, 16);
+    let probes = rng.frame(128, 8);
+    let table = |bits: u8, rows: std::ops::Range<usize>, min_freq: f64| {
+        let mut hist = ColorHistogram::new(bits);
+        hist.add_masked(&frame, &Mask::from_fn(64, 16, |_, y| rows.contains(&y)));
+        hist.rare_colors(min_freq)
+    };
+    for (a_bits, b_bits) in [(4u8, 4u8), (3, 4), (4, 2), (1, 6), (5, 5)] {
+        let a = table(a_bits, 0..10, 0.004);
+        let b = table(b_bits, 6..16, 0.01);
+        let union = a.union(&b);
+        assert_eq!(union, b.union(&a), "bits {a_bits}/{b_bits}");
+        for &p in probes.pixels().iter().chain(frame.pixels()) {
+            assert_eq!(
+                union.contains(p),
+                a.contains(p) || b.contains(p),
+                "bits {a_bits}/{b_bits} color {p:?}"
+            );
+        }
+    }
+}
+
+/// A component as a per-pixel flood fill finds it: area, inclusive
+/// bounding box and pixels.
+type FloodComponent = (usize, (usize, usize, usize, usize), Mask);
+
+/// Per-pixel BFS flood fill, seeded in row-major order: the labelling the
+/// run-based kernel replaced, with components in discovery order.
+fn flood_fill(mask: &Mask, connectivity: Connectivity) -> Vec<FloodComponent> {
+    let (w, h) = mask.dims();
+    let steps: &[(i64, i64)] = match connectivity {
+        Connectivity::Four => &[(1, 0), (-1, 0), (0, 1), (0, -1)],
+        Connectivity::Eight => &[
+            (1, 0),
+            (-1, 0),
+            (0, 1),
+            (0, -1),
+            (1, 1),
+            (1, -1),
+            (-1, 1),
+            (-1, -1),
+        ],
+    };
+    let mut seen = vec![false; w * h];
+    let mut out = Vec::new();
+    for y in 0..h {
+        for x in 0..w {
+            if !mask.get(x, y) || seen[y * w + x] {
+                continue;
+            }
+            seen[y * w + x] = true;
+            let mut pixels = Mask::new(w, h);
+            let (mut area, mut bbox) = (0, (x, y, x, y));
+            let mut queue = VecDeque::from([(x, y)]);
+            while let Some((cx, cy)) = queue.pop_front() {
+                pixels.set(cx, cy, true);
+                area += 1;
+                bbox = (
+                    bbox.0.min(cx),
+                    bbox.1.min(cy),
+                    bbox.2.max(cx),
+                    bbox.3.max(cy),
+                );
+                for &(dx, dy) in steps {
+                    let (nx, ny) = (cx as i64 + dx, cy as i64 + dy);
+                    if mask.get_or_false(nx, ny) && !seen[ny as usize * w + nx as usize] {
+                        seen[ny as usize * w + nx as usize] = true;
+                        queue.push_back((nx as usize, ny as usize));
+                    }
+                }
+            }
+            out.push((area, bbox, pixels));
+        }
+    }
+    out
+}
+
+#[test]
+fn label_and_remove_small_components_equal_a_flood_fill() {
+    let mut rng = Rng(0x2718_2818_2845_9045);
+    for w in [1usize, 63, 64, 65, 130] {
+        for h in [1usize, 4, 9] {
+            let mut masks = vec![Mask::new(w, h), Mask::full(w, h)];
+            for quarters in 1..=3 {
+                masks.push(rng.mask_of_density(w, h, quarters));
+            }
+            let probe = rng.mask_of_density(w, h, 2);
+            for mask in &masks {
+                for connectivity in [Connectivity::Four, Connectivity::Eight] {
+                    let what = format!("{w}x{h} {connectivity:?}");
+                    let got = label(mask, connectivity);
+                    let expect = flood_fill(mask, connectivity);
+                    assert_eq!(got.components().len(), expect.len(), "count at {what}");
+                    for (i, (c, (area, bbox, pixels))) in
+                        got.components().iter().zip(&expect).enumerate()
+                    {
+                        assert_eq!(c.label as usize, i + 1, "label at {what}");
+                        assert_eq!((c.area, c.bbox), (*area, *bbox), "component {i} at {what}");
+                        assert_eq!(&got.component_mask(c.label), pixels, "mask {i} at {what}");
+                        assert_eq!(
+                            got.count_in(c.label, &probe),
+                            pixels.intersect(&probe).unwrap().count_set(),
+                            "count_in {i} at {what}"
+                        );
+                    }
+                    let past = expect.len() as u32 + 1;
+                    for missing in [0, past] {
+                        assert!(
+                            got.component_mask(missing).is_empty(),
+                            "label {missing} at {what}"
+                        );
+                        assert_eq!(
+                            got.count_in(missing, &probe),
+                            0,
+                            "label {missing} at {what}"
+                        );
+                    }
+                    for min_area in [0usize, 1, 2, 3, 4, 7, 64, 200] {
+                        let mut kept = Mask::new(w, h);
+                        for (area, _, pixels) in &expect {
+                            if *area >= min_area {
+                                kept.union_in_place(pixels).unwrap();
+                            }
+                        }
+                        assert_eq!(
+                            remove_small_components(mask, min_area, connectivity),
+                            kept,
+                            "remove_small_components({min_area}) at {what}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -19,18 +19,19 @@
 //!    DeepLabv3, this mask is deliberately *imperfect*: transient leaked
 //!    background sticks to the caller, which is exactly the error class the
 //!    paper's color refinement targets.
-//! 3. [`refine`] — the §V-D statistical color refinement: VCM pixels whose
-//!    color is rare within the caller's color distribution are flipped to
-//!    background ("if a color was observed … with a very low frequency
-//!    (presumably from the real background), we modify VCM(u,w) = 0").
+//!
+//! The §V-D statistical color refinement itself — VCM pixels whose color is
+//! rare within the caller's color distribution are flipped to background
+//! ("if a color was observed … with a very low frequency (presumably from
+//! the real background), we modify VCM(u,w) = 0") — runs in `bb-core`'s
+//! video-caller-masking stage, next to the cross-frame caller color model
+//! it shares a walk with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bgmodel;
 pub mod person;
-pub mod refine;
 
 pub use bgmodel::median_model;
 pub use person::PersonSegmenter;
-pub use refine::color_refine;

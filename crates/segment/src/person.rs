@@ -203,7 +203,7 @@ pub fn select_caller(frame: &Frame, candidates: &Mask, evidence: &Mask) -> Mask 
     // Components are scored over `cleaned`, which adds a ring of pixels
     // outside the candidates (closing is extensive: candidates ⊆ cleaned).
     // The prior runs on that ring only, so each pixel of `cleaned` is
-    // evaluated once; per-component counts are then a word AND + popcount.
+    // evaluated once; per-component counts then cost the component's runs.
     let ring = cleaned.subtract(candidates).expect("same dims");
     let mut skin_mask = frame.mask_where(&ring, is_skin);
     skin_mask.union_in_place(evidence).expect("same dims");
@@ -213,8 +213,7 @@ pub fn select_caller(frame: &Frame, candidates: &Mask, evidence: &Mask) -> Mask 
         if area_frac < MIN_COMPONENT_FRAC {
             continue;
         }
-        let comp_mask = labeling.component_mask(comp.label, h);
-        let skin = skin_mask.count_intersection(&comp_mask) as f64 / comp.area as f64;
+        let skin = labeling.count_in(comp.label, &skin_mask) as f64 / comp.area as f64;
         // Anchoring: does the component reach the lower third?
         let reaches_bottom = comp.bbox.3 >= h * 2 / 3;
         let score = area_frac + skin * 0.5 + if reaches_bottom { 0.3 } else { 0.0 };
@@ -224,26 +223,19 @@ pub fn select_caller(frame: &Frame, candidates: &Mask, evidence: &Mask) -> Mask 
         return Mask::new(w, h);
     }
     scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+    // Labels are dense and 1-based: label `l` is `components()[l - 1]`.
+    let comp = |label: u32| &labeling.components()[label as usize - 1];
     let best_label = scored[0].1;
-    let best_area = labeling
-        .components()
-        .iter()
-        .find(|c| c.label == best_label)
-        .expect("label exists")
-        .area;
+    let best_area = comp(best_label).area;
 
-    let mut out = labeling.component_mask(best_label, h);
+    let mut out = labeling.component_mask(best_label);
     for &(_, label) in &scored[1..] {
-        let comp = labeling
-            .components()
-            .iter()
-            .find(|c| c.label == label)
-            .expect("label exists");
-        if comp.area * 10 >= best_area * 6 {
-            let m = labeling.component_mask(label, h);
-            let skin_frac = skin_mask.count_intersection(&m) as f64 / comp.area as f64;
+        let area = comp(label).area;
+        if area * 10 >= best_area * 6 {
+            let skin_frac = labeling.count_in(label, &skin_mask) as f64 / area as f64;
             if skin_frac >= SKIN_EVIDENCE_FRAC {
-                out.union_in_place(&m).expect("same dims");
+                out.union_in_place(&labeling.component_mask(label))
+                    .expect("same dims");
             }
         }
     }

@@ -292,3 +292,132 @@ fn known_video_identification_keeps_the_phase_offset() {
     assert_eq!(&phases[0].0, vb.frame(0), "wrong video identified");
     assert_pinned(got, PHASE_DIGEST, "phase-offset");
 }
+
+/// The refinement fixture's caller: apparel and a skin head, reaching the
+/// bottom of the frame.
+const APPAREL: Rgb = Rgb::new(40, 70, 160);
+/// Common in the cross-frame model (a large patch in its frames), and in a
+/// few pixels of one later frame.
+const BADGE: Rgb = Rgb::new(200, 40, 40);
+/// Absent from the model's frames, and a large patch of one later frame.
+const TRAIL: Rgb = Rgb::new(20, 140, 60);
+/// Two colors that appear in one frame only, in a cluster of
+/// `min_flip_cluster - 1` and one of `min_flip_cluster` pixels.
+const SPECK3: Rgb = Rgb::new(250, 250, 20);
+const SPECK4: Rgb = Rgb::new(130, 20, 120);
+
+/// Rectangles `(x, y, w, h)` of the refinement call's patches, all well
+/// inside the caller's body.
+const BIG_BADGE: (usize, usize, usize, usize) = (18, 24, 8, 6);
+const SMALL_BADGE: (usize, usize, usize, usize) = (20, 36, 2, 3);
+const TRAIL_PATCH: (usize, usize, usize, usize) = (24, 30, 6, 5);
+/// Frames that show the small badge, the trail and the specks.
+const BADGE_FRAME: usize = 5;
+const TRAIL_FRAME: usize = 7;
+const SPECK_FRAME: usize = 9;
+
+/// The specks: diagonal runs, one cluster under eight-connectivity and
+/// single pixels under four. `(x0, y0, len)`.
+const SPECK3_AT: (usize, usize, usize) = (20, 26, 3);
+const SPECK4_AT: (usize, usize, usize) = (27, 36, 4);
+
+fn rect(r: (usize, usize, usize, usize)) -> Mask {
+    let (x0, y0, w, h) = r;
+    Mask::from_fn(W, H, |x, y| {
+        (x0..x0 + w).contains(&x) && (y0..y0 + h).contains(&y)
+    })
+}
+
+fn diagonal(d: (usize, usize, usize)) -> Mask {
+    let (x0, y0, len) = d;
+    Mask::from_fn(W, H, |x, y| {
+        (x0..x0 + len).contains(&x) && y == y0 + (x - x0)
+    })
+}
+
+/// A seated caller on a blue gradient. The first three frames raise a skin
+/// hand, so they have the most skin evidence and make up the caller color
+/// model (the top quartile of 12 frames), and they wear a large badge. Three
+/// later frames each carry one refinement case.
+fn refine_call(vb: &Frame) -> VideoStream {
+    VideoStream::generate(FRAMES, 30.0, |i| {
+        let mut f = vb.clone();
+        draw::fill_rect(&mut f, 16, 20, 20, 28, APPAREL);
+        draw::fill_circle(&mut f, 26, 13, 6, SKIN);
+        let mut paint = |m: &Mask, c: Rgb| {
+            for (x, y) in m.iter_set() {
+                f.put(x, y, c);
+            }
+        };
+        if i < 3 {
+            paint(&rect((36, 26, 6, 8)), SKIN);
+            paint(&rect(BIG_BADGE), BADGE);
+        }
+        match i {
+            BADGE_FRAME => paint(&rect(SMALL_BADGE), BADGE),
+            TRAIL_FRAME => paint(&rect(TRAIL_PATCH), TRAIL),
+            SPECK_FRAME => {
+                paint(&diagonal(SPECK3_AT), SPECK3);
+                paint(&diagonal(SPECK4_AT), SPECK4);
+            }
+            _ => {}
+        }
+        f
+    })
+    .expect("call")
+}
+
+/// Pinned digest of [`refine_call`]'s reconstruction.
+const REFINE_DIGEST: u64 = 0x3254_d6de_d160_b439;
+
+/// The §V-D refinement flips a caller pixel out of the VCM when its color
+/// is rare within its frame's caller mask *or* rare in the cross-frame
+/// caller color model, and then returns every flipped cluster smaller than
+/// `min_flip_cluster` pixels (eight-connected) to the caller. Here the
+/// small badge is rare only within its frame, the trail only in the model,
+/// and of the two specks only the one of `min_flip_cluster` pixels leaves.
+#[test]
+fn caller_refinement_flips_frame_rare_and_model_rare_clusters() {
+    let vb = Frame::from_fn(W, H, |x, y| Rgb::new((x * 3) as u8, (y * 4) as u8, 200));
+    let video = refine_call(&vb);
+    let reconstructor = Reconstructor::new(
+        VbSource::Exact(VirtualReference::Image {
+            image: vb,
+            valid: Mask::full(W, H),
+        }),
+        config(),
+    );
+    let rec = reconstructor.reconstruct(&video).expect("reconstruct");
+    let leak = |i: usize| {
+        reconstructor
+            .frame_masks(&rec, i, video.frame(i))
+            .expect("masks")
+            .leak
+    };
+    let inside = |m: &Mask, i: usize| m.subtract(&leak(i)).expect("dims").is_empty();
+    let outside = |m: &Mask, i: usize| m.intersect(&leak(i)).expect("dims").is_empty();
+    for i in 0..3 {
+        assert!(
+            outside(&rect(BIG_BADGE), i),
+            "frame {i}: the model's badge leaked"
+        );
+    }
+    assert!(
+        inside(&rect(SMALL_BADGE), BADGE_FRAME),
+        "the frame-rare badge stayed with the caller"
+    );
+    assert!(
+        inside(&rect(TRAIL_PATCH), TRAIL_FRAME),
+        "the model-rare trail stayed with the caller"
+    );
+    assert!(
+        inside(&diagonal(SPECK4_AT), SPECK_FRAME),
+        "the speck of min_flip_cluster pixels stayed with the caller"
+    );
+    assert!(
+        outside(&diagonal(SPECK3_AT), SPECK_FRAME),
+        "the speck below min_flip_cluster left the caller"
+    );
+    let got = digest(&reconstructor, &video, &rec);
+    assert_pinned(got, REFINE_DIGEST, "caller-refinement");
+}
