@@ -42,9 +42,7 @@ impl ExpConfig {
             tau: 14,
             // φ scales with resolution: the paper's 20 at 480p ≈ 5 at 120p.
             phi: (data.height / 24).max(2),
-            parallelism: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            parallelism: bb_core::workers::host_cores(),
             ..ReconstructorConfig::default()
         };
         ExpConfig {

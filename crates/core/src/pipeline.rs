@@ -9,7 +9,7 @@
 //! and the per-frame stages are the streaming session's own, so batch and
 //! streaming ingestion are byte-identical by construction.
 
-use crate::session::{frame_leak, frame_removal, ReconstructionSession};
+use crate::session::{frame_leak, frame_removal, with_scratch, ReconstructionSession};
 use crate::vbmask::{
     derive_unknown_image, derive_unknown_video, identify_known_image, identify_known_video,
     VirtualReference, STABILITY_THRESHOLD,
@@ -340,15 +340,19 @@ impl Reconstructor {
         index: usize,
         frame: &Frame,
     ) -> Result<FrameMasks, CoreError> {
-        let (vbm, removed, skin) = frame_removal(frame, index, &rec.vb_reference, &self.config)?;
-        let leak = frame_leak(
-            frame,
-            &removed,
-            &skin,
-            &self.config,
-            rec.color_model.as_ref(),
-        )?;
-        Ok(FrameMasks { vbm, removed, leak })
+        let model_rare = rec
+            .color_model
+            .as_ref()
+            .map(|m| m.histogram().rare_colors(self.config.vc.model_min_freq));
+        with_scratch(|s| {
+            let (removed, skin) = frame_removal(frame, index, &rec.vb_reference, &self.config, s)?;
+            let leak = frame_leak(frame, &removed, &skin, &self.config, model_rare.as_ref(), s)?;
+            Ok(FrameMasks {
+                vbm: s.vbm.clone(),
+                removed,
+                leak,
+            })
+        })
     }
 }
 

@@ -42,6 +42,9 @@ pub struct ReconstructionCanvas {
     pub(crate) colors: Vec<Option<Rgb>>,
     pub(crate) votes: Vec<i32>,
     pub(crate) counts: Vec<u32>,
+    /// How many `colors` are `Some`, kept as they fill: a pixel is
+    /// recovered once and never lost.
+    recovered: usize,
 }
 
 impl ReconstructionCanvas {
@@ -61,6 +64,7 @@ impl ReconstructionCanvas {
             colors: vec![None; width * height],
             votes: vec![0; width * height],
             counts: vec![0; width * height],
+            recovered: 0,
         }
     }
 
@@ -112,6 +116,7 @@ impl ReconstructionCanvas {
                         None => {
                             self.colors[idx] = Some(observed);
                             self.votes[idx] = 1;
+                            self.recovered += 1;
                         }
                         Some(current) => {
                             if observed.matches(current, VOTE_TAU) {
@@ -136,9 +141,15 @@ impl ReconstructionCanvas {
         Ok(())
     }
 
-    /// Number of recovered pixels.
+    /// Number of recovered pixels, in O(1).
     pub fn recovered_count(&self) -> usize {
-        self.colors.iter().filter(|c| c.is_some()).count()
+        self.recovered
+    }
+
+    /// Recounts the recovered pixels after `colors` was written directly
+    /// (checkpoint resume).
+    pub(crate) fn recount(&mut self) {
+        self.recovered = self.colors.iter().filter(|c| c.is_some()).count();
     }
 
     /// The mask of recovered pixels.

@@ -9,54 +9,107 @@
 //! The caller's body is large and color-coherent (skin + apparel); leaked
 //! background fragments are small and colored like the room. Colors that are
 //! rare *within the mask* are therefore flipped out of it, and so are colors
-//! rare in the cross-frame [`CallerColorModel`]. Both entry points of
-//! [`crate::vcmask`] end here.
+//! rare in the cross-frame [`CallerColorModel`]. The session's pass2 runs
+//! [`refine_caller_into`] on its per-thread scratch, and both entry points
+//! of [`crate::vcmask`] reach the same body through [`refine_caller`].
 
 use crate::vcmask::{CallerColorModel, VcMaskParams, VcMaskResult};
-use bb_imaging::hist::ColorHistogram;
-use bb_imaging::{components, Frame, Mask};
+use bb_imaging::components::{self, Labeling};
+use bb_imaging::hist::{FrameHistogram, RareColors};
+use bb_imaging::{Frame, Mask};
 
-/// The §V-D color refinement of the raw caller segmentation `raw`.
-///
-/// A pixel of `raw` flips when its color is rare within `raw` itself (the
-/// paper's per-frame test) or rare in the cross-frame `model`. Both
-/// rarities become per-bucket tables, merged into one at the finer of the
-/// two quantisations (a model may be fitted at other bits than
-/// `params.refine_bits`), and one word-directed walk over `raw` finds every
-/// flip: `raw ∖ (frame-rare ∪ model-rare)` is what the per-frame test
-/// followed by the model test on its survivors leaves.
+/// The §V-D color refinement of the raw caller segmentation `raw`, on
+/// fresh buffers: [`refine_caller_into`] with the `model`'s rare table at
+/// `params.model_min_freq`.
 pub(crate) fn refine_caller(
     frame: &Frame,
     raw: Mask,
     params: &VcMaskParams,
     model: Option<&CallerColorModel>,
 ) -> VcMaskResult {
-    let mut hist = ColorHistogram::new(params.refine_bits);
-    hist.add_masked(frame, &raw);
-    let mut rare_colors = hist.rare_colors(params.refine_min_freq);
-    if let Some(model) = model {
-        rare_colors = rare_colors.union(&model.histogram().rare_colors(params.model_min_freq));
+    let model_rare = model.map(|m| m.histogram().rare_colors(params.model_min_freq));
+    let mut vcm = raw;
+    let flipped = refine_caller_into(
+        frame,
+        &mut vcm,
+        params,
+        model_rare.as_ref(),
+        &mut RefineScratch::default(),
+    );
+    VcMaskResult { vcm, flipped }
+}
+
+/// The reusable buffers of [`refine_caller_into`]: the per-frame
+/// histogram, the rare and flipped pixels and the cluster guard's
+/// labelling. Any frame size.
+#[derive(Debug, Clone)]
+pub(crate) struct RefineScratch {
+    hist: FrameHistogram,
+    rare: Mask,
+    flips: Mask,
+    labeling: Labeling,
+}
+
+impl Default for RefineScratch {
+    fn default() -> Self {
+        RefineScratch {
+            hist: FrameHistogram::new(VcMaskParams::default().refine_bits),
+            rare: Mask::new(1, 1),
+            flips: Mask::new(1, 1),
+            labeling: Labeling::default(),
+        }
     }
-    let rare = frame.mask_where(&raw, |p| rare_colors.contains(p));
+}
+
+/// Refines the raw caller mask `vcm` in place and returns how many pixels
+/// it flipped out.
+///
+/// A pixel of `vcm` flips when its color is rare within `vcm` itself (the
+/// paper's per-frame test: its bucket's count is below the histogram's
+/// `rarity_threshold(params.refine_min_freq)`) or is in `model_rare`, the
+/// cross-frame model's rare table. The histogram flags both rarities for
+/// the buckets `vcm`'s pixels hit (at the finer of the two
+/// quantisations), and one word-directed walk over `vcm` reads one flag
+/// per pixel to find every flip: `raw ∖ (frame-rare ∪ model-rare)` is what
+/// the per-frame test followed by the model test on its survivors leaves.
+pub(crate) fn refine_caller_into(
+    frame: &Frame,
+    vcm: &mut Mask,
+    params: &VcMaskParams,
+    model_rare: Option<&RareColors>,
+    scratch: &mut RefineScratch,
+) -> usize {
+    let RefineScratch {
+        hist,
+        rare,
+        flips,
+        labeling,
+    } = scratch;
+    if hist.bits() != params.refine_bits {
+        *hist = FrameHistogram::new(params.refine_bits);
+    }
+    hist.fill(frame, vcm);
+    hist.mark_rare(params.refine_min_freq, model_rare);
+    frame.mask_where_into(vcm, |p| hist.is_rare(p), rare);
     // Cluster guard: only blob-shaped flip regions are treated as leaked
     // background; isolated rare-color pixels are blend noise on the caller
     // boundary and return to the VCM.
-    let flips = components::remove_small_components(
-        &rare,
+    components::remove_small_components_into(
+        rare,
         params.min_flip_cluster,
         components::Connectivity::Eight,
+        labeling,
+        flips,
     );
-    let vcm = raw.subtract(&flips).expect("same dims");
-    VcMaskResult {
-        vcm,
-        flipped: flips.count_set(),
-    }
+    vcm.subtract_in_place(flips).expect("same dims");
+    flips.count_set()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vcmask::vc_mask_from_evidence;
+    use bb_imaging::hist::ColorHistogram;
     use bb_imaging::{draw, Rgb};
     use bb_segment::person::skin_evidence;
 

@@ -24,7 +24,10 @@
 //! bounded by O(frame size): a frame's masks are dropped once its residue
 //! is accumulated, and
 //! [`Reconstructor::frame_masks`](crate::pipeline::Reconstructor::frame_masks)
-//! rebuilds them on demand from the finished [`Reconstruction`].
+//! rebuilds them on demand from the finished [`Reconstruction`]. A
+//! post-lock frame makes no system call and allocates only its outputs:
+//! the per-frame bodies work in a per-thread `FrameScratch` that persists
+//! across frames and sessions (DESIGN.md §4).
 //!
 //! Batch [`Reconstructor::reconstruct`](crate::pipeline::Reconstructor::reconstruct)
 //! buffers nothing: it locks directly over the call's first
@@ -39,22 +42,24 @@
 //! [`Reconstructor::resume_session`](crate::pipeline::Reconstructor::resume_session)
 //! restores it.
 
-use crate::bbmask::bb_mask;
 use crate::pipeline::{
     resolve_reference_impl, ReconMode, Reconstruction, ReconstructorConfig, VbSource,
     DEBLUR_ITERATIONS,
 };
 use crate::recon::ReconstructionCanvas;
-use crate::vbmask::{vb_mask, VirtualReference};
-use crate::vcmask::{vc_mask_from_evidence, CallerColorModel, SkinScore};
+use crate::refine::{refine_caller_into, RefineScratch};
+use crate::vbmask::VirtualReference;
+use crate::vcmask::{CallerColorModel, SkinScore};
 use crate::workers::run_stage;
 use crate::CoreError;
 use bb_imaging::filter::MAX_BLUR_RADIUS;
-use bb_imaging::hist::ColorHistogram;
+use bb_imaging::hist::{ColorHistogram, RareColors};
+use bb_imaging::morph::{self, ShiftPlanes};
 use bb_imaging::{Frame, Mask, Rgb};
-use bb_segment::person::skin_evidence;
+use bb_segment::person::{select_caller_into, skin_evidence, CallerScratch};
 use bb_segment::{median_model, PersonSegmenter};
 use bb_telemetry::Telemetry;
+use std::cell::RefCell;
 use std::sync::{Mutex, PoisonError};
 
 /// Checkpoint container magic ("Background buster Streaming Checkpoint").
@@ -132,6 +137,10 @@ struct LockedState {
     reference: VirtualReference,
     segmenter: PersonSegmenter,
     model: Option<CallerColorModel>,
+    /// The model's rare colors at `model_min_freq`, which pass2 reads for
+    /// every frame: derived once from the frozen model at the lock and
+    /// again at resume, never checkpointed.
+    model_rare: Option<RareColors>,
     canvas: ReconstructionCanvas,
 }
 
@@ -226,7 +235,8 @@ impl ReconstructionSession {
                     .model
                     .as_ref()
                     .map_or(0, |m| m.histogram().bucket_counts().len() * 4);
-                canvas + reference + segmenter + model
+                let model_rare = l.model_rare.as_ref().map_or(0, RareColors::heap_bytes);
+                canvas + reference + segmenter + model + model_rare
             }
         }
     }
@@ -457,6 +467,7 @@ impl ReconstructionSession {
             reference,
             segmenter,
             model: None,
+            model_rare: None,
             canvas: ReconstructionCanvas::new(w, h),
         };
         process_block(&mut locked, &self.config, telemetry, frames, true)?;
@@ -655,6 +666,10 @@ impl ReconstructionSession {
                     canvas.votes[i] = r.i32()?;
                     canvas.counts[i] = r.u32()?;
                 }
+                canvas.recount();
+                let model_rare = model
+                    .as_ref()
+                    .map(|m| m.histogram().rare_colors(config.vc.model_min_freq));
                 SessionState::Locked(Box::new(LockedState {
                     width,
                     height,
@@ -662,6 +677,7 @@ impl ReconstructionSession {
                     reference,
                     segmenter,
                     model,
+                    model_rare,
                     canvas,
                 }))
             }
@@ -714,39 +730,46 @@ fn process_block(
     let pass1: Vec<(Mask, Mask)> = {
         let _span = telemetry.time("reconstruct/pass1");
         run_stage(n, workers, config.collect_mode, telemetry, "pass1", |i| {
-            let (vbm, removed, skin) = frame_removal(&frames[i], base + i, reference, config)?;
-            if telemetry.is_enabled() {
-                telemetry.add("frames/pass1", 1);
-                telemetry.add("pixels/vbm", vbm.count_set() as u64);
-                telemetry.add("pixels/removed", removed.count_set() as u64);
-            }
-            Ok((removed, skin))
+            with_scratch(|s| {
+                let (removed, skin) = frame_removal(&frames[i], base + i, reference, config, s)?;
+                if telemetry.is_enabled() {
+                    telemetry.add("frames/pass1", 1);
+                    telemetry.add("pixels/vbm", s.vbm.count_set() as u64);
+                    telemetry.add("pixels/removed", removed.count_set() as u64);
+                }
+                Ok((removed, skin))
+            })
         })?
     };
-    let (removeds, skins): (Vec<Mask>, Vec<Mask>) = pass1.into_iter().unzip();
 
     // Cross-frame caller color model from the quietest frames (§V-D color
-    // analysis across frames) — fitted once, over the warmup window.
+    // analysis across frames) — fitted once, over the warmup window, and
+    // its rare-color table with it.
     if fit_model {
         let _span = telemetry.time("reconstruct/color_model");
-        let scores: Vec<SkinScore> = skins
+        let scores: Vec<SkinScore> = pass1
             .iter()
-            .zip(&removeds)
-            .map(|(skin, removed)| SkinScore::of(skin, &removed.complement()))
+            .map(|(removed, skin)| SkinScore::of(skin, &removed.complement()))
             .collect();
         locked.model = CallerColorModel::fit_scored(&scores, config.vc.refine_bits, |i| {
-            (&frames[i], removeds[i].complement())
+            (&frames[i], pass1[i].0.complement())
         });
+        locked.model_rare = locked
+            .model
+            .as_ref()
+            .map(|m| m.histogram().rare_colors(config.vc.model_min_freq));
     }
 
     // Pass 2: VCM (§V-D) in parallel, then sequential residue accumulation
     // (§V-E) — the canvas's majority vote is order-sensitive, and
     // accumulation is cheap next to segmentation.
-    let model = locked.model.as_ref();
+    let model_rare = locked.model_rare.as_ref();
     let leaks: Vec<Mask> = {
         let _span = telemetry.time("reconstruct/pass2");
         run_stage(n, workers, config.collect_mode, telemetry, "pass2", |i| {
-            let leak = frame_leak(&frames[i], &removeds[i], &skins[i], config, model)?;
+            let (removed, skin) = &pass1[i];
+            let leak =
+                with_scratch(|s| frame_leak(&frames[i], removed, skin, config, model_rare, s))?;
             if telemetry.is_enabled() {
                 telemetry.add("frames/pass2", 1);
                 telemetry.add("pixels/leak", leak.count_set() as u64);
@@ -754,7 +777,6 @@ fn process_block(
             Ok(leak)
         })?
     };
-    drop(skins);
     // Blur residue: invert the compositor's box blur per frame (on the
     // worker pool) so the canvas accumulates deblurred evidence instead of
     // smoothed colors. Frames are deblurred and accumulated a chunk at a
@@ -818,7 +840,7 @@ fn process_block(
                     "reconstruct/frame",
                     Some((base + i) as u64),
                     &[
-                        ("mask_coverage", removeds[i].count_set() as f64 / pixels),
+                        ("mask_coverage", pass1[i].0.count_set() as f64 / pixels),
                         ("residue_px", leak.count_set() as f64),
                         (
                             "canvas_fill",
@@ -833,38 +855,98 @@ fn process_block(
     Ok(last_residue)
 }
 
-/// Pass1's per-frame body: frame `index`'s VBM (§V-B), its removed region
-/// `VBM ∪ BBM` (§V-C) and the skin evidence of the candidates that region
-/// leaves (§V-D). [`process_block`] and
+/// One thread's reusable buffers for the per-frame bodies
+/// ([`frame_removal`], [`frame_leak`]). Each kernel reshapes the buffer it
+/// writes, so the scratch follows the frame dimensions and, once it has
+/// served a frame of a size, serves the next at no allocation. It is not
+/// session state: no session owns it, and neither `state_bytes()` nor the
+/// checkpoint counts it.
+pub(crate) struct FrameScratch {
+    /// The last VBM [`frame_removal`] computed.
+    pub(crate) vbm: Mask,
+    planes: ShiftPlanes,
+    candidates: Mask,
+    caller: CallerScratch,
+    vcm: Mask,
+    refine: RefineScratch,
+}
+
+impl Default for FrameScratch {
+    fn default() -> Self {
+        FrameScratch {
+            vbm: Mask::new(1, 1),
+            planes: ShiftPlanes::default(),
+            candidates: Mask::new(1, 1),
+            caller: CallerScratch::default(),
+            vcm: Mask::new(1, 1),
+            refine: RefineScratch::default(),
+        }
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<FrameScratch> = RefCell::new(FrameScratch::default());
+}
+
+/// Runs `f` on this thread's [`FrameScratch`].
+pub(crate) fn with_scratch<T>(f: impl FnOnce(&mut FrameScratch) -> T) -> T {
+    SCRATCH.with_borrow_mut(f)
+}
+
+/// Pass1's per-frame body: writes frame `index`'s VBM (§V-B) into
+/// `scratch.vbm`, and returns its removed region `VBM ∪ BBM` (§V-C) and the
+/// skin evidence of the candidates that region leaves (§V-D).
+/// [`process_block`] and
 /// [`Reconstructor::frame_masks`](crate::pipeline::Reconstructor::frame_masks)
 /// both call it, so stored output and rebuilt masks cannot drift.
+///
+/// The BBM is the band of the VBM (`bb_mask`: its dilation by φ minus the
+/// VBM), so the removed region is the dilation itself.
 pub(crate) fn frame_removal(
     frame: &Frame,
     index: usize,
     reference: &VirtualReference,
     config: &ReconstructorConfig,
-) -> Result<(Mask, Mask, Mask), CoreError> {
+    scratch: &mut FrameScratch,
+) -> Result<(Mask, Mask), CoreError> {
     let (ref_frame, ref_valid) = reference.for_frame(index);
-    let vbm = vb_mask(frame, ref_frame, ref_valid, config.tau)?;
-    let bbm = bb_mask(&vbm, config.phi);
-    let removed = vbm.union(&bbm)?;
-    let skin = skin_evidence(frame, &removed.complement());
-    Ok((vbm, removed, skin))
+    frame.match_mask_within_into(ref_frame, ref_valid, config.tau, &mut scratch.vbm)?;
+    let (w, h) = frame.dims();
+    let mut removed = Mask::new(w, h);
+    morph::dilate_into(&scratch.vbm, config.phi, &mut scratch.planes, &mut removed);
+    let candidates = &mut scratch.candidates;
+    candidates.clone_from(&removed);
+    candidates.complement_in_place();
+    let skin = skin_evidence(frame, candidates);
+    Ok((removed, skin))
 }
 
 /// Pass2's per-frame body: the leak mask `LBⁱ`, the candidates (the
 /// complement of `removed`) minus the caller mask VCM (§V-D) selected from
-/// pass1's skin evidence and refined by the caller color `model`.
+/// pass1's skin evidence and refined against the frame's own colors and
+/// the caller color model's rare table `model_rare`.
 pub(crate) fn frame_leak(
     frame: &Frame,
     removed: &Mask,
     skin: &Mask,
     config: &ReconstructorConfig,
-    model: Option<&CallerColorModel>,
+    model_rare: Option<&RareColors>,
+    scratch: &mut FrameScratch,
 ) -> Result<Mask, CoreError> {
-    let candidates = removed.complement();
-    let vc = vc_mask_from_evidence(frame, &candidates, skin, &config.vc, model);
-    Ok(candidates.subtract(&vc.vcm)?)
+    let FrameScratch {
+        candidates,
+        caller,
+        vcm,
+        refine,
+        ..
+    } = scratch;
+    candidates.clone_from(removed);
+    candidates.complement_in_place();
+    select_caller_into(frame, candidates, skin, caller, vcm);
+    refine_caller_into(frame, vcm, &config.vc, model_rare, refine);
+    let mut leak = candidates.clone();
+    leak.subtract_in_place(vcm)?;
+    Ok(leak)
 }
 
 // ---- checkpoint byte codec -------------------------------------------------

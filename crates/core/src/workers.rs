@@ -7,10 +7,16 @@
 //! caught and surfaced as [`CoreError::WorkerPanic`] instead of aborting the
 //! process, and per-worker job counts and busy time are recorded into a
 //! [`Telemetry`] handle under `workers/<stage>/…`.
+//!
+//! The host's core count is read once per process ([`host_cores`]) and
+//! cached: the standard library's query reads the affinity mask and the
+//! cgroup quota files on every call, and the pool is sized on every
+//! pushed block, which in a streaming session is every frame.
 
 use crate::CoreError;
 use bb_telemetry::Telemetry;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// How [`run_stage`] collects per-frame results. There is one strategy,
@@ -34,10 +40,19 @@ pub enum CollectMode {
 /// host, a requested pool of 8 otherwise turns a serial workload into nine
 /// threads taking turns.
 pub fn effective_workers(requested: usize, jobs: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    requested.max(1).min(cores).min(jobs.max(1))
+    requested.max(1).min(host_cores()).min(jobs.max(1))
+}
+
+/// The host's available parallelism (1 when it cannot be read), queried
+/// once per process and cached: the query makes system calls and heap
+/// allocations each time, and a later change of affinity or quota is not
+/// followed.
+pub fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        #[allow(clippy::disallowed_methods)] // the one cached query
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    })
 }
 
 /// Runs `job(i)` for every `i in 0..n` on up to `workers` threads and

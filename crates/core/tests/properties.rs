@@ -1,11 +1,13 @@
 //! Property-based tests for the reconstruction framework's invariants.
 
 use bb_core::metrics;
+use bb_core::pipeline::{Reconstructor, ReconstructorConfig, VbSource};
 use bb_core::recon::ReconstructionCanvas;
-use bb_core::vbmask;
+use bb_core::vbmask::{self, VirtualReference};
 use bb_core::vcmask::{
     vc_mask_from_evidence, vc_mask_with_model, CallerColorModel, SkinScore, VcMaskParams,
 };
+use bb_core::{FrameOutcome, ReconstructionSession};
 use bb_imaging::{morph, Frame, Mask, Rgb};
 use bb_segment::person::{is_skin, skin_evidence};
 use bb_segment::PersonSegmenter;
@@ -102,6 +104,48 @@ proptest! {
         }
         // Exactly the union of leaks is recovered.
         prop_assert_eq!(canvas.recovered_mask(), union);
+    }
+
+    /// The canvas keeps its recovered count as it accumulates; the count
+    /// equals a scan of the canvas after any accumulate sequence, and a
+    /// session's canvas fill equals a scan after a checkpoint round trip.
+    #[test]
+    fn canvas_recovered_count_equals_a_scan(
+        steps in proptest::collection::vec((arb_skinny_frame(7, 5), arb_mask(7, 5)), 1..9),
+    ) {
+        let mut canvas = ReconstructionCanvas::new(7, 5);
+        for (frame, leak) in &steps {
+            canvas.accumulate(frame, leak).unwrap();
+            prop_assert_eq!(canvas.recovered_count(), canvas.recovered_mask().count_set());
+        }
+
+        let reconstructor = Reconstructor::new(
+            VbSource::Exact(VirtualReference::Image {
+                image: steps[0].0.clone(),
+                valid: Mask::full(7, 5),
+            }),
+            ReconstructorConfig {
+                tau: 8,
+                phi: 1,
+                parallelism: 1,
+                warmup_frames: 2,
+                ..Default::default()
+            },
+        );
+        let mut session = reconstructor.session();
+        for (frame, _) in &steps {
+            session.push_frame(frame).unwrap();
+        }
+        let mut resumed = reconstructor.resume_session(&session.checkpoint()).unwrap();
+        let scanned = |s: &ReconstructionSession| s.snapshot().unwrap().recovered.count_set();
+        prop_assert_eq!(scanned(&resumed), scanned(&session));
+        if resumed.is_locked() {
+            let outcome = resumed.push_frame(&steps[0].0).unwrap();
+            let FrameOutcome::Processed { canvas_fill, .. } = outcome else {
+                panic!("a locked session processed {outcome:?}");
+            };
+            prop_assert_eq!(canvas_fill, scanned(&resumed) as f64 / 35.0);
+        }
     }
 
     #[test]

@@ -47,7 +47,13 @@ pub enum Connectivity {
 /// Result of labelling: the component table and each component's
 /// horizontal runs. Nothing is stored per pixel; a component's mask is
 /// painted from its runs on demand.
-#[derive(Debug, Clone)]
+///
+/// [`label_into`] relabels an existing `Labeling` in place, reusing its
+/// vectors (the run table and the union-find's working arrays), so a
+/// labelling reused across frames allocates only when a frame has more
+/// runs than any before it. `Labeling::default()` is the empty labelling
+/// of no mask, a buffer for [`label_into`] to fill.
+#[derive(Debug, Clone, Default)]
 pub struct Labeling {
     width: usize,
     height: usize,
@@ -56,6 +62,14 @@ pub struct Labeling {
     runs: Vec<Run>,
     starts: Vec<usize>,
     components: Vec<Component>,
+    /// Working arrays of [`label_into`], kept for reuse: the runs in
+    /// row-major order, where each row's runs start, the union-find
+    /// parents, and the labels by root and by run.
+    scan: Vec<Run>,
+    row_start: Vec<usize>,
+    parent: Vec<u32>,
+    label_of_root: Vec<u32>,
+    label_of_run: Vec<u32>,
 }
 
 impl Labeling {
@@ -84,10 +98,22 @@ impl Labeling {
     /// the component's runs are painted, a word at a time.
     pub fn component_mask(&self, label: u32) -> Mask {
         let mut out = Mask::new(self.width, self.height);
+        self.paint(label, &mut out);
+        out
+    }
+
+    /// Sets the pixels of component `label` in `out`, which must have the
+    /// labelled mask's dimensions; other pixels of `out` are untouched.
+    /// Nothing is painted when the label does not exist.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out`'s dimensions differ from the labelled mask's.
+    pub fn paint(&self, label: u32, out: &mut Mask) {
+        assert_eq!(out.dims(), (self.width, self.height), "paint target size");
         for r in self.runs_of(label) {
             out.fill_span(r.y as usize, r.x0 as usize, r.x1 as usize);
         }
-        out
     }
 
     /// Number of pixels of component `label` that are set in `mask`,
@@ -105,7 +131,7 @@ impl Labeling {
 }
 
 /// A horizontal run of set pixels: row `y`, columns `x0..=x1`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Run {
     y: u32,
     x0: u32,
@@ -150,11 +176,32 @@ fn find(parent: &mut [u32], mut i: u32) -> u32 {
 /// tie-breaking (stable sorts over component scores) therefore sees
 /// identical input.
 pub fn label(mask: &Mask, connectivity: Connectivity) -> Labeling {
+    let mut out = Labeling::default();
+    label_into(mask, connectivity, &mut out);
+    out
+}
+
+/// [`label`] written into `out`, replacing whatever it labelled before and
+/// reusing its vectors.
+pub fn label_into(mask: &Mask, connectivity: Connectivity, out: &mut Labeling) {
     let (w, h) = mask.dims();
+    let Labeling {
+        width,
+        height,
+        runs: grouped,
+        starts,
+        components,
+        scan: runs,
+        row_start,
+        parent,
+        label_of_root,
+        label_of_run,
+    } = out;
+    (*width, *height) = (w, h);
 
     // Pass 1: extract runs, row by row.
-    let mut runs: Vec<Run> = Vec::new();
-    let mut row_start = Vec::with_capacity(h + 1);
+    runs.clear();
+    row_start.clear();
     for y in 0..h {
         row_start.push(runs.len());
         let words = mask.row_words(y);
@@ -177,14 +224,15 @@ pub fn label(mask: &Mask, connectivity: Connectivity) -> Labeling {
         Connectivity::Four => 0u32,
         Connectivity::Eight => 1,
     };
-    let mut parent: Vec<u32> = (0..runs.len() as u32).collect();
+    parent.clear();
+    parent.extend(0..runs.len() as u32);
     for y in 1..h {
         let (mut a, mut b) = (row_start[y - 1], row_start[y]);
         let (a_end, b_end) = (row_start[y], row_start[y + 1]);
         while a < a_end && b < b_end {
             let (ra, rb) = (runs[a], runs[b]);
             if ra.x0 <= rb.x1 + reach && rb.x0 <= ra.x1 + reach {
-                let (pa, pb) = (find(&mut parent, a as u32), find(&mut parent, b as u32));
+                let (pa, pb) = (find(parent, a as u32), find(parent, b as u32));
                 if pa != pb {
                     parent[pa.max(pb) as usize] = pa.min(pb);
                 }
@@ -198,14 +246,14 @@ pub fn label(mask: &Mask, connectivity: Connectivity) -> Labeling {
     }
 
     // Number components in row-major first-run order and fold up area/bbox.
-    let mut label_of_root = vec![0u32; runs.len()];
-    let mut label_of_run = vec![0u32; runs.len()];
-    let mut components: Vec<Component> = Vec::new();
-    for i in 0..runs.len() {
-        let root = find(&mut parent, i as u32) as usize;
+    label_of_root.clear();
+    label_of_root.resize(runs.len(), 0);
+    label_of_run.clear();
+    components.clear();
+    for (i, &r) in runs.iter().enumerate() {
+        let root = find(parent, i as u32) as usize;
         if label_of_root[root] == 0 {
             label_of_root[root] = components.len() as u32 + 1;
-            let r = runs[i];
             components.push(Component {
                 label: label_of_root[root],
                 area: 0,
@@ -213,54 +261,69 @@ pub fn label(mask: &Mask, connectivity: Connectivity) -> Labeling {
             });
         }
         let lbl = label_of_root[root];
-        let r = runs[i];
         let c = &mut components[(lbl - 1) as usize];
         c.area += (r.x1 - r.x0 + 1) as usize;
         c.bbox.0 = c.bbox.0.min(r.x0 as usize);
         c.bbox.2 = c.bbox.2.max(r.x1 as usize);
         c.bbox.3 = r.y as usize;
-        label_of_run[i] = lbl;
+        label_of_run.push(lbl);
     }
 
     // Group the runs by label (a stable counting sort keeps each
-    // component's runs row-major).
-    let mut starts = vec![0usize; components.len() + 1];
-    for &lbl in &label_of_run {
+    // component's runs row-major). `label_of_root` is free again and holds
+    // each label's next slot.
+    starts.clear();
+    starts.resize(components.len() + 1, 0);
+    for &lbl in label_of_run.iter() {
         starts[lbl as usize] += 1;
     }
     for l in 1..starts.len() {
         starts[l] += starts[l - 1];
     }
-    let mut next = starts.clone();
-    let mut grouped = vec![Run { y: 0, x0: 0, x1: 0 }; runs.len()];
-    for (run, &lbl) in runs.iter().zip(&label_of_run) {
+    let next = label_of_root;
+    next.clear();
+    next.extend(starts[..components.len()].iter().map(|&s| s as u32));
+    grouped.clear();
+    grouped.resize(runs.len(), Run::default());
+    for (run, &lbl) in runs.iter().zip(label_of_run.iter()) {
         let slot = &mut next[lbl as usize - 1];
-        grouped[*slot] = *run;
+        grouped[*slot as usize] = *run;
         *slot += 1;
-    }
-
-    Labeling {
-        width: w,
-        height: h,
-        runs: grouped,
-        starts,
-        components,
     }
 }
 
 /// Removes components smaller than `min_area` pixels from a mask: the
 /// output paints only the runs of the components it keeps.
 pub fn remove_small_components(mask: &Mask, min_area: usize, connectivity: Connectivity) -> Mask {
-    let labeling = label(mask, connectivity);
-    let mut out = Mask::new(labeling.width, labeling.height);
+    let (w, h) = mask.dims();
+    let mut out = Mask::new(w, h);
+    remove_small_components_into(
+        mask,
+        min_area,
+        connectivity,
+        &mut Labeling::default(),
+        &mut out,
+    );
+    out
+}
+
+/// [`remove_small_components`] written into `out` (reshaped to `mask`'s
+/// dimensions whatever it held before), labelling into the reused
+/// `labeling`.
+pub fn remove_small_components_into(
+    mask: &Mask,
+    min_area: usize,
+    connectivity: Connectivity,
+    labeling: &mut Labeling,
+    out: &mut Mask,
+) {
+    label_into(mask, connectivity, labeling);
+    out.reset(labeling.width, labeling.height);
     for c in &labeling.components {
         if c.area >= min_area {
-            for r in labeling.runs_of(c.label) {
-                out.fill_span(r.y as usize, r.x0 as usize, r.x1 as usize);
-            }
+            labeling.paint(c.label, out);
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -279,10 +279,18 @@ impl Frame {
     /// (per-component evidence, say) can build this once and intersect
     /// instead of re-running the predicate. Mismatched dimensions yield an
     /// empty mask.
-    pub fn mask_where(&self, mask: &Mask, mut pred: impl FnMut(Rgb) -> bool) -> Mask {
+    pub fn mask_where(&self, mask: &Mask, pred: impl FnMut(Rgb) -> bool) -> Mask {
         let mut out = Mask::new(self.width, self.height);
+        self.mask_where_into(mask, pred, &mut out);
+        out
+    }
+
+    /// [`Frame::mask_where`] written into `out`, which is reshaped to the
+    /// frame's dimensions whatever it held before.
+    pub fn mask_where_into(&self, mask: &Mask, mut pred: impl FnMut(Rgb) -> bool, out: &mut Mask) {
+        out.reset(self.width, self.height);
         if (self.width, self.height) != mask.dims() {
-            return out;
+            return;
         }
         for y in 0..self.height {
             let row = self.row(y);
@@ -307,7 +315,6 @@ impl Frame {
                 out.set_row_word(y, wi, keep);
             }
         }
-        out
     }
 
     /// Applies `f` to every pixel in place.
@@ -343,8 +350,27 @@ impl Frame {
         within: &Mask,
         tau: u8,
     ) -> Result<Mask, ImagingError> {
-        self.check_same_dims(other)?;
         let mut out = Mask::new(self.width, self.height);
+        self.match_mask_within_into(other, within, tau, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Frame::match_mask_within`] written into `out`, which is reshaped
+    /// to the frame's dimensions whatever it held before.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImagingError::DimensionMismatch`] when `other` or `within`
+    /// differs in size from `self`.
+    pub fn match_mask_within_into(
+        &self,
+        other: &Frame,
+        within: &Mask,
+        tau: u8,
+        out: &mut Mask,
+    ) -> Result<(), ImagingError> {
+        self.check_same_dims(other)?;
+        out.reset(self.width, self.height);
         out.check_same_dims(within)?;
         // Per word: a vectorisable compare loop fills 0/1 bytes for the
         // word's (at most 64) pixels, then one multiply-pack and one AND —
@@ -365,7 +391,7 @@ impl Frame {
                 out.set_row_word(y, wi, pack_bytes(bits) & word);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Number of pixels that match `other` within tolerance `tau` — the

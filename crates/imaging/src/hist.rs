@@ -9,8 +9,6 @@
 //!   classifies windows by hue histogram plus shape moments
 //!   ([`hue_histogram`], [`ShapeMoments`]).
 
-use std::borrow::Cow;
-
 use crate::frame::Frame;
 use crate::mask::Mask;
 use crate::pixel::Rgb;
@@ -59,34 +57,7 @@ impl ColorHistogram {
     /// Mismatched dimensions add nothing (the caller validated them upstream;
     /// this is a statistics sink, not a validator).
     pub fn add_masked(&mut self, frame: &Frame, mask: &Mask) {
-        if frame.dims() != mask.dims() {
-            return;
-        }
-        // Mask-directed: walk the packed row words and skip 64 background
-        // pixels per all-zero word; all-one words take the branch-free
-        // full-chunk path.
-        let (_, h) = mask.dims();
-        for y in 0..h {
-            let row = frame.row(y);
-            for (wi, &word) in mask.row_words(y).iter().enumerate() {
-                if word == 0 {
-                    continue;
-                }
-                let lo = wi * 64;
-                if word == u64::MAX {
-                    for &p in &row[lo..lo + 64] {
-                        self.add(p);
-                    }
-                } else {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
-                        self.add(row[lo + b]);
-                        bits &= bits - 1;
-                    }
-                }
-            }
-        }
+        for_each_masked(frame, mask, |p| self.add(p));
     }
 
     /// Number of samples accumulated.
@@ -142,36 +113,25 @@ impl ColorHistogram {
     /// guard only when `min_freq <= 0`; callers treat an empty histogram
     /// separately, as there is nothing to refine).
     pub fn rarity_threshold(&self, min_freq: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let total = self.total as f64;
-        let (mut lo, mut hi) = (0u64, self.total + 1);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if mid as f64 / total >= min_freq {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo
+        rarity_threshold(self.total, min_freq)
     }
 
     /// The buckets whose count is below `rarity_threshold(min_freq)`, as a
-    /// lookup table: [`RareColors::contains`] answers the hot loops'
-    /// rarity test with one table read per pixel.
+    /// bit-packed lookup table: [`RareColors::contains`] answers a color's
+    /// rarity with one table read.
     pub fn rare_colors(&self, min_freq: f64) -> RareColors {
-        // `count < below` as `count <= below - 1` in the counts' own `u32`
-        // lanes, which vectorise; a threshold past `u32::MAX` makes every
-        // count rare, and a zero threshold none.
-        let rare = match self.rarity_threshold(min_freq).checked_sub(1) {
-            None => vec![false; self.counts.len()],
-            Some(last) => {
-                let last = u32::try_from(last).unwrap_or(u32::MAX);
-                self.counts.iter().map(|&c| c <= last).collect()
-            }
-        };
+        // Packed 64 buckets to a word. The table is built once per lock,
+        // off the per-frame path.
+        let below = self.rarity_threshold(min_freq);
+        let rare = self
+            .counts
+            .chunks(64)
+            .map(|chunk| {
+                chunk.iter().enumerate().fold(0u64, |word, (i, &c)| {
+                    word | (u64::from(u64::from(c) < below) << i)
+                })
+            })
+            .collect();
         RareColors {
             bits: self.bits,
             rare,
@@ -206,13 +166,67 @@ fn bucket(p: Rgb, bits: u8) -> usize {
     (r << (2 * bits)) | (g << bits) | b
 }
 
+/// Smallest bucket count whose frequency `count / total` is at least
+/// `min_freq` (see [`ColorHistogram::rarity_threshold`]); 0 for an empty
+/// histogram.
+fn rarity_threshold(total: u64, min_freq: f64) -> u64 {
+    if total == 0 {
+        return 0;
+    }
+    let samples = total as f64;
+    let (mut lo, mut hi) = (0u64, total + 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if mid as f64 / samples >= min_freq {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// Calls `f` on every pixel of `frame` where `mask` is foreground, in
+/// row-major order. Mask-directed: all-zero words skip 64 pixels, and
+/// all-one words take the branch-free full-chunk path. Mismatched
+/// dimensions visit nothing.
+fn for_each_masked(frame: &Frame, mask: &Mask, mut f: impl FnMut(Rgb)) {
+    if frame.dims() != mask.dims() {
+        return;
+    }
+    let (_, h) = mask.dims();
+    for y in 0..h {
+        let row = frame.row(y);
+        for (wi, &word) in mask.row_words(y).iter().enumerate() {
+            if word == 0 {
+                continue;
+            }
+            let lo = wi * 64;
+            if word == u64::MAX {
+                for &p in &row[lo..lo + 64] {
+                    f(p);
+                }
+            } else {
+                let mut bits = word;
+                while bits != 0 {
+                    let b = bits.trailing_zeros() as usize;
+                    f(row[lo + b]);
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+}
+
 /// The rare buckets of a [`ColorHistogram`] at one frequency threshold
 /// ([`ColorHistogram::rare_colors`]), indexed at that histogram's own
-/// quantisation.
+/// quantisation and bit-packed: 4 096 buckets (4 bits per channel) take
+/// 512 bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RareColors {
     bits: u8,
-    rare: Vec<bool>,
+    /// Bucket `b` is rare when bit `b % 64` of word `b / 64` is set.
+    rare: Vec<u64>,
 }
 
 impl RareColors {
@@ -221,39 +235,147 @@ impl RareColors {
     /// `frequency` is below `min_freq`.
     #[inline]
     pub fn contains(&self, p: Rgb) -> bool {
-        self.rare[bucket(p, self.bits)]
+        self.is_rare(bucket(p, self.bits))
     }
 
-    /// The colors rare in `self` or in `other`, as one table at the finer
-    /// of the two quantisations, so that
-    /// `union.contains(p) == self.contains(p) || other.contains(p)` for
-    /// every color at one table read.
-    pub fn union(&self, other: &RareColors) -> RareColors {
-        let bits = self.bits.max(other.bits);
-        let (a, b) = (self.at_bits(bits), other.at_bits(bits));
-        RareColors {
-            bits,
-            rare: a.iter().zip(b.iter()).map(|(&x, &y)| x | y).collect(),
-        }
+    /// Whether bucket `b` of the table is rare.
+    #[inline]
+    fn is_rare(&self, b: usize) -> bool {
+        (self.rare[b / 64] >> (b % 64)) & 1 == 1
     }
 
-    /// This table requantised to `bits >= self.bits` per channel: a bucket
-    /// at `bits` lies in exactly one bucket at `self.bits` (its channels
-    /// shifted right) and takes that bucket's rarity.
-    fn at_bits(&self, bits: u8) -> Cow<'_, [bool]> {
-        if bits == self.bits {
-            return Cow::Borrowed(&self.rare);
-        }
+    /// Whether bucket `f` at `bits >= self.bits` per channel lies in a
+    /// rare bucket: each channel requantised to the table's bits.
+    fn contains_bucket(&self, f: usize, bits: u8) -> bool {
         let (shift, low) = (bits - self.bits, (1usize << bits) - 1);
         let coarse = |v: usize| v >> shift;
-        Cow::Owned(
-            (0..1usize << (3 * bits))
-                .map(|i| {
-                    let (r, g, b) = (i >> (2 * bits), (i >> bits) & low, i & low);
-                    self.rare[(coarse(r) << (2 * self.bits)) | (coarse(g) << self.bits) | coarse(b)]
-                })
-                .collect(),
-        )
+        let (r, g, b) = (f >> (2 * bits), (f >> bits) & low, f & low);
+        self.is_rare((coarse(r) << (2 * self.bits)) | (coarse(g) << self.bits) | coarse(b))
+    }
+
+    /// Heap bytes the table holds.
+    pub fn heap_bytes(&self) -> usize {
+        self.rare.len() * std::mem::size_of::<u64>()
+    }
+}
+
+/// A color histogram refilled for every frame from one allocation: the
+/// §V-D refinement's per-frame histogram of the raw caller mask, with a
+/// rarity flag per bucket. [`FrameHistogram::fill`] clears only the
+/// buckets the previous fill touched, and [`FrameHistogram::mark_rare`]
+/// flags only the buckets the filled pixels hit, so a frame costs its
+/// masked pixels and its distinct colors, not the `2^(3·bits)` buckets.
+#[derive(Debug, Clone)]
+pub struct FrameHistogram {
+    bits: u8,
+    counts: Vec<u32>,
+    /// The buckets whose count is non-zero, each once.
+    touched: Vec<u32>,
+    total: u64,
+    /// Rarity flags at `rare_bits` per channel; only the buckets the
+    /// filled pixels hit are current.
+    rare: Vec<bool>,
+    rare_bits: u8,
+}
+
+impl FrameHistogram {
+    /// An empty histogram at `bits` bits per channel (`1..=8`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `bits` is 0 or greater than 8.
+    pub fn new(bits: u8) -> Self {
+        assert!((1..=8).contains(&bits), "bits must be in 1..=8");
+        FrameHistogram {
+            bits,
+            counts: vec![0; 1usize << (3 * bits)],
+            touched: Vec::new(),
+            total: 0,
+            rare: Vec::new(),
+            rare_bits: bits,
+        }
+    }
+
+    /// The per-channel quantisation.
+    pub fn bits(&self) -> u8 {
+        self.bits
+    }
+
+    /// Replaces the histogram's samples with the pixels of `frame` under
+    /// `mask` (none when the dimensions differ): the counts
+    /// [`ColorHistogram::add_masked`] would give an empty histogram. The
+    /// filled buckets are noted as they fill when the mask has fewer pixels
+    /// than there are buckets, and found by one scan of the counts when it
+    /// has more, whichever costs less.
+    pub fn fill(&mut self, frame: &Frame, mask: &Mask) {
+        for &b in &self.touched {
+            self.counts[b as usize] = 0;
+        }
+        self.touched.clear();
+        let (bits, counts, touched) = (self.bits, &mut self.counts, &mut self.touched);
+        let mut total = 0u64;
+        if mask.count_set() < counts.len() {
+            // Fewer pixels than buckets: note each bucket as it fills.
+            for_each_masked(frame, mask, |p| {
+                let b = bucket(p, bits);
+                if counts[b] == 0 {
+                    touched.push(b as u32);
+                }
+                counts[b] += 1;
+                total += 1;
+            });
+        } else {
+            // More pixels than buckets: count with no per-pixel branch,
+            // then list the buckets that filled.
+            for_each_masked(frame, mask, |p| {
+                counts[bucket(p, bits)] += 1;
+                total += 1;
+            });
+            touched.extend((0..counts.len() as u32).filter(|&b| counts[b as usize] != 0));
+        }
+        self.total = total;
+    }
+
+    /// Flags, for every color of the filled pixels, whether it is rare:
+    /// its bucket's count is below
+    /// [`ColorHistogram::rarity_threshold`]`(min_freq)` of these samples
+    /// (`frequency < min_freq`), or `also` (a frozen model's table)
+    /// contains it. [`FrameHistogram::is_rare`] then answers with one
+    /// lookup per pixel.
+    ///
+    /// The flags live at the finer of the two quantisations: a bucket of
+    /// the histogram spans `8^(fine − bits)` finer buckets, each in exactly
+    /// one bucket of `also`.
+    pub fn mark_rare(&mut self, min_freq: f64, also: Option<&RareColors>) {
+        let below = rarity_threshold(self.total, min_freq);
+        let fine = also.map_or(self.bits, |a| a.bits.max(self.bits));
+        let spread = fine - self.bits;
+        let low = (1usize << self.bits) - 1;
+        self.rare_bits = fine;
+        self.rare.resize(1usize << (3 * fine), false);
+        for &b in &self.touched {
+            let b = b as usize;
+            let frame_rare = u64::from(self.counts[b]) < below;
+            let (r, g, bl) = (b >> (2 * self.bits), (b >> self.bits) & low, b & low);
+            for dr in 0..1usize << spread {
+                for dg in 0..1usize << spread {
+                    for db in 0..1usize << spread {
+                        let (fr, fg, fb) =
+                            ((r << spread) | dr, (g << spread) | dg, (bl << spread) | db);
+                        let f = (fr << (2 * fine)) | (fg << fine) | fb;
+                        self.rare[f] =
+                            frame_rare || also.is_some_and(|a| a.contains_bucket(f, fine));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether `p`, one of the filled pixels, is rare by the last
+    /// [`FrameHistogram::mark_rare`].
+    #[inline]
+    pub fn is_rare(&self, p: Rgb) -> bool {
+        self.rare[bucket(p, self.rare_bits)]
     }
 }
 

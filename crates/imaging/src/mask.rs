@@ -47,12 +47,29 @@ fn tail_mask(width: usize) -> u64 {
 /// assert_eq!(m.count_set(), 1);
 /// assert_eq!(m.coverage(), 1.0 / 16.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Mask {
     width: usize,
     height: usize,
     words_per_row: usize,
     words: Vec<u64>,
+}
+
+impl Clone for Mask {
+    fn clone(&self) -> Self {
+        Mask {
+            words: self.words.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s word buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.width = source.width;
+        self.height = source.height;
+        self.words_per_row = source.words_per_row;
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl Mask {
@@ -70,6 +87,34 @@ impl Mask {
             words_per_row,
             words: vec![0u64; words_per_row * height],
         }
+    }
+
+    /// Reshapes `self` into an all-background `width × height` mask,
+    /// reusing its word buffer: the `*_into` kernels write into masks that
+    /// held another frame, or another size, before.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either dimension is zero.
+    pub fn reset(&mut self, width: usize, height: usize) {
+        assert!(width > 0 && height > 0, "mask dimensions must be non-zero");
+        self.width = width;
+        self.height = height;
+        self.words_per_row = width.div_ceil(WORD_BITS);
+        // Cleared first, so the resize zero-fills every word.
+        self.words.clear();
+        self.words.resize(self.words_per_row * height, 0);
+    }
+
+    /// Reshapes `self` to `width × height` for a kernel that then stores
+    /// every word: unlike [`Mask::reset`], the words it keeps are not
+    /// cleared.
+    pub(crate) fn reshape_for_overwrite(&mut self, width: usize, height: usize) {
+        assert!(width > 0 && height > 0, "mask dimensions must be non-zero");
+        self.width = width;
+        self.height = height;
+        self.words_per_row = width.div_ceil(WORD_BITS);
+        self.words.resize(self.words_per_row * height, 0);
     }
 
     /// Creates an all-foreground mask.
@@ -160,7 +205,7 @@ impl Mask {
     /// This is the fast lane for predicates evaluated over a whole row: the
     /// caller fills a plain byte buffer (a loop compilers happily
     /// vectorise, unlike a variable-distance shift-OR chain), and the bytes
-    /// are packed eight at a time with one multiply ([`pack_bytes`]). Bytes
+    /// are packed eight at a time with one multiply (`pack_bytes`). Bytes
     /// must be 0 or 1; anything else corrupts the packing (enforced with a
     /// debug assertion).
     ///
@@ -306,11 +351,8 @@ impl Mask {
     ///
     /// Returns [`ImagingError::DimensionMismatch`] when sizes differ.
     pub fn union(&self, other: &Mask) -> Result<Mask, ImagingError> {
-        self.check_same_dims(other)?;
         let mut out = self.clone();
-        for (a, b) in out.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
+        out.union_in_place(other)?;
         Ok(out)
     }
 
@@ -320,11 +362,8 @@ impl Mask {
     ///
     /// Returns [`ImagingError::DimensionMismatch`] when sizes differ.
     pub fn intersect(&self, other: &Mask) -> Result<Mask, ImagingError> {
-        self.check_same_dims(other)?;
         let mut out = self.clone();
-        for (a, b) in out.words.iter_mut().zip(&other.words) {
-            *a &= *b;
-        }
+        out.intersect_in_place(other)?;
         Ok(out)
     }
 
@@ -335,28 +374,19 @@ impl Mask {
     ///
     /// Returns [`ImagingError::DimensionMismatch`] when sizes differ.
     pub fn subtract(&self, other: &Mask) -> Result<Mask, ImagingError> {
-        self.check_same_dims(other)?;
         let mut out = self.clone();
-        for (a, b) in out.words.iter_mut().zip(&other.words) {
-            *a &= !*b;
-        }
+        out.subtract_in_place(other)?;
         Ok(out)
     }
 
     /// Complement (`¬self`).
     pub fn complement(&self) -> Mask {
         let mut out = self.clone();
-        for w in &mut out.words {
-            *w = !*w;
-        }
-        let tail = tail_mask(self.width);
-        for y in 0..self.height {
-            out.words[(y + 1) * self.words_per_row - 1] &= tail;
-        }
+        out.complement_in_place();
         out
     }
 
-    /// In-place union.
+    /// In-place union (`self ← self ∪ other`).
     ///
     /// # Errors
     ///
@@ -367,6 +397,43 @@ impl Mask {
             *a |= *b;
         }
         Ok(())
+    }
+
+    /// In-place intersection (`self ← self ∩ other`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImagingError::DimensionMismatch`] when sizes differ.
+    pub fn intersect_in_place(&mut self, other: &Mask) -> Result<(), ImagingError> {
+        self.check_same_dims(other)?;
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= *b;
+        }
+        Ok(())
+    }
+
+    /// In-place difference (`self ← self \ other`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImagingError::DimensionMismatch`] when sizes differ.
+    pub fn subtract_in_place(&mut self, other: &Mask) -> Result<(), ImagingError> {
+        self.check_same_dims(other)?;
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= !*b;
+        }
+        Ok(())
+    }
+
+    /// In-place complement (`self ← ¬self`).
+    pub fn complement_in_place(&mut self) {
+        for w in &mut self.words {
+            *w = !*w;
+        }
+        let tail = tail_mask(self.width);
+        for y in 0..self.height {
+            self.words[(y + 1) * self.words_per_row - 1] &= tail;
+        }
     }
 
     /// Iterates over the `(x, y)` coordinates of all foreground pixels in

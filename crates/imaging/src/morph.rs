@@ -93,12 +93,13 @@ pub fn squared_distance_transform(mask: &Mask) -> Vec<f64> {
     grid
 }
 
-/// One grow-by-one horizontal dilation pass over a row of packed words:
-/// `dst = src ∪ (src << 1) ∪ (src >> 1)` with carries across word
-/// boundaries. Carries never cross rows — callers hand in one row at a time.
-fn grow1_row(dst: &mut [u64], src: &[u64]) {
+/// One grow-by-one horizontal dilation pass over a row of packed words,
+/// appended to `dst`: `src ∪ (src << 1) ∪ (src >> 1)` with carries across
+/// word boundaries. Carries never cross rows — callers hand in one row at a
+/// time.
+fn grow1_row(dst: &mut Vec<u64>, src: &[u64]) {
     let n = src.len();
-    for i in 0..n {
+    dst.extend((0..n).map(|i| {
         let cur = src[i];
         let west = (cur << 1)
             | if i > 0 {
@@ -112,13 +113,112 @@ fn grow1_row(dst: &mut [u64], src: &[u64]) {
             } else {
                 0
             };
-        dst[i] = cur | west | east;
-    }
+        cur | west | east
+    }));
 }
 
 /// Dilates `mask` with a disc of the given `radius` (Euclidean metric).
 ///
-/// `radius = 0` returns the mask unchanged.
+/// `radius = 0` returns the mask unchanged. Allocates its output and
+/// planes; [`dilate_into`] reuses them.
+pub fn dilate(mask: &Mask, radius: usize) -> Mask {
+    let (w, h) = mask.dims();
+    let mut out = Mask::new(w, h);
+    dilate_into(mask, radius, &mut ShiftPlanes::default(), &mut out);
+    out
+}
+
+/// The reusable buffers of [`dilate_into`] and [`close_into`]: the
+/// horizontally dilated copies of the source rows (one plane per reach
+/// `0..=radius`), the disc's per-row reach and one output row. They grow
+/// to the largest mask and radius they have served and are then reused
+/// without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct ShiftPlanes {
+    width: usize,
+    height: usize,
+    words_per_row: usize,
+    /// `planes[k]`: every row horizontally dilated by `k`, row-major.
+    planes: Vec<Vec<u64>>,
+    k_of: Vec<usize>,
+    acc: Vec<u64>,
+}
+
+impl ShiftPlanes {
+    /// Copies `mask`'s rows into plane 0, fixing the geometry of the next
+    /// [`ShiftPlanes::dilate_to`].
+    fn load(&mut self, mask: &Mask) {
+        (self.width, self.height) = mask.dims();
+        self.words_per_row = mask.words_per_row();
+        if self.planes.is_empty() {
+            self.planes.push(Vec::new());
+        }
+        let base = &mut self.planes[0];
+        base.clear();
+        base.reserve(self.height * self.words_per_row);
+        for y in 0..self.height {
+            base.extend_from_slice(mask.row_words(y));
+        }
+    }
+
+    /// Writes the dilation of the loaded mask by a disc of `radius` into
+    /// `out` (see [`dilate_into`]).
+    fn dilate_to(&mut self, radius: usize, out: &mut Mask) {
+        let (h, wpr) = (self.height, self.words_per_row);
+        // planes[k] = all rows horizontally dilated by k, k = 0..=radius.
+        if self.planes.len() <= radius {
+            self.planes.resize_with(radius + 1, Vec::new);
+        }
+        for k in 1..=radius {
+            let (done, next) = self.planes.split_at_mut(k);
+            let next = &mut next[0];
+            next.clear();
+            next.reserve(h * wpr);
+            for src in done[k - 1].chunks(wpr) {
+                grow1_row(next, src);
+            }
+        }
+
+        // k(dy): the widest horizontal reach of the disc at row offset dy.
+        // Non-increasing in dy, so one decrementing scan computes all of them.
+        let r2 = radius * radius;
+        self.k_of.clear();
+        let mut k = radius;
+        for dy in 0..=radius {
+            while k * k + dy * dy > r2 {
+                k -= 1;
+            }
+            self.k_of.push(k);
+        }
+
+        // Every word of `out` is stored below.
+        out.reshape_for_overwrite(self.width, h);
+        self.acc.resize(wpr, 0);
+        let row = |k: usize, y: usize| &self.planes[k][y * wpr..(y + 1) * wpr];
+        for y in 0..h {
+            self.acc.copy_from_slice(row(radius, y));
+            for dy in 1..=radius {
+                let k = self.k_of[dy];
+                if y >= dy {
+                    for (a, &s) in self.acc.iter_mut().zip(row(k, y - dy)) {
+                        *a |= s;
+                    }
+                }
+                if y + dy < h {
+                    for (a, &s) in self.acc.iter_mut().zip(row(k, y + dy)) {
+                        *a |= s;
+                    }
+                }
+            }
+            for (wi, &word) in self.acc.iter().enumerate() {
+                out.set_row_word(y, wi, word);
+            }
+        }
+    }
+}
+
+/// [`dilate`] written into `out` (reshaped to `mask`'s dimensions whatever
+/// it held before), on reusable `planes`.
 ///
 /// Runs word-parallel on the packed rows: the Euclidean disc decomposes into
 /// a union over row offsets `dy ∈ [−r, r]` of *horizontal* dilations by
@@ -132,73 +232,16 @@ fn grow1_row(dst: &mut [u64], src: &[u64]) {
 /// word's zero tail are harmless: any through-tail path from a source pixel
 /// is at least as long as the direct in-row path, and the tail is re-zeroed
 /// when the output rows are stored.
-pub fn dilate(mask: &Mask, radius: usize) -> Mask {
-    if radius == 0 {
-        return mask.clone();
-    }
-    let (w, h) = mask.dims();
-    let wpr = mask.words_per_row();
-
-    // hdil[k] = all rows horizontally dilated by k, k = 0..=radius.
-    let mut hdil: Vec<Vec<u64>> = Vec::with_capacity(radius + 1);
-    let mut base = Vec::with_capacity(h * wpr);
-    for y in 0..h {
-        base.extend_from_slice(mask.row_words(y));
-    }
-    hdil.push(base);
-    for _ in 1..=radius {
-        let prev = hdil.last().expect("hdil is non-empty");
-        let mut next = vec![0u64; h * wpr];
-        for (dst, src) in next.chunks_mut(wpr).zip(prev.chunks(wpr)) {
-            grow1_row(dst, src);
-        }
-        hdil.push(next);
-    }
-
-    // k(dy): the widest horizontal reach of the disc at row offset dy.
-    // Non-increasing in dy, so one decrementing scan computes all of them.
-    let r2 = radius * radius;
-    let mut k_of = vec![0usize; radius + 1];
-    let mut k = radius;
-    for (dy, slot) in k_of.iter_mut().enumerate() {
-        while k * k + dy * dy > r2 {
-            k -= 1;
-        }
-        *slot = k;
-    }
-
-    let mut out = Mask::new(w, h);
-    let mut acc = vec![0u64; wpr];
-    for y in 0..h {
-        acc.copy_from_slice(&hdil[radius][y * wpr..(y + 1) * wpr]);
-        for dy in 1..=radius {
-            let plane = &hdil[k_of[dy]];
-            if y >= dy {
-                let src = &plane[(y - dy) * wpr..(y - dy + 1) * wpr];
-                for (a, &s) in acc.iter_mut().zip(src) {
-                    *a |= s;
-                }
-            }
-            if y + dy < h {
-                let src = &plane[(y + dy) * wpr..(y + dy + 1) * wpr];
-                for (a, &s) in acc.iter_mut().zip(src) {
-                    *a |= s;
-                }
-            }
-        }
-        for (wi, &word) in acc.iter().enumerate() {
-            out.set_row_word(y, wi, word);
-        }
-    }
-    out
+pub fn dilate_into(mask: &Mask, radius: usize, planes: &mut ShiftPlanes, out: &mut Mask) {
+    planes.load(mask);
+    planes.dilate_to(radius, out);
 }
 
 /// Erodes `mask` with a disc of the given `radius` (Euclidean metric).
 pub fn erode(mask: &Mask, radius: usize) -> Mask {
-    if radius == 0 {
-        return mask.clone();
-    }
-    dilate(&mask.complement(), radius).complement()
+    let mut out = dilate(&mask.complement(), radius);
+    out.complement_in_place();
+    out
 }
 
 /// Morphological opening: erosion then dilation. Removes speckle smaller
@@ -210,7 +253,21 @@ pub fn open(mask: &Mask, radius: usize) -> Mask {
 /// Morphological closing: dilation then erosion. Fills holes smaller than
 /// the disc.
 pub fn close(mask: &Mask, radius: usize) -> Mask {
-    erode(&dilate(mask, radius), radius)
+    let (w, h) = mask.dims();
+    let mut out = Mask::new(w, h);
+    close_into(mask, radius, &mut ShiftPlanes::default(), &mut out);
+    out
+}
+
+/// [`close`] written into `out` (reshaped to `mask`'s dimensions whatever
+/// it held before), on reusable `planes`: the erosion is the complement of
+/// the dilated complement, computed in `out` itself.
+pub fn close_into(mask: &Mask, radius: usize, planes: &mut ShiftPlanes, out: &mut Mask) {
+    dilate_into(mask, radius, planes, out);
+    out.complement_in_place();
+    planes.load(out);
+    planes.dilate_to(radius, out);
+    out.complement_in_place();
 }
 
 /// The blending-blur band of §V-C: all pixels within Euclidean distance
@@ -230,9 +287,10 @@ pub fn close(mask: &Mask, radius: usize) -> Mask {
 /// assert!(!bbm.get(0, 0));      // too far
 /// ```
 pub fn band(mask: &Mask, phi: usize) -> Mask {
-    dilate(mask, phi)
-        .subtract(mask)
-        .expect("dilate preserves dimensions")
+    let mut out = dilate(mask, phi);
+    out.subtract_in_place(mask)
+        .expect("dilate preserves dimensions");
+    out
 }
 
 /// Inner boundary of a mask: foreground pixels with at least one 4-connected

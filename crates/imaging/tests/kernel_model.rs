@@ -13,13 +13,16 @@
 
 use std::collections::VecDeque;
 
-use bb_imaging::components::{label, remove_small_components, Connectivity};
+use bb_imaging::components::{
+    label, label_into, remove_small_components, remove_small_components_into, Connectivity,
+    Labeling,
+};
 use bb_imaging::filter::{
     box_blur, deblur_box, deblur_box_into, gaussian_blur, gaussian_kernel, round_div, Reciprocal,
     MAX_BLUR_RADIUS,
 };
-use bb_imaging::hist::ColorHistogram;
-use bb_imaging::morph::dilate;
+use bb_imaging::hist::{ColorHistogram, FrameHistogram, RareColors};
+use bb_imaging::morph::{close_into, dilate, dilate_into, ShiftPlanes};
 use bb_imaging::{Frame, Mask, Rgb};
 
 /// Width/height pairs straddling the packed-word boundaries.
@@ -232,28 +235,41 @@ fn gaussian_blur_matches_naive_convolution_bit_for_bit() {
     }
 }
 
+/// Naive disc dilation: a pixel is set when some set pixel lies within
+/// Euclidean distance `radius` — the per-pixel scan the shift-OR planes
+/// replaced.
+fn naive_dilate(mask: &Mask, radius: usize) -> Mask {
+    let (w, h) = mask.dims();
+    let r2 = (radius * radius) as i64;
+    Mask::from_fn(w, h, |x, y| {
+        for sy in y.saturating_sub(radius)..(y + radius + 1).min(h) {
+            for sx in x.saturating_sub(radius)..(x + radius + 1).min(w) {
+                let dx = sx as i64 - x as i64;
+                let dy = sy as i64 - y as i64;
+                if dx * dx + dy * dy <= r2 && mask.get(sx, sy) {
+                    return true;
+                }
+            }
+        }
+        false
+    })
+}
+
+/// Per-pixel complement.
+fn naive_not(mask: &Mask) -> Mask {
+    let (w, h) = mask.dims();
+    Mask::from_fn(w, h, |x, y| !mask.get(x, y))
+}
+
 #[test]
 fn dilate_matches_naive_disc_scan() {
     let mut rng = Rng(0x00c0_ffee_c001_d00d);
     for &(w, h) in DIMS {
         let mask = rng.mask(w, h);
         for radius in 0..=7usize {
-            let r2 = (radius * radius) as i64;
-            let expect = Mask::from_fn(w, h, |x, y| {
-                for sy in y.saturating_sub(radius)..(y + radius + 1).min(h) {
-                    for sx in x.saturating_sub(radius)..(x + radius + 1).min(w) {
-                        let dx = sx as i64 - x as i64;
-                        let dy = sy as i64 - y as i64;
-                        if dx * dx + dy * dy <= r2 && mask.get(sx, sy) {
-                            return true;
-                        }
-                    }
-                }
-                false
-            });
             assert_eq!(
                 dilate(&mask, radius),
-                expect,
+                naive_dilate(&mask, radius),
                 "dilate diverged at {w}x{h} radius {radius}"
             );
         }
@@ -389,31 +405,6 @@ fn rare_colors_equal_the_frequency_test() {
     }
 }
 
-#[test]
-fn rare_colors_union_equals_either_table() {
-    let mut rng = Rng(0x0bad_cafe_dead_beef);
-    let frame = rng.frame(64, 16);
-    let probes = rng.frame(128, 8);
-    let table = |bits: u8, rows: std::ops::Range<usize>, min_freq: f64| {
-        let mut hist = ColorHistogram::new(bits);
-        hist.add_masked(&frame, &Mask::from_fn(64, 16, |_, y| rows.contains(&y)));
-        hist.rare_colors(min_freq)
-    };
-    for (a_bits, b_bits) in [(4u8, 4u8), (3, 4), (4, 2), (1, 6), (5, 5)] {
-        let a = table(a_bits, 0..10, 0.004);
-        let b = table(b_bits, 6..16, 0.01);
-        let union = a.union(&b);
-        assert_eq!(union, b.union(&a), "bits {a_bits}/{b_bits}");
-        for &p in probes.pixels().iter().chain(frame.pixels()) {
-            assert_eq!(
-                union.contains(p),
-                a.contains(p) || b.contains(p),
-                "bits {a_bits}/{b_bits} color {p:?}"
-            );
-        }
-    }
-}
-
 /// A component as a per-pixel flood fill finds it: area, inclusive
 /// bounding box and pixels.
 type FloodComponent = (usize, (usize, usize, usize, usize), Mask);
@@ -524,6 +515,151 @@ fn label_and_remove_small_components_equal_a_flood_fill() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Every `*_into` kernel (and every in-place set operation) writes the
+/// same mask as its naive reference when its output buffer last held
+/// another mask of another size: one set of buffers serves every case in
+/// turn, across widths around the word boundaries, as the session's
+/// per-thread scratch does across frames.
+#[test]
+fn into_kernels_on_dirty_buffers_equal_their_naive_references() {
+    let mut rng = Rng(0x5eed_f00d_0dd5_1234);
+    let mut out = Mask::full(7, 3);
+    let mut planes = ShiftPlanes::default();
+    let mut labeling = Labeling::default();
+    let mut hists = [FrameHistogram::new(4), FrameHistogram::new(2)];
+    // Frozen model tables at coarser, equal and finer quantisations than
+    // the frame histograms' bits.
+    let model_frame = rng.frame(40, 20);
+    let models: Vec<Option<RareColors>> = [3u8, 4, 5]
+        .iter()
+        .map(|&bits| {
+            let mut model = ColorHistogram::new(bits);
+            model.add_masked(&model_frame, &Mask::full(40, 20));
+            Some(model.rare_colors(0.002))
+        })
+        .chain([None])
+        .collect();
+    for w in [1usize, 63, 64, 65, 130, 64, 1] {
+        for h in [1usize, 5] {
+            let what = format!("{w}x{h}");
+            let (a, b) = (rng.frame(w, h), rng.frame(w, h));
+            let masks = [
+                Mask::new(w, h),
+                Mask::full(w, h),
+                rng.mask_of_density(w, h, 1),
+                rng.mask_of_density(w, h, 3),
+            ];
+            for (k, mask) in masks.iter().enumerate() {
+                let other = &masks[(k + 2) % masks.len()];
+                let what = format!("{what} mask {k}");
+
+                a.match_mask_within_into(&b, mask, 96, &mut out).unwrap();
+                let expect = Mask::from_fn(w, h, |x, y| {
+                    mask.get(x, y) && a.get(x, y).matches(b.get(x, y), 96)
+                });
+                assert_eq!(out, expect, "match_mask_within_into at {what}");
+
+                a.mask_where_into(mask, |p| p.r < 128, &mut out);
+                let expect = Mask::from_fn(w, h, |x, y| mask.get(x, y) && a.get(x, y).r < 128);
+                assert_eq!(out, expect, "mask_where_into at {what}");
+
+                for radius in [0usize, 1, 2, 5] {
+                    dilate_into(mask, radius, &mut planes, &mut out);
+                    assert_eq!(
+                        out,
+                        naive_dilate(mask, radius),
+                        "dilate_into({radius}) at {what}"
+                    );
+                    close_into(mask, radius, &mut planes, &mut out);
+                    let expect = naive_not(&naive_dilate(
+                        &naive_not(&naive_dilate(mask, radius)),
+                        radius,
+                    ));
+                    assert_eq!(out, expect, "close_into({radius}) at {what}");
+                }
+
+                for connectivity in [Connectivity::Four, Connectivity::Eight] {
+                    let expect = flood_fill(mask, connectivity);
+                    label_into(mask, connectivity, &mut labeling);
+                    assert_eq!(
+                        labeling.components().len(),
+                        expect.len(),
+                        "label_into at {what}"
+                    );
+                    for (c, (area, bbox, pixels)) in labeling.components().iter().zip(&expect) {
+                        assert_eq!((c.area, c.bbox), (*area, *bbox), "label_into at {what}");
+                        out.clone_from(other);
+                        labeling.paint(c.label, &mut out);
+                        assert_eq!(out, other.union(pixels).unwrap(), "paint at {what}");
+                    }
+                    for min_area in [1usize, 3, 40] {
+                        remove_small_components_into(
+                            mask,
+                            min_area,
+                            connectivity,
+                            &mut labeling,
+                            &mut out,
+                        );
+                        let mut kept = Mask::new(w, h);
+                        for (area, _, pixels) in &expect {
+                            if *area >= min_area {
+                                kept.union_in_place(pixels).unwrap();
+                            }
+                        }
+                        assert_eq!(out, kept, "remove_small_components_into at {what}");
+                    }
+                }
+
+                let naive = |f: fn(bool, bool) -> bool| {
+                    Mask::from_fn(w, h, |x, y| f(mask.get(x, y), other.get(x, y)))
+                };
+                out.clone_from(mask);
+                out.union_in_place(other).unwrap();
+                assert_eq!(out, naive(|p, q| p | q), "union_in_place at {what}");
+                out.clone_from(mask);
+                out.intersect_in_place(other).unwrap();
+                assert_eq!(out, naive(|p, q| p & q), "intersect_in_place at {what}");
+                out.clone_from(mask);
+                out.subtract_in_place(other).unwrap();
+                assert_eq!(out, naive(|p, q| p & !q), "subtract_in_place at {what}");
+                out.clone_from(mask);
+                out.complement_in_place();
+                assert_eq!(out, naive(|p, _| !p), "complement_in_place at {what}");
+                assert_eq!(
+                    out.count_set(),
+                    w * h - mask.count_set(),
+                    "tail bits at {what}"
+                );
+
+                // At 4 bits these masks have fewer pixels than buckets, at
+                // 2 bits mostly more: `fill` takes both of its paths.
+                for hist in hists.iter_mut() {
+                    hist.fill(&a, mask);
+                    let mut reference = ColorHistogram::new(hist.bits());
+                    reference.add_masked(&a, mask);
+                    for min_freq in [0.0, 0.02, 0.3] {
+                        for (m, model) in models.iter().enumerate() {
+                            hist.mark_rare(min_freq, model.as_ref());
+                            for (x, y) in mask.iter_set() {
+                                let p = a.get(x, y);
+                                assert_eq!(
+                                    hist.is_rare(p),
+                                    reference.frequency(p) < min_freq
+                                        || model.as_ref().is_some_and(|m| m.contains(p)),
+                                    "FrameHistogram({}) at {what} min_freq {min_freq} model {m}",
+                                    hist.bits()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            // The buffers leave this size dirty: the next size starts on them.
+            out.clone_from(&masks[3]);
         }
     }
 }

@@ -191,36 +191,94 @@ pub fn skin_evidence(frame: &Frame, candidates: &Mask) -> Mask {
 /// Mismatched dimensions yield an empty mask.
 pub fn select_caller(frame: &Frame, candidates: &Mask, evidence: &Mask) -> Mask {
     let (w, h) = frame.dims();
-    if candidates.dims() != (w, h) || evidence.dims() != (w, h) {
-        return Mask::new(w, h);
+    let mut out = Mask::new(w, h);
+    select_caller_into(
+        frame,
+        candidates,
+        evidence,
+        &mut CallerScratch::default(),
+        &mut out,
+    );
+    out
+}
+
+/// The reusable buffers of [`select_caller_into`]: the closing's shift
+/// planes, the closed candidates, the skin over them, the component
+/// labelling and the component scores. Any frame size; each buffer is
+/// reshaped by the kernel that writes it.
+#[derive(Debug, Clone)]
+pub struct CallerScratch {
+    planes: morph::ShiftPlanes,
+    cleaned: Mask,
+    ring: Mask,
+    skin: Mask,
+    labeling: components::Labeling,
+    scored: Vec<(f64, u32)>,
+}
+
+impl Default for CallerScratch {
+    fn default() -> Self {
+        CallerScratch {
+            planes: morph::ShiftPlanes::default(),
+            cleaned: Mask::new(1, 1),
+            ring: Mask::new(1, 1),
+            skin: Mask::new(1, 1),
+            labeling: components::Labeling::default(),
+            scored: Vec::new(),
+        }
     }
-    let cleaned = morph::close(candidates, CLOSE_RADIUS);
-    let labeling = components::label(&cleaned, components::Connectivity::Eight);
+}
+
+/// [`select_caller`] written into `out` (reshaped to the frame's
+/// dimensions whatever it held before), on reusable `scratch`.
+pub fn select_caller_into(
+    frame: &Frame,
+    candidates: &Mask,
+    evidence: &Mask,
+    scratch: &mut CallerScratch,
+    out: &mut Mask,
+) {
+    let (w, h) = frame.dims();
+    out.reset(w, h);
+    if candidates.dims() != (w, h) || evidence.dims() != (w, h) {
+        return;
+    }
+    let CallerScratch {
+        planes,
+        cleaned,
+        ring,
+        skin,
+        labeling,
+        scored,
+    } = scratch;
+    morph::close_into(candidates, CLOSE_RADIUS, planes, cleaned);
+    components::label_into(cleaned, components::Connectivity::Eight, labeling);
     if labeling.components().is_empty() {
-        return Mask::new(w, h);
+        return;
     }
 
     // Components are scored over `cleaned`, which adds a ring of pixels
     // outside the candidates (closing is extensive: candidates ⊆ cleaned).
     // The prior runs on that ring only, so each pixel of `cleaned` is
     // evaluated once; per-component counts then cost the component's runs.
-    let ring = cleaned.subtract(candidates).expect("same dims");
-    let mut skin_mask = frame.mask_where(&ring, is_skin);
-    skin_mask.union_in_place(evidence).expect("same dims");
-    let mut scored: Vec<(f64, u32)> = Vec::new();
+    ring.clone_from(cleaned);
+    ring.subtract_in_place(candidates).expect("same dims");
+    frame.mask_where_into(ring, is_skin, skin);
+    skin.union_in_place(evidence).expect("same dims");
+    scored.clear();
     for comp in labeling.components() {
         let area_frac = comp.area as f64 / (w * h) as f64;
         if area_frac < MIN_COMPONENT_FRAC {
             continue;
         }
-        let skin = labeling.count_in(comp.label, &skin_mask) as f64 / comp.area as f64;
+        let skin_frac = labeling.count_in(comp.label, skin) as f64 / comp.area as f64;
         // Anchoring: does the component reach the lower third?
         let reaches_bottom = comp.bbox.3 >= h * 2 / 3;
-        let score = area_frac + skin * 0.5 + if reaches_bottom { 0.3 } else { 0.0 };
+        let score = area_frac + skin_frac * 0.5 + if reaches_bottom { 0.3 } else { 0.0 };
         scored.push((score, comp.label));
     }
     if scored.is_empty() {
-        return Mask::new(w, h);
+        return;
     }
     scored.sort_by(|a, b| b.0.total_cmp(&a.0));
     // Labels are dense and 1-based: label `l` is `components()[l - 1]`.
@@ -228,20 +286,19 @@ pub fn select_caller(frame: &Frame, candidates: &Mask, evidence: &Mask) -> Mask 
     let best_label = scored[0].1;
     let best_area = comp(best_label).area;
 
-    let mut out = labeling.component_mask(best_label);
+    labeling.paint(best_label, out);
     for &(_, label) in &scored[1..] {
         let area = comp(label).area;
         if area * 10 >= best_area * 6 {
-            let skin_frac = labeling.count_in(label, &skin_mask) as f64 / area as f64;
+            let skin_frac = labeling.count_in(label, skin) as f64 / area as f64;
             if skin_frac >= SKIN_EVIDENCE_FRAC {
-                out.union_in_place(&labeling.component_mask(label))
-                    .expect("same dims");
+                labeling.paint(label, out);
             }
         }
     }
     // Restrict to the original candidates (close() may have annexed a
     // ring of pixels the other masks already claimed).
-    out.intersect(candidates).expect("same dims")
+    out.intersect_in_place(candidates).expect("same dims");
 }
 
 #[cfg(test)]

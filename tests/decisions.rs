@@ -421,3 +421,70 @@ fn caller_refinement_flips_frame_rare_and_model_rare_clusters() {
     let got = digest(&reconstructor, &video, &rec);
     assert_pinned(got, REFINE_DIGEST, "caller-refinement");
 }
+
+/// A screen on the wall beside the caller: a small leaked patch, apart
+/// from the caller, that shows a new color in every frame.
+const SCREEN: (usize, usize, usize, usize) = (46, 8, 8, 8);
+/// The screen's colors, each far from the others beyond `VOTE_TAU`.
+const SCREEN_COLORS: [Rgb; 4] = [
+    Rgb::new(250, 30, 30),
+    Rgb::new(30, 250, 30),
+    Rgb::new(250, 250, 30),
+    Rgb::new(30, 30, 60),
+];
+
+/// A seated caller on a blue gradient beside the screen, which cycles
+/// through its four colors, one per frame.
+fn screen_call(vb: &Frame) -> VideoStream {
+    VideoStream::generate(FRAMES, 30.0, |i| {
+        let mut f = vb.clone();
+        draw::fill_rect(&mut f, 16, 20, 20, 28, APPAREL);
+        draw::fill_circle(&mut f, 26, 13, 6, SKIN);
+        let (x, y, w, h) = SCREEN;
+        draw::fill_rect(&mut f, x as i64, y as i64, w, h, SCREEN_COLORS[i % 4]);
+        f
+    })
+    .expect("call")
+}
+
+/// Pinned digest of [`screen_call`]'s reconstruction.
+const CANVAS_VOTE_DIGEST: u64 = 0xa807_221b_71ce_4661;
+
+/// The canvas's Boyer–Moore vote: the dissenting observation that drains
+/// the candidate's votes to zero replaces it. Every screen observation
+/// dissents from a candidate holding one vote, so the candidate is always
+/// the latest color, and the screen ends in the last frame's color. A
+/// replacement only below zero ends on the third color, and no
+/// replacement keeps the first.
+#[test]
+fn canvas_vote_replaces_the_candidate_at_zero() {
+    let vb = Frame::from_fn(W, H, |x, y| Rgb::new((x * 3) as u8, (y * 4) as u8, 200));
+    let video = screen_call(&vb);
+    let reconstructor = Reconstructor::new(
+        VbSource::Exact(VirtualReference::Image {
+            image: vb,
+            valid: Mask::full(W, H),
+        }),
+        config(),
+    );
+    let rec = reconstructor.reconstruct(&video).expect("reconstruct");
+    // The screen's interior: its rim is the blending-blur band.
+    let (x, y, w, h) = SCREEN;
+    for (px, py) in [
+        (x + 1, y + 1),
+        (x + w / 2, y + h / 2),
+        (x + w - 2, y + h - 2),
+    ] {
+        assert!(
+            rec.recovered.get(px, py),
+            "screen pixel ({px}, {py}) not leaked"
+        );
+        assert_eq!(
+            rec.background.get(px, py),
+            SCREEN_COLORS[(FRAMES - 1) % 4],
+            "screen pixel ({px}, {py}) did not end on the last frame's color"
+        );
+    }
+    let got = digest(&reconstructor, &video, &rec);
+    assert_pinned(got, CANVAS_VOTE_DIGEST, "canvas-vote");
+}
