@@ -41,8 +41,8 @@ COMMANDS:
                      --checkpoint FILE  --checkpoint-every N  --stop-after N
                      --streaming  --resume  --unknown-vb
               (switches go last: `--streaming call.bbv` would eat the path);
-              streaming reads are zero-copy: the container is memory-mapped
-              and frames are decoded in place (v1 or v2, auto-detected)
+              streaming reads memory-map the container and copy one
+              frame at a time out of it (v1 or v2, auto-detected)
     locate    rank the built-in 200-room dictionary against a call
               flags: --top N (default 5)  [same attack flags]
     inspect   print stream metadata for a .bbv file (either container
@@ -270,16 +270,6 @@ pub(crate) fn flush_telemetry(telemetry: &Telemetry, out: ObservabilityOut) -> R
     Ok(())
 }
 
-fn action_by_name(name: &str) -> Result<Action, String> {
-    Action::ALL
-        .into_iter()
-        .find(|a| a.name() == name)
-        .ok_or_else(|| {
-            let names: Vec<&str> = Action::ALL.iter().map(|a| a.name()).collect();
-            format!("unknown action {name:?}; one of {}", names.join(", "))
-        })
-}
-
 /// Resolves a `--vb` value: a catalog identifier (`beach`,
 /// `drifting_clouds`, …) or `blur:R` for the blur compositor.
 fn vb_by_name(name: &str, w: usize, h: usize) -> Result<VbMode, String> {
@@ -354,7 +344,7 @@ fn synth(flags: &Flags) -> Result<(), String> {
     let seed: u64 = flags.get_num("seed", 42)?;
     let width: usize = flags.get_num("width", 160)?;
     let height: usize = flags.get_num("height", 120)?;
-    let action = action_by_name(flags.get_or("action", "arm-waving"))?;
+    let action: Action = flags.get_or("action", "arm-waving").parse()?;
     let lighting = if flags.has("lights-off") {
         Lighting::Off
     } else {
@@ -482,7 +472,7 @@ fn write_checkpoint(path: &str, session: &ReconstructionSession) -> Result<(), S
 
 /// `bbuster reconstruct`: the attack pipeline with an explicit streaming
 /// mode. `--streaming` memory-maps the `.bbv` (v1 or v2, auto-detected)
-/// through [`MmapSource`] — frames are decoded zero-copy off the mapping —
+/// through [`MmapSource`] — each frame is copied once out of the mapping —
 /// and pushes them into a [`ReconstructionSession`]; `--checkpoint FILE`
 /// with `--checkpoint-every N` persists resumable state as it goes,
 /// `--stop-after N` interrupts deterministically (for drills and tests), and
@@ -644,8 +634,12 @@ mod tests {
 
     #[test]
     fn action_lookup() {
-        assert!(action_by_name("arm-waving").is_ok());
-        assert!(action_by_name("moonwalk").is_err());
+        // `--action` parses before synth writes anything.
+        let err = run(&["synth", "--action", "moonwalk"]).unwrap_err();
+        assert!(
+            err.contains("unknown action") && err.contains("arm-waving"),
+            "{err}"
+        );
     }
 
     #[test]

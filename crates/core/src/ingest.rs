@@ -1,4 +1,4 @@
-//! Parallel ingest drivers over the zero-copy video layer.
+//! Parallel ingest drivers over the memory-mapped video layer.
 //!
 //! `bb_video` keeps its striped v2 decoder single-threaded (the crate has
 //! no worker pool); this module supplies the parallel driver: one

@@ -538,9 +538,7 @@ impl ReconstructionSession {
                     match l.canvas.colors[i] {
                         Some(c) => {
                             buf.push(1);
-                            buf.push(c.r);
-                            buf.push(c.g);
-                            buf.push(c.b);
+                            buf.extend_from_slice(&<[u8; 3]>::from(c));
                         }
                         None => buf.push(0),
                     }
@@ -659,7 +657,7 @@ impl ReconstructionSession {
                         0 => None,
                         1 => {
                             let px = r.take(3)?;
-                            Some(Rgb::new(px[0], px[1], px[2]))
+                            Some(<[u8; 3]>::try_from(px).expect("took 3 bytes").into())
                         }
                         t => return Err(corrupt(format!("unknown canvas pixel tag {t}"))),
                     };
@@ -980,11 +978,7 @@ fn put_frame(buf: &mut Vec<u8>, frame: &Frame) {
     let (w, h) = frame.dims();
     put_u64(buf, w as u64);
     put_u64(buf, h as u64);
-    for p in frame.pixels() {
-        buf.push(p.r);
-        buf.push(p.g);
-        buf.push(p.b);
-    }
+    buf.extend_from_slice(frame.as_rgb24());
 }
 
 fn put_mask(buf: &mut Vec<u8>, mask: &Mask) {
@@ -1116,11 +1110,7 @@ fn read_frame(r: &mut Reader) -> Result<Frame, CoreError> {
     let w = r.dim()?;
     let h = r.dim()?;
     let bytes = r.take(w * h * 3)?;
-    let pixels: Vec<Rgb> = bytes
-        .chunks_exact(3)
-        .map(|c| Rgb::new(c[0], c[1], c[2]))
-        .collect();
-    Frame::from_pixels(w, h, pixels).map_err(|e| corrupt(format!("bad frame payload: {e}")))
+    Frame::from_rgb24(w, h, bytes).map_err(|e| corrupt(format!("bad frame payload: {e}")))
 }
 
 fn read_mask(r: &mut Reader) -> Result<Mask, CoreError> {

@@ -152,15 +152,19 @@ type WorkerResult<T> = (
 type WorkerOutcome<T> = Result<WorkerResult<T>, String>;
 
 fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, WorkerResult<T>>) -> WorkerOutcome<T> {
-    handle.join().map_err(|payload| {
-        if let Some(msg) = payload.downcast_ref::<&str>() {
-            (*msg).to_string()
-        } else if let Some(msg) = payload.downcast_ref::<String>() {
-            msg.clone()
-        } else {
-            "worker panicked with a non-string payload".to_string()
-        }
-    })
+    handle.join().map_err(|payload| panic_text(&*payload))
+}
+
+/// The message of a caught panic's payload (`panic!` with a literal or a
+/// formatted string), for reporting it as [`CoreError::WorkerPanic`].
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(msg) = payload.downcast_ref::<&str>() {
+        (*msg).to_string()
+    } else if let Some(msg) = payload.downcast_ref::<String>() {
+        msg.clone()
+    } else {
+        "panicked with a non-string payload".to_string()
+    }
 }
 
 /// Merges per-worker outcomes into the ordered output, preferring panic

@@ -34,20 +34,17 @@ pub fn box_blur(frame: &Frame, radius: usize) -> Frame {
         return frame.clone();
     }
     let (w, h) = frame.dims();
-    let mut src = vec![0; 3 * w * h];
-    pack(&mut src, frame.pixels());
+    let src = frame.as_rgb24();
     let mut out = Frame::new(w, h);
     let mut rows = BoxRows::new(w, h, radius);
-    let mut row = vec![0; rows.stride];
-    rows.start(&src);
-    for y in 0..h {
+    rows.start(src);
+    for (y, row) in out.as_rgb24_mut().chunks_exact_mut(rows.stride).enumerate() {
         let recip = rows.recip;
         for (d, &s) in row.iter_mut().zip(&rows.vsum) {
             *d = recip.round_div(s);
         }
-        unpack(out.row_mut(y), &row);
         if y + 1 < h {
-            rows.slide(y, &src);
+            rows.slide(y, src);
         }
     }
     out
@@ -87,35 +84,36 @@ pub fn deblur_box(frame: &Frame, radius: usize, iterations: usize) -> Frame {
 /// in size.
 pub fn deblur_box_into(frame: &Frame, radius: usize, iterations: usize, out: &mut Frame) {
     assert_eq!(out.dims(), frame.dims(), "deblur_box_into: size mismatch");
+    // The estimate starts as the observation and is updated in place in
+    // `out`'s byte view; the observation's rows are read straight from
+    // `frame`'s.
+    out.pixels_mut().copy_from_slice(frame.pixels());
     if radius == 0 || iterations == 0 {
-        out.pixels_mut().copy_from_slice(frame.pixels());
         return;
     }
     let (w, h) = frame.dims();
-    let mut estimate = vec![0; 3 * w * h];
-    pack(&mut estimate, frame.pixels());
     let mut rows = BoxRows::new(w, h, radius);
     let stride = rows.stride;
-    let mut observed = vec![0; stride];
+    let observed = frame.as_rgb24();
+    let estimate = out.as_rgb24_mut();
     for _ in 0..iterations {
-        rows.start(&estimate);
+        rows.start(estimate);
         for y in 0..h {
-            pack(&mut observed, frame.row(y));
             let recip = rows.recip;
-            for ((e, &o), &s) in estimate[y * stride..(y + 1) * stride]
+            let span = y * stride..(y + 1) * stride;
+            for ((e, &o), &s) in estimate[span.clone()]
                 .iter_mut()
-                .zip(&observed)
+                .zip(&observed[span])
                 .zip(&rows.vsum)
             {
                 let step = i16::from(*e) + i16::from(o) - i16::from(recip.round_div(s));
                 *e = step.clamp(0, 255) as u8;
             }
             if y + 1 < h {
-                rows.slide(y, &estimate);
+                rows.slide(y, estimate);
             }
         }
     }
-    unpack(out.pixels_mut(), &estimate);
 }
 
 /// Round-to-nearest division by a fixed window size `n` without a division:
@@ -299,20 +297,6 @@ impl RowRing {
     fn row_mut(&mut self, y: usize) -> &mut [u8] {
         let slot = y % self.slots;
         &mut self.rows[slot * self.stride..(slot + 1) * self.stride]
-    }
-}
-
-/// Writes `pixels` into `bytes` as interleaved `r, g, b` byte lanes.
-fn pack(bytes: &mut [u8], pixels: &[Rgb]) {
-    for (b, p) in bytes.chunks_exact_mut(3).zip(pixels) {
-        b.copy_from_slice(&[p.r, p.g, p.b]);
-    }
-}
-
-/// The inverse of [`pack`].
-fn unpack(pixels: &mut [Rgb], bytes: &[u8]) {
-    for (p, b) in pixels.iter_mut().zip(bytes.chunks_exact(3)) {
-        *p = Rgb::new(b[0], b[1], b[2]);
     }
 }
 

@@ -7,6 +7,7 @@
 use crate::error::ImagingError;
 use crate::mask::{pack_bytes, Mask};
 use crate::pixel::Rgb;
+use crate::rgb24;
 
 /// A fixed-size RGB image, stored row-major.
 ///
@@ -44,15 +45,14 @@ impl Frame {
     ///
     /// # Errors
     ///
-    /// Returns [`ImagingError::EmptyImage`] when either dimension is zero.
+    /// Returns [`ImagingError::EmptyImage`] when either dimension is zero,
+    /// and [`ImagingError::InvalidParameter`] when the frame's byte size
+    /// overflows `usize`.
     pub fn try_new(width: usize, height: usize) -> Result<Self, ImagingError> {
-        if width == 0 || height == 0 {
-            return Err(ImagingError::EmptyImage);
-        }
         Ok(Frame {
             width,
             height,
-            data: vec![Rgb::BLACK; width * height],
+            data: vec![Rgb::BLACK; pixel_count(width, height)?],
         })
     }
 
@@ -87,10 +87,7 @@ impl Frame {
     /// Returns [`ImagingError::EmptyImage`] on zero dimensions, and
     /// [`ImagingError::InvalidParameter`] when `data.len() != width * height`.
     pub fn from_pixels(width: usize, height: usize, data: Vec<Rgb>) -> Result<Self, ImagingError> {
-        if width == 0 || height == 0 {
-            return Err(ImagingError::EmptyImage);
-        }
-        if data.len() != width * height {
+        if data.len() != pixel_count(width, height)? {
             return Err(ImagingError::InvalidParameter(format!(
                 "pixel vector length {} does not match {}x{}",
                 data.len(),
@@ -103,6 +100,42 @@ impl Frame {
             height,
             data,
         })
+    }
+
+    /// Builds a frame from packed RGB24 bytes: `width × height × 3` bytes,
+    /// row-major, `r, g, b` per pixel — the layout of every byte format in
+    /// the workspace. One allocation, one copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImagingError::EmptyImage`] on zero dimensions, and
+    /// [`ImagingError::InvalidParameter`] when `rgb.len() != width × height × 3`.
+    pub fn from_rgb24(width: usize, height: usize, rgb: &[u8]) -> Result<Self, ImagingError> {
+        if rgb.len() != 3 * pixel_count(width, height)? {
+            return Err(ImagingError::InvalidParameter(format!(
+                "RGB24 length {} does not match {width}x{height}x3",
+                rgb.len()
+            )));
+        }
+        Ok(Frame {
+            width,
+            height,
+            data: rgb24::to_pixels(rgb),
+        })
+    }
+
+    /// The pixel buffer as packed RGB24 bytes (`width × height × 3`,
+    /// row-major, `r, g, b` per pixel) — no copy.
+    #[inline]
+    pub fn as_rgb24(&self) -> &[u8] {
+        rgb24::bytes_of(&self.data)
+    }
+
+    /// Mutable packed RGB24 view of the pixel buffer: every byte pattern
+    /// written through it is a valid frame.
+    #[inline]
+    pub fn as_rgb24_mut(&mut self) -> &mut [u8] {
+        rgb24::bytes_mut(&mut self.data)
     }
 
     /// Width (number of columns, `n` in the paper's notation).
@@ -430,6 +463,21 @@ impl Frame {
     }
 }
 
+/// `width × height`, for dimensions that are non-zero and whose RGB24 byte
+/// size fits `usize` — checked before anything is allocated, since
+/// dimensions often come from a file header.
+fn pixel_count(width: usize, height: usize) -> Result<usize, ImagingError> {
+    if width == 0 || height == 0 {
+        return Err(ImagingError::EmptyImage);
+    }
+    width
+        .checked_mul(height)
+        .filter(|n| n.checked_mul(3).is_some())
+        .ok_or_else(|| {
+            ImagingError::InvalidParameter(format!("a {width}x{height} frame overflows usize"))
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,6 +493,11 @@ mod tests {
     fn try_new_rejects_zero() {
         assert_eq!(Frame::try_new(0, 5), Err(ImagingError::EmptyImage));
         assert_eq!(Frame::try_new(5, 0), Err(ImagingError::EmptyImage));
+        // (usize::MAX / 2 + 1) × 2 wraps to 0 pixels in unchecked arithmetic.
+        let err = Frame::try_new(usize::MAX / 2 + 1, 2).unwrap_err();
+        assert!(matches!(err, ImagingError::InvalidParameter(_)));
+        let err = Frame::from_pixels(usize::MAX / 2 + 1, 2, Vec::new()).unwrap_err();
+        assert!(matches!(err, ImagingError::InvalidParameter(_)));
     }
 
     #[test]
@@ -452,6 +505,33 @@ mod tests {
         let err = Frame::from_pixels(2, 2, vec![Rgb::BLACK; 3]).unwrap_err();
         assert!(matches!(err, ImagingError::InvalidParameter(_)));
         assert!(Frame::from_pixels(2, 2, vec![Rgb::BLACK; 4]).is_ok());
+    }
+
+    #[test]
+    fn rgb24_round_trips_through_the_byte_view() {
+        let f = Frame::from_fn(3, 2, |x, y| Rgb::new(x as u8, y as u8, 9));
+        let g = Frame::from_rgb24(3, 2, f.as_rgb24()).unwrap();
+        assert_eq!(g, f);
+        assert_eq!(&f.as_rgb24()[3..6], &[1, 0, 9]);
+        let mut h = f.clone();
+        h.as_rgb24_mut()[5] = 200;
+        assert_eq!(h.get(1, 0), Rgb::new(1, 0, 200));
+    }
+
+    #[test]
+    fn from_rgb24_rejects_wrong_length_and_zero_dims() {
+        for len in [0, 17, 19, 6] {
+            let err = Frame::from_rgb24(3, 2, &vec![0; len]).unwrap_err();
+            assert!(
+                matches!(err, ImagingError::InvalidParameter(_)),
+                "len {len}"
+            );
+        }
+        assert_eq!(Frame::from_rgb24(0, 2, &[]), Err(ImagingError::EmptyImage));
+        assert_eq!(Frame::from_rgb24(3, 0, &[]), Err(ImagingError::EmptyImage));
+        // An overflowing size is an error, not a panic or a wrapped size.
+        let err = Frame::from_rgb24(usize::MAX, 2, &[0; 6]).unwrap_err();
+        assert!(matches!(err, ImagingError::InvalidParameter(_)));
     }
 
     #[test]

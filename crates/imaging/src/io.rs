@@ -6,7 +6,6 @@
 
 use crate::error::ImagingError;
 use crate::frame::Frame;
-use crate::pixel::Rgb;
 use std::io::{BufRead, Write};
 use std::path::Path;
 
@@ -17,11 +16,7 @@ use std::path::Path;
 /// Propagates I/O failures as [`ImagingError::Io`].
 pub fn write_ppm<W: Write>(frame: &Frame, mut out: W) -> Result<(), ImagingError> {
     write!(out, "P6\n{} {}\n255\n", frame.width(), frame.height())?;
-    let mut buf = Vec::with_capacity(frame.resolution() * 3);
-    for p in frame.pixels() {
-        buf.extend_from_slice(&[p.r, p.g, p.b]);
-    }
-    out.write_all(&buf)?;
+    out.write_all(frame.as_rgb24())?;
     Ok(())
 }
 
@@ -93,23 +88,17 @@ pub fn read_ppm<R: BufRead>(mut input: R) -> Result<Frame, ImagingError> {
             "only maxval 255 supported, got {maxval}"
         )));
     }
-    if width == 0 || height == 0 {
-        return Err(ImagingError::EmptyImage);
-    }
-    let mut data = vec![0u8; width * height * 3];
+    let mut frame = Frame::try_new(width, height)?;
     input
-        .read_exact(&mut data)
+        .read_exact(frame.as_rgb24_mut())
         .map_err(|_| ImagingError::Decode("truncated PPM pixel data".into()))?;
-    let pixels = data
-        .chunks_exact(3)
-        .map(|c| Rgb::new(c[0], c[1], c[2]))
-        .collect();
-    Frame::from_pixels(width, height, pixels)
+    Ok(frame)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pixel::Rgb;
 
     #[test]
     fn ppm_round_trip() {
@@ -162,6 +151,16 @@ mod tests {
         assert!(matches!(
             read_ppm(std::io::Cursor::new(data)),
             Err(ImagingError::EmptyImage)
+        ));
+    }
+
+    #[test]
+    fn overflowing_dims_rejected() {
+        // The pixel count wraps to 0 in unchecked arithmetic.
+        let data = format!("P6\n{} 2\n255\n", usize::MAX / 2 + 1).into_bytes();
+        assert!(matches!(
+            read_ppm(std::io::Cursor::new(data)),
+            Err(ImagingError::InvalidParameter(_))
         ));
     }
 

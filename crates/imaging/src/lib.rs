@@ -10,7 +10,8 @@
 //!
 //! * [`pixel`] — `Rgb` / `Hsv` color types and conversions (hue matching is the
 //!   backbone of the paper's location-inference attack, §VI).
-//! * [`frame`] — row-major images with typed dimensions ([`Frame`]).
+//! * [`frame`] — row-major images with typed dimensions ([`Frame`]), and
+//!   their packed RGB24 byte view, the layout every byte format here uses.
 //! * [`mask`] — binary bitmaps with set algebra ([`Mask`]).
 //! * [`draw`] — rasterisation used by the synthetic world (rectangles, circles,
 //!   lines, bitmap-font text).
@@ -38,7 +39,10 @@
 //! assert_eq!(frame.width(), 64);
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: the `rgb24` layout module opts back in for
+// its three casts, behind compile-time layout checks and a documented
+// safety argument.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod components;
@@ -54,6 +58,7 @@ pub mod io;
 pub mod mask;
 pub mod morph;
 pub mod pixel;
+mod rgb24;
 
 pub use error::ImagingError;
 pub use filter::{round_div, round_div_u64};

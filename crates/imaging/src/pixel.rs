@@ -9,8 +9,8 @@
 /// A 24-bit Truecolor pixel: 8 bits each of red, green and blue (§III).
 ///
 /// `#[repr(C)]` pins the layout to three packed bytes in `r, g, b` order
-/// (size 3, align 1, no padding) — `bb-video`'s zero-copy ingest relies on
-/// this to reinterpret packed RGB24 byte buffers as pixel slices.
+/// (size 3, align 1, no padding) — [`Frame`](crate::Frame)'s packed RGB24
+/// byte view relies on this to reinterpret pixel slices as bytes.
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Rgb {

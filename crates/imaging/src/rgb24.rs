@@ -1,21 +1,42 @@
 //! Byte-level reinterpretation between packed RGB24 buffers and
 //! [`Rgb`] slices.
 //!
-//! Every ingest path ends with the same conversion: a `width × height × 3`
-//! byte buffer (from a mapping, a decode scratch buffer, or a wire chunk)
-//! becoming `width × height` pixels. Doing it a channel at a time is the
-//! single hottest loop in ingest; because `Rgb` is `#[repr(C)]` with three
-//! `u8` fields — size 3, align 1, no padding, field order `r, g, b`
-//! matching the container byte order — the conversion is really a memcpy.
-//! This module is the one place that relies on that layout; the compile-time
-//! asserts below fail the build if it ever changes.
+//! Every byte format in the workspace (BBV v1/v2 frames, BBSC checkpoint
+//! frames, BBWS wire frames, PPM) stores a frame as `width × height × 3`
+//! bytes in row-major `r, g, b` order, and the box kernels work on the same
+//! interleaved byte lanes. Because `Rgb` is `#[repr(C)]` with three `u8`
+//! fields — size 3, align 1, no padding, field order `r, g, b` matching the
+//! byte order — converting between the two is really a memcpy, or no copy
+//! at all. This module is the one place that relies on that layout; the
+//! compile-time asserts below fail the build if it ever changes. Everything
+//! else reaches it through [`Frame::as_rgb24`](crate::Frame::as_rgb24),
+//! [`Frame::as_rgb24_mut`](crate::Frame::as_rgb24_mut) and
+//! [`Frame::from_rgb24`](crate::Frame::from_rgb24), or, for a lone pixel
+//! in a byte record, through the `[u8; 3]` conversions below.
 
-use bb_imaging::Rgb;
+// The crate denies `unsafe`; this module alone opts back in.
+#![allow(unsafe_code)]
+
+use crate::pixel::Rgb;
 
 // Layout proof: the casts below are sound only while `Rgb` is exactly
 // three packed bytes.
 const _: () = assert!(std::mem::size_of::<Rgb>() == 3);
 const _: () = assert!(std::mem::align_of::<Rgb>() == 1);
+
+impl From<Rgb> for [u8; 3] {
+    /// The pixel's three RGB24 bytes, `r, g, b`.
+    fn from(p: Rgb) -> Self {
+        [p.r, p.g, p.b]
+    }
+}
+
+impl From<[u8; 3]> for Rgb {
+    /// The pixel held by three RGB24 bytes, `r, g, b`.
+    fn from([r, g, b]: [u8; 3]) -> Self {
+        Rgb::new(r, g, b)
+    }
+}
 
 /// Materializes a pixel vector from packed RGB24 bytes (one allocation,
 /// one memcpy).
@@ -51,7 +72,7 @@ pub(crate) fn bytes_of(pixels: &[Rgb]) -> &[u8] {
 }
 
 /// Views a pixel slice as its packed RGB24 bytes, mutably — lets a decoder
-/// write straight into a frame's pixel buffer.
+/// or an in-place kernel write straight into a frame's pixel buffer.
 pub(crate) fn bytes_mut(pixels: &mut [Rgb]) -> &mut [u8] {
     // SAFETY: `Rgb` is three packed `u8`s with align 1 (checked at compile
     // time above): the region is exactly `len * 3` initialized bytes, and
@@ -81,6 +102,14 @@ mod tests {
         assert_eq!(view, &[1, 2, 3, 4, 5, 6]);
         view[3] = 40;
         assert_eq!(pixels[1], Rgb::new(40, 5, 6));
+    }
+
+    #[test]
+    fn lone_pixel_bytes_match_the_slice_cast() {
+        let p = Rgb::new(7, 8, 9);
+        let bytes: [u8; 3] = p.into();
+        assert_eq!(&bytes, bytes_of(&[p]));
+        assert_eq!(Rgb::from(bytes), p);
     }
 
     #[test]

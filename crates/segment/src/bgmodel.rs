@@ -5,13 +5,13 @@
 //! median therefore reconstructs (approximately) the pure composited
 //! background, giving the person segmenter a reference to diff against.
 //!
-//! The median is a bitwise select, one row at a time. The sampled frames'
-//! rows are packed into one byte buffer, one byte lane per pixel channel,
-//! and every lane's median is built from its top bit down by counting the
-//! samples below each candidate. Each step is a straight loop over a row's
-//! lanes with no per-pixel branch, so the compiler vectorizes it.
+//! The median is a bitwise select, one row at a time over the frames'
+//! packed RGB24 bytes, one byte lane per pixel channel: every lane's median
+//! is built from its top bit down by counting the samples below each
+//! candidate. Each step is a straight loop over a row's lanes with no
+//! per-pixel branch, so the compiler vectorizes it.
 
-use bb_imaging::{Frame, Rgb};
+use bb_imaging::Frame;
 
 /// Frames sampled per pixel for the median: a longer window is sampled
 /// every `len / MAX_SAMPLES`-th frame, which keeps at most
@@ -21,8 +21,8 @@ pub const MAX_SAMPLES: usize = 64;
 /// Per-pixel, per-channel temporal (upper) median over every
 /// `max(1, len / MAX_SAMPLES)`-th frame of the window (see [`MAX_SAMPLES`]).
 ///
-/// For each row, the sampled frames' rows are packed into one `n × 3w` byte
-/// buffer. The upper median of a lane's `n` samples is `sorted[n / 2]`, the
+/// Each row is read as the sampled frames' `3w` packed RGB24 lanes. The
+/// upper median of a lane's `n` samples is `sorted[n / 2]`, the
 /// largest `v` with `#{samples < v} ≤ n / 2`. It is found greedily from bit
 /// 7 down to bit 0: a lane keeps a bit when fewer than `n / 2 + 1` of its
 /// samples lie below its prefix with that bit set.
@@ -41,30 +41,21 @@ pub fn median_model(video: &[Frame]) -> Frame {
     // A lane's count is at most `n ≤ 127`, so it fits a byte.
     let half = (sampled.len() / 2) as u8;
     let lanes = 3 * w;
-    let mut packed = vec![0u8; sampled.len() * lanes];
-    let mut median = vec![0u8; lanes];
     let mut below = vec![0u8; lanes];
     let mut out = Frame::new(w, h);
-    for y in 0..h {
-        for (dst, frame) in packed.chunks_exact_mut(lanes).zip(&sampled) {
-            for (d, p) in dst.chunks_exact_mut(3).zip(frame.row(y)) {
-                d.copy_from_slice(&[p.r, p.g, p.b]);
-            }
-        }
-        median.fill(0);
+    for (y, median) in out.as_rgb24_mut().chunks_exact_mut(lanes).enumerate() {
+        let span = y * lanes..(y + 1) * lanes;
         for bit in (0..8).map(|k| 0x80u8 >> k) {
             below.fill(0);
-            for sample in packed.chunks_exact(lanes) {
-                for ((c, &s), &m) in below.iter_mut().zip(sample).zip(&median) {
+            for frame in &sampled {
+                let sample = &frame.as_rgb24()[span.clone()];
+                for ((c, &s), &m) in below.iter_mut().zip(sample).zip(&*median) {
                     *c += u8::from(s < (m | bit));
                 }
             }
             for (m, &c) in median.iter_mut().zip(&below) {
                 *m |= bit & u8::from(c <= half).wrapping_neg();
             }
-        }
-        for (d, m) in out.row_mut(y).iter_mut().zip(median.chunks_exact(3)) {
-            *d = Rgb::new(m[0], m[1], m[2]);
         }
     }
     out
@@ -83,6 +74,7 @@ fn median_u8(values: &mut [u8]) -> u8 {
 mod tests {
     use super::*;
     use bb_imaging::draw;
+    use bb_imaging::Rgb;
     use bb_video::VideoStream;
 
     #[test]

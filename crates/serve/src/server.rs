@@ -33,7 +33,7 @@ use crate::wire::{self, Message, WireDecoder};
 use crate::ServeError;
 use bb_core::pipeline::{Reconstruction, Reconstructor};
 use bb_core::session::{FrameOutcome, ReconstructionSession};
-use bb_core::workers::{effective_workers, run_stage, CollectMode};
+use bb_core::workers::{effective_workers, panic_text, run_stage, CollectMode};
 use bb_core::CoreError;
 use bb_imaging::Frame;
 use bb_telemetry::{MetricsExporter, Telemetry};
@@ -131,16 +131,6 @@ pub struct ReconServer {
     stats: ServeStats,
     observer: Option<FrameObserver>,
     exporter: Option<MetricsExporter>,
-}
-
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(msg) = payload.downcast_ref::<&str>() {
-        (*msg).to_string()
-    } else if let Some(msg) = payload.downcast_ref::<String>() {
-        msg.clone()
-    } else {
-        "session panicked with a non-string payload".to_string()
-    }
 }
 
 impl ReconServer {
@@ -591,7 +581,7 @@ impl ReconServer {
                         Ok((session, Err(e), _)) => (session, Err(e), started.elapsed()),
                         Err(payload) => (
                             None,
-                            Err(CoreError::WorkerPanic(panic_text(payload))),
+                            Err(CoreError::WorkerPanic(panic_text(&*payload))),
                             started.elapsed(),
                         ),
                     })

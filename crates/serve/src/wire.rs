@@ -22,7 +22,7 @@
 //! cannot drive allocation.
 
 use crate::ServeError;
-use bb_imaging::{Frame, Rgb};
+use bb_imaging::Frame;
 use bb_video::VideoStream;
 
 /// Wire container magic ("Background buster Wire Stream").
@@ -100,15 +100,12 @@ impl WireEncoder {
 
     /// Appends a `Frame` message.
     pub fn frame(&mut self, session: u64, seq: u64, frame: &Frame) {
-        let mut p = Vec::with_capacity(17 + frame.pixels().len() * 3);
+        let rgb = frame.as_rgb24();
+        let mut p = Vec::with_capacity(17 + rgb.len());
         p.push(1u8);
         p.extend_from_slice(&session.to_le_bytes());
         p.extend_from_slice(&seq.to_le_bytes());
-        for px in frame.pixels() {
-            p.push(px.r);
-            p.push(px.g);
-            p.push(px.b);
-        }
+        p.extend_from_slice(rgb);
         self.message(&p);
     }
 
@@ -297,17 +294,14 @@ pub fn frame_from_rgb(rgb: &[u8], width: usize, height: usize) -> Result<Frame, 
             rgb.len() / 3
         )));
     }
-    let pixels: Vec<Rgb> = rgb
-        .chunks_exact(3)
-        .map(|c| Rgb::new(c[0], c[1], c[2]))
-        .collect();
-    Frame::from_pixels(width, height, pixels)
+    Frame::from_rgb24(width, height, rgb)
         .map_err(|e| ServeError::Protocol(format!("bad frame payload: {e}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bb_imaging::Rgb;
 
     fn toy_video(frames: usize) -> VideoStream {
         VideoStream::generate(frames, 30.0, |i| {

@@ -134,14 +134,6 @@ pub struct ScenarioSpec {
     pub companions: usize,
 }
 
-fn action_from_name(s: &str) -> Result<Action, String> {
-    Action::ALL
-        .iter()
-        .copied()
-        .find(|a| a.name() == s)
-        .ok_or_else(|| format!("unknown action {s:?}"))
-}
-
 fn speed_from_name(s: &str) -> Result<Speed, String> {
     Speed::ALL
         .iter()
@@ -487,7 +479,7 @@ impl SweepSpec {
             };
             scenarios.push(ScenarioSpec {
                 name: s("name")?.to_string(),
-                action: action_from_name(s("action")?).map_err(SweepError::Parse)?,
+                action: s("action")?.parse::<Action>().map_err(SweepError::Parse)?,
                 speed: speed_from_name(s("speed")?).map_err(SweepError::Parse)?,
                 lighting: lighting_from_name(s("lighting")?).map_err(SweepError::Parse)?,
                 room_seed: o

@@ -53,7 +53,7 @@ impl Action {
         Action::EnterExit,
     ];
 
-    /// Stable lowercase name.
+    /// Stable lowercase name (round-trips through [`FromStr`](std::str::FromStr)).
     pub fn name(self) -> &'static str {
         match self {
             Action::Still => "still",
@@ -67,6 +67,21 @@ impl Action {
             Action::Drinking => "drinking",
             Action::EnterExit => "enter-exit",
         }
+    }
+}
+
+impl std::str::FromStr for Action {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let normalized = s.replace('_', "-");
+        Action::ALL
+            .into_iter()
+            .find(|a| a.name() == normalized)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Action::ALL.iter().map(|a| a.name()).collect();
+                format!("unknown action {s:?}; one of {}", names.join(", "))
+            })
     }
 }
 
@@ -229,6 +244,19 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 10);
+    }
+
+    #[test]
+    fn names_round_trip_through_from_str() {
+        for a in Action::ALL {
+            assert_eq!(a.name().parse::<Action>(), Ok(a));
+        }
+        assert_eq!("arm_waving".parse::<Action>(), Ok(Action::ArmWaving));
+        let err = "moonwalk".parse::<Action>().unwrap_err();
+        assert!(
+            err.contains("moonwalk") && err.contains("enter-exit"),
+            "{err}"
+        );
     }
 
     #[test]

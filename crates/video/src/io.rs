@@ -59,7 +59,7 @@ pub fn encode(stream: &VideoStream) -> Result<Vec<u8>, VideoError> {
         buf.extend_from_slice(&(field as u32).to_le_bytes());
     }
     for frame in stream {
-        buf.extend_from_slice(crate::rgb24::bytes_of(frame.pixels()));
+        buf.extend_from_slice(frame.as_rgb24());
     }
     Ok(buf)
 }
@@ -131,7 +131,7 @@ pub fn decode(data: &[u8]) -> Result<VideoStream, VideoError> {
     check_len(data, w, h, count)?;
     let frames = data[HEADER_LEN..]
         .chunks_exact(w * h * 3)
-        .map(|raw| Frame::from_pixels(w, h, crate::rgb24::to_pixels(raw)))
+        .map(|raw| Frame::from_rgb24(w, h, raw))
         .collect::<Result<Vec<_>, _>>()?;
     VideoStream::from_frames(frames, fps)
 }

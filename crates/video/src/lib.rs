@@ -18,7 +18,7 @@
 //! * [`v2`] — the compressed BBV v2 container (raw keyframes + sparse
 //!   span deltas on a striped schedule, so stripes decode independently).
 //! * [`mmap`] — memory-mapped file access and [`mmap::MmapSource`], the
-//!   zero-copy streaming reader over either container version.
+//!   streaming reader over either container version.
 
 // `deny` rather than `forbid`: the mmap module opts back in for the two
 // FFI calls it needs, behind a documented safety argument.
@@ -29,10 +29,6 @@ pub mod delta;
 pub mod io;
 pub mod loopdet;
 pub mod mmap;
-// Like `mmap::sys`, the RGB24 cast module opts back into `unsafe` behind
-// compile-time layout checks and a documented safety argument.
-#[allow(unsafe_code)]
-mod rgb24;
 pub mod stream;
 pub mod v2;
 

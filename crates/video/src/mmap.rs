@@ -1,8 +1,8 @@
 //! Memory-mapped `.bbv` access: [`MmapFile`] (a read-only map with a heap
 //! fallback) and [`MmapSource`], the streaming reader over either container
-//! version. It yields borrowed [`FrameView`]s: v1 frames are served
-//! straight out of the mapping with no per-frame heap traffic, v2 frames
-//! are decoded into one persistent buffer.
+//! version. It yields owned [`Frame`]s, each built with one allocation and
+//! one copy ([`Frame::from_rgb24`]) from the frame's RGB24 bytes: for v1
+//! straight out of the mapping, for v2 out of one persistent decode buffer.
 //!
 //! The mapping uses two raw `mmap`/`munmap` FFI calls (the workspace has
 //! no libc dependency) behind `cfg(unix, 64-bit)`; everywhere else, and
@@ -159,64 +159,13 @@ impl MmapFile {
     }
 
     /// Whether the contents are an actual kernel mapping (as opposed to the
-    /// heap fallback) — observability for the zero-copy claim.
+    /// heap fallback).
     pub fn is_mapped(&self) -> bool {
         match &self.data {
             #[cfg(all(unix, target_pointer_width = "64"))]
             MmapData::Mapped(_) => true,
             MmapData::Heap(_) => false,
         }
-    }
-}
-
-/// A borrowed view of one decoded frame: `width × height` RGB24 bytes in
-/// row-major order, living inside a source's decode buffer (or directly
-/// inside a memory-mapped file). Converting to an owned [`Frame`] is
-/// explicit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameView<'a> {
-    width: usize,
-    height: usize,
-    rgb: &'a [u8],
-}
-
-impl<'a> FrameView<'a> {
-    /// Wraps a raw RGB24 slice.
-    ///
-    /// # Errors
-    ///
-    /// [`VideoError::Decode`] when the slice length does not equal
-    /// `width × height × 3` or either dimension is zero.
-    pub fn new(width: usize, height: usize, rgb: &'a [u8]) -> Result<Self, VideoError> {
-        if width == 0 || height == 0 {
-            return Err(VideoError::Decode(format!(
-                "frame view with zero dimension {width}x{height}"
-            )));
-        }
-        if rgb.len() != width * height * 3 {
-            return Err(VideoError::Decode(format!(
-                "frame view length {} does not match {width}x{height}x3",
-                rgb.len()
-            )));
-        }
-        Ok(FrameView { width, height, rgb })
-    }
-
-    /// `(width, height)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.width, self.height)
-    }
-
-    /// The raw RGB24 bytes, row-major.
-    pub fn rgb(&self) -> &'a [u8] {
-        self.rgb
-    }
-
-    /// Materializes an owned [`Frame`] (allocates; the pixel conversion is
-    /// a single memcpy).
-    pub fn to_frame(&self) -> Frame {
-        Frame::from_pixels(self.width, self.height, crate::rgb24::to_pixels(self.rgb))
-            .expect("view length is validated at construction")
     }
 }
 
@@ -231,8 +180,8 @@ pub enum ContainerVersion {
 
 #[derive(Debug)]
 enum Container {
-    /// Frame `i` is the raw bytes at `payload + i × frame_bytes`: views
-    /// borrow the mapping directly and `skip_frames` is pure arithmetic.
+    /// Frame `i` is the raw bytes at `payload + i × frame_bytes`: frames
+    /// copy out of the mapping directly and `skip_frames` is pure arithmetic.
     V1 { payload: usize },
     /// Records decode into `cur`, one persistent frame-sized buffer;
     /// `cur_frame` tracks which frame `cur` currently holds so sequential
@@ -246,9 +195,7 @@ enum Container {
 }
 
 /// The streaming reader over a memory-mapped `.bbv` file of either
-/// container version. [`MmapSource::next_view`] yields borrowed
-/// [`FrameView`]s; [`MmapSource::next_frame`] wraps it for consumers that
-/// need owned frames.
+/// container version; [`MmapSource::next_frame`] yields its frames in order.
 #[derive(Debug)]
 pub struct MmapSource {
     map: MmapFile,
@@ -326,29 +273,24 @@ impl MmapSource {
         self.count
     }
 
-    /// Yields a borrowed view of the next frame, or `None` at the end. For
-    /// v1 the view points into the mapping itself; for v2 into the
-    /// source's single decode buffer.
+    /// Yields the next frame as an owned [`Frame`], or `None` at the end.
+    /// For v1 the frame is copied out of the mapping itself; for v2 out of
+    /// the source's single decode buffer.
     ///
     /// # Errors
     ///
     /// [`VideoError::Decode`] on malformed v2 records.
-    pub fn next_view(&mut self) -> Result<Option<FrameView<'_>>, VideoError> {
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, VideoError> {
         if self.next >= self.count {
             return Ok(None);
         }
         let target = self.next;
         let frame_bytes = self.width * self.height * 3;
         self.next += 1;
-        match &mut self.container {
+        let rgb = match &mut self.container {
             Container::V1 { payload } => {
                 let at = *payload + target * frame_bytes;
-                let view = FrameView::new(
-                    self.width,
-                    self.height,
-                    &self.map.as_bytes()[at..at + frame_bytes],
-                )?;
-                Ok(Some(view))
+                &self.map.as_bytes()[at..at + frame_bytes]
             }
             Container::V2 {
                 index,
@@ -368,18 +310,10 @@ impl MmapSource {
                     index.apply_record(data, i, cur)?;
                 }
                 *cur_frame = Some(target);
-                Ok(Some(FrameView::new(self.width, self.height, cur)?))
+                cur.as_slice()
             }
-        }
-    }
-
-    /// Yields the next frame as an owned [`Frame`], or `None` at the end.
-    ///
-    /// # Errors
-    ///
-    /// [`VideoError::Decode`] on malformed v2 records.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, VideoError> {
-        Ok(self.next_view()?.map(|v| v.to_frame()))
+        };
+        Ok(Some(Frame::from_rgb24(self.width, self.height, rgb)?))
     }
 
     /// Skips up to `n` frames (bounded by what remains), returning how many
@@ -465,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_source_round_trips_and_borrows_the_map() {
+    fn v1_source_round_trips() {
         let v = sample(6);
         let path = tmp("v1.bbv");
         crate::io::save(&v, &path).unwrap();
@@ -474,15 +408,6 @@ mod tests {
         assert_eq!(src.dims(), (6, 5));
         assert_eq!(src.frame_count(), 6);
         assert_eq!(src.fps(), 25.0);
-        // On 64-bit unix the first view's bytes alias the mapping itself.
-        if src.is_mapped() {
-            let base = src.map.as_bytes().as_ptr() as usize;
-            let end = base + src.map.len();
-            let view = src.next_view().unwrap().unwrap();
-            let at = view.rgb().as_ptr() as usize;
-            assert!(at >= base && at < end, "v1 views must borrow the map");
-            src = MmapSource::open(&path).unwrap();
-        }
         let collected = read_all(&mut src);
         assert_eq!(collected, v);
         std::fs::remove_file(&path).ok();
@@ -535,16 +460,5 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn frame_view_validates_and_converts() {
-        let rgb = [1u8, 2, 3, 4, 5, 6];
-        let view = FrameView::new(2, 1, &rgb).unwrap();
-        assert_eq!(view.dims(), (2, 1));
-        let frame = view.to_frame();
-        assert_eq!(frame.pixels(), &[Rgb::new(1, 2, 3), Rgb::new(4, 5, 6)]);
-        assert!(FrameView::new(2, 2, &rgb).is_err());
-        assert!(FrameView::new(0, 1, &[]).is_err());
     }
 }

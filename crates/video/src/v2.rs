@@ -38,7 +38,7 @@
 //! decode-and-discard.
 
 use crate::{VideoError, VideoStream};
-use bb_imaging::{Frame, Rgb};
+use bb_imaging::Frame;
 use std::path::Path;
 
 /// Magic bytes opening every v2 container.
@@ -179,7 +179,7 @@ pub fn encode(stream: &VideoStream, stripe: usize) -> Result<Vec<u8>, VideoError
     let mut records: Vec<u8> = Vec::new();
     let mut prev: &[u8] = &[];
     for (i, frame) in stream.frames().iter().enumerate() {
-        let cur = crate::rgb24::bytes_of(frame.pixels());
+        let cur = frame.as_rgb24();
         let start = records.len();
         if i % stripe == 0 {
             records.push(KIND_KEY);
@@ -428,13 +428,13 @@ impl<'a> StripedDecoder<'a> {
             // a delta patches the previous frame's bytes in place, and the
             // stripe-opening keyframe overwrites every byte, so the seed
             // value never survives.
-            let mut pixels = match frames.last() {
-                Some(prev) => prev.pixels().to_vec(),
-                None => vec![Rgb::BLACK; w * h],
+            let mut frame = match frames.last() {
+                Some(prev) => prev.clone(),
+                None => Frame::try_new(w, h)?,
             };
             self.index
-                .apply_record(self.data, i, crate::rgb24::bytes_mut(&mut pixels))?;
-            frames.push(Frame::from_pixels(w, h, pixels)?);
+                .apply_record(self.data, i, frame.as_rgb24_mut())?;
+            frames.push(frame);
         }
         Ok(frames)
     }
@@ -469,6 +469,7 @@ pub fn save(stream: &VideoStream, path: impl AsRef<Path>, stripe: usize) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bb_imaging::Rgb;
 
     fn sample(frames: usize, w: usize, h: usize) -> VideoStream {
         VideoStream::generate(frames, 24.0, |i| {
