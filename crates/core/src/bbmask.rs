@@ -42,21 +42,15 @@ pub fn calibrate_phi(
         if vbm.is_empty() {
             continue;
         }
+        // A pixel outside the VBM already fails µ against the virtual image,
+        // so it is mixed exactly when it also fails µ against the real
+        // background.
+        let mut mixed = out.match_mask(real_background, tau)?;
+        mixed.union_in_place(&vbm)?;
+        mixed.complement_in_place();
         let dist = morph::squared_distance_transform(&vbm);
-        let (w, h) = out.dims();
-        for y in 0..h {
-            for x in 0..w {
-                if vbm.get(x, y) {
-                    continue;
-                }
-                let p = out.get(x, y);
-                let is_vb = p.matches(virtual_image.get(x, y), tau);
-                let is_real = p.matches(real_background.get(x, y), tau);
-                if !is_vb && !is_real {
-                    distances.push(dist[y * w + x].sqrt());
-                }
-            }
-        }
+        let w = out.width();
+        distances.extend(mixed.iter_set().map(|(x, y)| dist[y * w + x].sqrt()));
     }
     if distances.is_empty() {
         return Ok(0);

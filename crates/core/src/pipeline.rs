@@ -21,6 +21,7 @@ use bb_imaging::filter::MAX_BLUR_RADIUS;
 use bb_imaging::{Frame, Mask};
 use bb_telemetry::Telemetry;
 use bb_video::VideoStream;
+use std::borrow::Cow;
 
 /// Default number of frames buffered before the session locks its
 /// reference/segmenter/color-model state (see
@@ -368,13 +369,21 @@ pub(crate) fn resolve_reference_impl(
     let (w, h) = video[0].dims();
     match source {
         VbSource::KnownImages(candidates) => {
-            let resized: Vec<Frame> = candidates
+            // Candidates already at the call's size are borrowed, not copied.
+            let resized: Vec<Cow<Frame>> = candidates
                 .iter()
-                .map(|c| bb_imaging::geom::resize(c, w, h))
+                .map(|c| {
+                    if c.dims() == (w, h) {
+                        Cow::Borrowed(c)
+                    } else {
+                        Cow::Owned(bb_imaging::geom::resize(c, w, h))
+                    }
+                })
                 .collect();
             let (idx, _) = identify_known_image(video, &resized, config.tau)?;
+            let image = resized.into_iter().nth(idx).expect("index of a candidate");
             Ok(VirtualReference::Image {
-                image: resized[idx].clone(),
+                image: image.into_owned(),
                 valid: Mask::full(w, h),
             })
         }

@@ -24,6 +24,7 @@
 use crate::CoreError;
 use bb_imaging::{Frame, Mask, Rgb};
 use bb_video::{loopdet, VideoStream};
+use std::borrow::Borrow;
 
 /// The paper's empirical stability threshold: a pixel consistent across this
 /// many consecutive frames (at 30 fps) is treated as virtual background.
@@ -77,15 +78,16 @@ impl VirtualReference {
 
 /// Identifies the virtual image used in a call from a candidate dataset:
 /// the §V-B highest-likelihood estimator, summed over (a sample of) call
-/// frames. Returns `(index, total_score)`.
+/// frames. Returns `(index, total_score)`. The candidates may be owned or
+/// borrowed frames (`Cow<Frame>`, say).
 ///
 /// # Errors
 ///
 /// * [`CoreError::EmptyCandidateSet`] when `candidates` is empty.
 /// * Propagates dimension mismatches.
-pub fn identify_known_image(
+pub fn identify_known_image<C: Borrow<Frame>>(
     video: &[Frame],
-    candidates: &[Frame],
+    candidates: &[C],
     tau: u8,
 ) -> Result<(usize, u64), CoreError> {
     if candidates.is_empty() {
@@ -99,7 +101,7 @@ pub fn identify_known_image(
     for (ci, cand) in candidates.iter().enumerate() {
         let mut score = 0u64;
         for frame in video.iter().step_by(step) {
-            score += frame.match_score(cand, tau)? as u64;
+            score += frame.match_score(cand.borrow(), tau)? as u64;
         }
         if ci == 0 || score > best.1 {
             best = (ci, score);
@@ -440,7 +442,7 @@ mod tests {
     fn empty_candidates_rejected() {
         let video = call_stream(5);
         assert!(matches!(
-            identify_known_image(video.frames(), &[], 0),
+            identify_known_image::<Frame>(video.frames(), &[], 0),
             Err(CoreError::EmptyCandidateSet)
         ));
         assert!(matches!(

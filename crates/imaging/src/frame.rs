@@ -405,23 +405,19 @@ impl Frame {
         self.check_same_dims(other)?;
         out.reset(self.width, self.height);
         out.check_same_dims(within)?;
-        // Per word: a vectorisable compare loop fills 0/1 bytes for the
-        // word's (at most 64) pixels, then one multiply-pack and one AND —
-        // no per-pixel coordinate arithmetic and no serial shift-OR chain.
-        let mut bits = [0u8; 64];
-        for y in 0..self.height {
-            let (a, b) = (self.row(y), other.row(y));
+        let row_bytes = 3 * self.width;
+        let rows = self
+            .as_rgb24()
+            .chunks_exact(row_bytes)
+            .zip(other.as_rgb24().chunks_exact(row_bytes));
+        for (y, (a, b)) in rows.enumerate() {
             for (wi, &word) in within.row_words(y).iter().enumerate() {
                 if word == 0 {
                     continue;
                 }
-                let lo = wi * 64;
-                let hi = (lo + 64).min(self.width);
-                let bits = &mut bits[..hi - lo];
-                for ((pa, pb), d) in a[lo..hi].iter().zip(&b[lo..hi]).zip(bits.iter_mut()) {
-                    *d = u8::from(pa.matches(*pb, tau));
-                }
-                out.set_row_word(y, wi, pack_bytes(bits) & word);
+                let lo = wi * MATCH_WORD_BYTES;
+                let hi = (lo + MATCH_WORD_BYTES).min(row_bytes);
+                out.set_row_word(y, wi, match_word(&a[lo..hi], &b[lo..hi], tau) & word);
             }
         }
         Ok(())
@@ -435,13 +431,13 @@ impl Frame {
     /// Returns [`ImagingError::DimensionMismatch`] when sizes differ.
     pub fn match_score(&self, other: &Frame, tau: u8) -> Result<usize, ImagingError> {
         self.check_same_dims(other)?;
-        // Branchless sum (not filter + count) so the compare loop stays
-        // vectorisable.
+        // The score ignores rows, so the kernel runs over the whole buffer
+        // 64 pixels at a time; only the last word can be partial.
         Ok(self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| usize::from(a.matches(*b, tau)))
+            .as_rgb24()
+            .chunks(MATCH_WORD_BYTES)
+            .zip(other.as_rgb24().chunks(MATCH_WORD_BYTES))
+            .map(|(a, b)| match_word(a, b, tau).count_ones() as usize)
             .sum())
     }
 
@@ -463,10 +459,55 @@ impl Frame {
     }
 }
 
+/// RGB24 bytes behind one mask word: 64 pixels of three channels.
+const MATCH_WORD_BYTES: usize = 3 * 64;
+
+/// The byte-lane µ kernel behind [`Frame::match_mask_within_into`] and
+/// [`Frame::match_score`]: bit `p` of the result is set when pixel `p` of
+/// the packed RGB24 slices `a` and `b` agrees within `tau` on every
+/// channel ([`Rgb::matches`]). The slices hold the same whole number of
+/// pixels, at most 64; bits past the last pixel are clear.
+///
+/// Branch-free in four steps: a vectorisable loop turns each byte pair into
+/// a 0/1 flag; three multiply-packs turn the 192 flags into a 192-bit
+/// string `w2:w1:w0` (byte `j` at bit `j`); two shifts with carries across
+/// the word seams AND each pixel's three channel bits into its red bit `3p`;
+/// and a shift/mask compaction gathers every third bit into the word.
+#[inline]
+fn match_word(a: &[u8], b: &[u8], tau: u8) -> u64 {
+    debug_assert!(a.len() == b.len() && a.len() <= MATCH_WORD_BYTES && a.len().is_multiple_of(3));
+    let mut flags = [0u8; MATCH_WORD_BYTES];
+    for ((f, &x), &y) in flags.iter_mut().zip(a).zip(b) {
+        *f = u8::from(x.abs_diff(y) <= tau);
+    }
+    let [w0, w1, w2] = [0, 64, 128].map(|lo| pack_bytes(&flags[lo..lo + 64]));
+    // Two pixels straddle a seam: pixel 21 (bits 63 | 64, 65) and pixel 42
+    // (bits 126, 127 | 128), so those are the only carries that matter.
+    let t0 = w0 & (w0 >> 1 | w1 << 63) & (w0 >> 2 | w1 << 62);
+    let t1 = w1 & (w1 >> 1) & (w1 >> 2 | w2 << 62);
+    let t2 = w2 & (w2 >> 1) & (w2 >> 2);
+    // Pixel p's bit is 3p of the string: pixels 0..=21 sit in t0 at 0, 3, …,
+    // 63; pixels 22..=42 in t1 at 2, 5, …, 62; pixels 43..=63 in t2 at 1,
+    // 4, …, 61.
+    every_third(t0) | (t0 >> 63) << 21 | every_third(t1 >> 2) << 22 | every_third(t2 >> 1) << 43
+}
+
+/// Gathers bits 0, 3, 6, …, 60 of `x` into bits 0..=20 (the 3-D Morton
+/// decode): each step halves the number of groups and doubles their width.
+#[inline]
+fn every_third(x: u64) -> u64 {
+    let x = x & 0x1249_2492_4924_9249;
+    let x = (x | x >> 2) & 0x10c3_0c30_c30c_30c3;
+    let x = (x | x >> 4) & 0x100f_00f0_0f00_f00f;
+    let x = (x | x >> 8) & 0x001f_0000_ff00_00ff;
+    let x = (x | x >> 16) & 0x001f_0000_0000_ffff;
+    (x | x >> 32) & 0x001f_ffff
+}
+
 /// `width × height`, for dimensions that are non-zero and whose RGB24 byte
 /// size fits `usize` — checked before anything is allocated, since
 /// dimensions often come from a file header.
-fn pixel_count(width: usize, height: usize) -> Result<usize, ImagingError> {
+pub(crate) fn pixel_count(width: usize, height: usize) -> Result<usize, ImagingError> {
     if width == 0 || height == 0 {
         return Err(ImagingError::EmptyImage);
     }
@@ -570,6 +611,19 @@ mod tests {
         b.put(0, 0, Rgb::grey(110));
         assert_eq!(a.match_score(&b, 0).unwrap(), 8);
         assert_eq!(a.match_score(&b, 10).unwrap(), 9);
+    }
+
+    #[test]
+    fn every_third_gathers_bits_divisible_by_three() {
+        for bit in 0..64 {
+            let expect = if bit % 3 == 0 && bit <= 60 {
+                1 << (bit / 3)
+            } else {
+                0
+            };
+            assert_eq!(every_third(1 << bit), expect, "bit {bit}");
+        }
+        assert_eq!(every_third(u64::MAX), (1 << 21) - 1);
     }
 
     #[test]

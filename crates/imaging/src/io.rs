@@ -5,8 +5,8 @@
 //! image tool, and free of codec dependencies.
 
 use crate::error::ImagingError;
-use crate::frame::Frame;
-use std::io::{BufRead, Write};
+use crate::frame::{pixel_count, Frame};
+use std::io::{BufRead, Read, Write};
 use std::path::Path;
 
 /// Writes a frame as binary PPM (`P6`, maxval 255).
@@ -88,11 +88,15 @@ pub fn read_ppm<R: BufRead>(mut input: R) -> Result<Frame, ImagingError> {
             "only maxval 255 supported, got {maxval}"
         )));
     }
-    let mut frame = Frame::try_new(width, height)?;
-    input
-        .read_exact(frame.as_rgb24_mut())
-        .map_err(|_| ImagingError::Decode("truncated PPM pixel data".into()))?;
-    Ok(frame)
+    // Read before allocating the frame, so memory grows with the bytes that
+    // arrive rather than with the size the header claims.
+    let len = 3 * pixel_count(width, height)?;
+    let mut rgb = Vec::new();
+    input.take(len as u64).read_to_end(&mut rgb)?;
+    if rgb.len() != len {
+        return Err(ImagingError::Decode("truncated PPM pixel data".into()));
+    }
+    Frame::from_rgb24(width, height, &rgb)
 }
 
 #[cfg(test)]
@@ -161,6 +165,17 @@ mod tests {
         assert!(matches!(
             read_ppm(std::io::Cursor::new(data)),
             Err(ImagingError::InvalidParameter(_))
+        ));
+    }
+
+    #[test]
+    fn huge_header_without_pixels_is_a_decode_error() {
+        // A 29-byte header claiming 10^18 pixels and no pixel data: an error,
+        // not an allocation abort.
+        let data = b"P6 1000000000 1000000000 255\n";
+        assert!(matches!(
+            read_ppm(std::io::Cursor::new(&data[..])),
+            Err(ImagingError::Decode(_))
         ));
     }
 

@@ -1,7 +1,7 @@
 //! Model-based tests for the rewritten per-pixel kernels.
 //!
 //! Every data-parallel kernel (sliding-window blurs, the interior/border
-//! convolution, the word-parallel dilation, the byte-packed frame matcher,
+//! convolution, the word-parallel dilation, the byte-lane frame matcher,
 //! the word-directed mask walk, the run-based component labelling and the
 //! rare-color tables) is checked bit-for-bit against a naive scalar
 //! reference — the per-pixel formulation the kernel replaced. Dimensions are drawn around the 64-bit
@@ -276,10 +276,53 @@ fn dilate_matches_naive_disc_scan() {
     }
 }
 
+/// Sizes for the byte-lane match kernel: [`DIMS`] plus the widths at its
+/// seams. A word's 64 pixels span three words of channel flags, and pixels
+/// 21 and 42 straddle their joins, so widths 21, 22, 42, 43 and 44 end a
+/// row next to a seam; 128, 129 and 192 end at or just past whole words.
+fn match_dims() -> Vec<(usize, usize)> {
+    let mut dims = DIMS.to_vec();
+    dims.extend([21, 22, 42, 43, 44, 128, 129, 192].map(|w| (w, 3)));
+    dims
+}
+
+/// Tolerances for the match kernel: the narrowest, the widest, and a few
+/// between.
+const MATCH_TAUS: [u8; 7] = [0, 1, 2, 5, 40, 254, 255];
+
+/// Frame pairs in which every pixel differs in exactly one channel, by
+/// `tau` or by `tau + 1` in alternate columns: one pair per channel and
+/// phase, so each pixel position mod 64 sees both distances on each
+/// channel (a difference of 256 cannot occur, so at `tau = 255` every
+/// pixel differs by 255).
+fn one_channel_pairs(rng: &mut Rng, w: usize, h: usize, tau: u8) -> Vec<(Frame, Frame)> {
+    let mut pairs = Vec::new();
+    for channel in 0..3 {
+        for phase in 0..2 {
+            let mut a = rng.frame(w, h);
+            let mut b = a.clone();
+            for y in 0..h {
+                for (x, (p, q)) in a.row_mut(y).iter_mut().zip(b.row_mut(y)).enumerate() {
+                    let d = tau.saturating_add(((x + phase) % 2) as u8);
+                    let (lo, hi) = match channel {
+                        0 => (&mut p.r, &mut q.r),
+                        1 => (&mut p.g, &mut q.g),
+                        _ => (&mut p.b, &mut q.b),
+                    };
+                    *lo = (*lo).min(255 - d);
+                    *hi = *lo + d;
+                }
+            }
+            pairs.push((a, b));
+        }
+    }
+    pairs
+}
+
 #[test]
 fn match_mask_and_score_match_per_pixel_loop() {
     let mut rng = Rng(0x5a5a_a5a5_1234_8765);
-    for &(w, h) in DIMS {
+    for (w, h) in match_dims() {
         let a = rng.frame(w, h);
         // Mix of near-identical and fully random pixels so both branches of
         // the tolerance test occur.
@@ -293,15 +336,23 @@ fn match_mask_and_score_match_per_pixel_loop() {
                 }
             }
         }
-        for tau in [0u8, 2, 5, 40] {
-            let expect = Mask::from_fn(w, h, |x, y| a.get(x, y).matches(b.get(x, y), tau));
-            let got = a.match_mask(&b, tau).unwrap();
-            assert_eq!(got, expect, "match_mask diverged at {w}x{h} tau {tau}");
-            assert_eq!(
-                a.match_score(&b, tau).unwrap(),
-                expect.count_set(),
-                "match_score diverged at {w}x{h} tau {tau}"
-            );
+        for tau in MATCH_TAUS {
+            let pairs = [(a.clone(), b.clone())]
+                .into_iter()
+                .chain(one_channel_pairs(&mut rng, w, h, tau));
+            for (k, (a, b)) in pairs.enumerate() {
+                let expect = Mask::from_fn(w, h, |x, y| a.get(x, y).matches(b.get(x, y), tau));
+                let got = a.match_mask(&b, tau).unwrap();
+                assert_eq!(
+                    got, expect,
+                    "match_mask diverged at {w}x{h} tau {tau} pair {k}"
+                );
+                assert_eq!(
+                    a.match_score(&b, tau).unwrap(),
+                    got.count_set(),
+                    "match_score diverged at {w}x{h} tau {tau} pair {k}"
+                );
+            }
         }
     }
 }
@@ -309,7 +360,7 @@ fn match_mask_and_score_match_per_pixel_loop() {
 #[test]
 fn match_mask_within_equals_match_mask_on_the_given_pixels() {
     let mut rng = Rng(0x0dd_ba11_cafe_f00d);
-    for &(w, h) in DIMS {
+    for (w, h) in match_dims() {
         let a = rng.frame(w, h);
         let mut b = rng.frame(w, h);
         for y in 0..h {
@@ -326,15 +377,25 @@ fn match_mask_within_equals_match_mask_on_the_given_pixels() {
             rng.mask_of_density(w, h, 1),
             rng.mask_of_density(w, h, 3),
         ];
-        for within in &withins {
-            for tau in [0u8, 5] {
-                let expect = Mask::from_fn(w, h, |x, y| {
-                    within.get(x, y) && a.get(x, y).matches(b.get(x, y), tau)
-                });
-                let got = a.match_mask_within(&b, within, tau).unwrap();
+        for tau in MATCH_TAUS {
+            let pairs = [(a.clone(), b.clone())]
+                .into_iter()
+                .chain(one_channel_pairs(&mut rng, w, h, tau));
+            for (k, (a, b)) in pairs.enumerate() {
+                for (m, within) in withins.iter().enumerate() {
+                    let expect = Mask::from_fn(w, h, |x, y| {
+                        within.get(x, y) && a.get(x, y).matches(b.get(x, y), tau)
+                    });
+                    let got = a.match_mask_within(&b, within, tau).unwrap();
+                    assert_eq!(
+                        got, expect,
+                        "match_mask_within diverged at {w}x{h} tau {tau} pair {k} within {m}"
+                    );
+                }
                 assert_eq!(
-                    got, expect,
-                    "match_mask_within diverged at {w}x{h} tau {tau}"
+                    a.match_score(&b, tau).unwrap(),
+                    a.match_mask(&b, tau).unwrap().count_set(),
+                    "match_score diverged at {w}x{h} tau {tau} pair {k}"
                 );
             }
         }
