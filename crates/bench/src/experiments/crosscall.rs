@@ -9,13 +9,16 @@
 //! The experiment derives the unknown virtual image from one call, then from
 //! three calls (different rooms/callers, same virtual image) fused with
 //! [`bb_core::vbmask::merge_references`], and compares reference validity
-//! and downstream recovery.
+//! and downstream recovery. The fusion is a per-pixel vote: a value two
+//! calls agree on within `tau` is kept, a value only one call saw is
+//! dropped, so the stationary caller's body, which one derivation wrongly
+//! takes for virtual background, leaves the reference.
 
 use crate::report::{pct, section, Table};
 use crate::ExpConfig;
 use bb_callsim::{BackgroundId, CallSim, ProfilePreset, SoftwareProfile, VirtualBackground};
 use bb_core::pipeline::{Reconstructor, VbSource};
-use bb_core::vbmask::{derive_unknown_image, merge_references_voting};
+use bb_core::vbmask::{derive_unknown_image, merge_references};
 use bb_synth::{Action, CallerAppearance, Lighting, Room, Scenario};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -71,7 +74,7 @@ pub fn run(cfg: &ExpConfig) -> String {
         .iter()
         .map(|c| derive_unknown_image(c.video.frames(), cfg.recon.tau).expect("derive"))
         .collect();
-    let fused = merge_references_voting(&refs, cfg.recon.tau).expect("merge");
+    let fused = merge_references(&refs, cfg.recon.tau).expect("merge");
 
     // Validity restricted to *correct* pixels (matching the true VB).
     let correct_validity = |r: &bb_core::vbmask::VirtualReference| -> f64 {

@@ -78,6 +78,9 @@ pub enum CoreError {
     },
     /// Loop-period detection failed for an unknown virtual video.
     NoPeriodFound,
+    /// Cross-call fusion was given a video reference: only image references
+    /// fuse.
+    VideoReferenceFusion,
     /// A worker thread panicked while processing a frame; the payload
     /// message is preserved. Surfaced as an error instead of aborting the
     /// whole process.
@@ -113,6 +116,9 @@ impl std::fmt::Display for CoreError {
                 write!(f, "video too short: need {needed} frames, have {have}")
             }
             CoreError::NoPeriodFound => write!(f, "no loop period found for virtual video"),
+            CoreError::VideoReferenceFusion => {
+                write!(f, "cross-call fusion takes image references, not videos")
+            }
             CoreError::WorkerPanic(msg) => write!(f, "worker thread panicked: {msg}"),
             CoreError::CanvasDimensionMismatch { expected, got } => write!(
                 f,

@@ -12,7 +12,7 @@
 use crate::session::{frame_leak, frame_removal, with_scratch, ReconstructionSession};
 use crate::vbmask::{
     derive_unknown_image, derive_unknown_video, identify_known_image, identify_known_video,
-    VirtualReference, STABILITY_THRESHOLD,
+    VirtualReference,
 };
 use crate::vcmask::{CallerColorModel, VcMaskParams};
 use crate::workers::CollectMode;
@@ -357,6 +357,16 @@ impl Reconstructor {
     }
 }
 
+/// A candidate frame at the call's size: borrowed when it already is, a
+/// resized copy otherwise.
+fn at_size(frame: &Frame, w: usize, h: usize) -> Cow<'_, Frame> {
+    if frame.dims() == (w, h) {
+        Cow::Borrowed(frame)
+    } else {
+        Cow::Owned(bb_imaging::geom::resize(frame, w, h))
+    }
+}
+
 /// Reference resolution shared by [`Reconstructor::resolve_reference`] and
 /// the session lock step.
 pub(crate) fn resolve_reference_impl(
@@ -369,39 +379,26 @@ pub(crate) fn resolve_reference_impl(
     let (w, h) = video[0].dims();
     match source {
         VbSource::KnownImages(candidates) => {
-            // Candidates already at the call's size are borrowed, not copied.
-            let resized: Vec<Cow<Frame>> = candidates
-                .iter()
-                .map(|c| {
-                    if c.dims() == (w, h) {
-                        Cow::Borrowed(c)
-                    } else {
-                        Cow::Owned(bb_imaging::geom::resize(c, w, h))
-                    }
-                })
-                .collect();
+            let mut resized: Vec<Cow<Frame>> =
+                candidates.iter().map(|c| at_size(c, w, h)).collect();
             let (idx, _) = identify_known_image(video, &resized, config.tau)?;
-            let image = resized.into_iter().nth(idx).expect("index of a candidate");
+            let image = resized.swap_remove(idx);
             Ok(VirtualReference::Image {
                 image: image.into_owned(),
                 valid: Mask::full(w, h),
             })
         }
         VbSource::KnownVideos(candidates) => {
-            let resized: Vec<VideoStream> = candidates
+            let mut resized: Vec<Vec<Cow<Frame>>> = candidates
                 .iter()
-                .map(|v| {
-                    let frames: Vec<Frame> = v
-                        .iter()
-                        .map(|f| bb_imaging::geom::resize(f, w, h))
-                        .collect();
-                    VideoStream::from_frames(frames, v.fps())
-                })
-                .collect::<Result<_, _>>()?;
-            let (vi, offset, _) = identify_known_video(video, &resized, config.tau)?;
-            let phases: Vec<(Frame, Mask)> = resized[vi]
-                .iter()
-                .map(|f| (f.clone(), Mask::full(w, h)))
+                .map(|v| v.iter().map(|f| at_size(f, w, h)).collect())
+                .collect();
+            let slices: Vec<&[Cow<Frame>]> = resized.iter().map(Vec::as_slice).collect();
+            let (vi, offset, _) = identify_known_video(video, &slices, config.tau)?;
+            let phases = resized
+                .swap_remove(vi)
+                .into_iter()
+                .map(|f| (f.into_owned(), Mask::full(w, h)))
                 .collect();
             Ok(VirtualReference::Video { phases, offset })
         }
@@ -416,13 +413,7 @@ pub(crate) fn resolve_reference_impl(
                      (use VbSource::unknown_video to validate up front)"
                 )));
             }
-            derive_unknown_video(
-                video,
-                *min_period,
-                *max_period,
-                config.tau,
-                (STABILITY_THRESHOLD / min_period.max(&1)).max(2),
-            )
+            derive_unknown_video(video, *min_period, *max_period, config.tau)
         }
         VbSource::Exact(r) => Ok(r.clone()),
     }

@@ -17,13 +17,15 @@
 //!    detection, then per-phase stability ("pixels stay the same across
 //!    every periodic occurrence of a frame").
 //!
-//! Cross-call fusion ([`merge_references`]) implements the §V-B mitigation
-//! for stationary users: "searching for the unknown virtual image in other
-//! call videos".
+//! Both unknown derivations share one per-pixel stability analysis; only
+//! its frames and its run threshold differ. Cross-call fusion
+//! ([`merge_references`], a per-pixel vote across calls) implements the §V-B
+//! mitigation for stationary users: "searching for the unknown virtual image
+//! in other call videos".
 
 use crate::CoreError;
 use bb_imaging::{Frame, Mask, Rgb};
-use bb_video::{loopdet, VideoStream};
+use bb_video::loopdet;
 use std::borrow::Borrow;
 
 /// The paper's empirical stability threshold: a pixel consistent across this
@@ -112,20 +114,18 @@ pub fn identify_known_image<C: Borrow<Frame>>(
 
 /// Identifies the virtual *video* used in a call from a candidate dataset,
 /// returning `(video_index, phase_offset, score)` where `phase_offset` is
-/// the candidate frame index that call frame 0 shows.
+/// the candidate frame index that call frame 0 shows. Each candidate is a
+/// slice of owned or borrowed frames; an empty candidate is skipped.
 ///
 /// # Errors
 ///
-/// * [`CoreError::EmptyCandidateSet`] when `candidates` is empty.
+/// * [`CoreError::EmptyCandidateSet`] when no candidate has a frame.
 /// * Propagates dimension mismatches.
-pub fn identify_known_video(
+pub fn identify_known_video<C: Borrow<Frame>>(
     video: &[Frame],
-    candidates: &[VideoStream],
+    candidates: &[&[C]],
     tau: u8,
 ) -> Result<(usize, usize, u64), CoreError> {
-    if candidates.is_empty() {
-        return Err(CoreError::EmptyCandidateSet);
-    }
     let mut best: Option<(usize, usize, u64)> = None;
     for (vi, cand) in candidates.iter().enumerate() {
         // For each possible phase offset, score a few call frames under the
@@ -136,7 +136,7 @@ pub fn identify_known_video(
             let samples = 8.min(video.len());
             for s in 0..samples {
                 let i = s * video.len() / samples;
-                let cf = cand.frame((offset + i) % period);
+                let cf = cand[(offset + i) % period].borrow();
                 score += video[i].match_score(cf, tau)? as u64;
             }
             if best.is_none_or(|(_, _, bs)| score > bs) {
@@ -144,44 +144,30 @@ pub fn identify_known_video(
             }
         }
     }
-    Ok(best.expect("candidates non-empty"))
+    best.ok_or(CoreError::EmptyCandidateSet)
 }
 
-/// Per-pixel stability analysis: the §V-B unknown-virtual-image derivation.
+/// The per-pixel stability analysis behind both unknown-VB derivations
+/// (§V-B): at each pixel, the longest run of consecutive `frames` within
+/// `tau` of the run's first value (its anchor). A pixel whose longest run
+/// reaches `min_run` frames is virtual background: the image holds that
+/// run's anchor and the mask marks the pixel. Ties keep the earlier run.
 ///
-/// A pixel whose value stays within `tau` of a running anchor for at least
-/// [`STABILITY_THRESHOLD`] consecutive frames is considered virtual
-/// background; the derived image stores the anchor value and the validity
-/// mask marks derived pixels.
-///
-/// # Errors
-///
-/// Returns [`CoreError::VideoTooShort`] when the video has fewer frames than
-/// [`STABILITY_THRESHOLD`], and a dimension mismatch when its frames differ
-/// in size.
-pub fn derive_unknown_image(video: &[Frame], tau: u8) -> Result<VirtualReference, CoreError> {
-    if video.len() < STABILITY_THRESHOLD {
-        return Err(CoreError::VideoTooShort {
-            needed: STABILITY_THRESHOLD,
-            have: video.len(),
-        });
-    }
-    for frame in video {
-        video[0].check_same_dims(frame)?;
-    }
-    let (w, h) = video[0].dims();
+/// `frames` is non-empty and of one size (the callers check).
+fn stable_reference(frames: &[&Frame], tau: u8, min_run: usize) -> (Frame, Mask) {
+    let (w, h) = frames[0].dims();
     let mut image = Frame::new(w, h);
     let mut valid = Mask::new(w, h);
-
-    // Per pixel: find the longest run of frames within tau of the run
-    // anchor; if it reaches the threshold, that anchor is the VB value.
+    if frames.len() < min_run {
+        return (image, valid);
+    }
     for y in 0..h {
         for x in 0..w {
             let mut best_len = 0usize;
             let mut best_anchor = Rgb::BLACK;
-            let mut anchor = video[0].get(x, y);
+            let mut anchor = frames[0].get(x, y);
             let mut run = 1usize;
-            for frame in &video[1..] {
+            for frame in &frames[1..] {
                 let p = frame.get(x, y);
                 if p.matches(anchor, tau) {
                     run += 1;
@@ -198,12 +184,37 @@ pub fn derive_unknown_image(video: &[Frame], tau: u8) -> Result<VirtualReference
                 best_len = run;
                 best_anchor = anchor;
             }
-            if best_len >= STABILITY_THRESHOLD {
+            if best_len >= min_run {
                 image.put(x, y, best_anchor);
                 valid.set(x, y, true);
             }
         }
     }
+    (image, valid)
+}
+
+/// Unknown-virtual-image derivation (§V-B): a pixel whose value stays
+/// within `tau` of a running anchor for at least [`STABILITY_THRESHOLD`]
+/// consecutive frames is considered virtual background; the derived image
+/// stores the anchor value and the validity mask marks derived pixels.
+///
+/// # Errors
+///
+/// Returns [`CoreError::VideoTooShort`] when the video has fewer frames than
+/// [`STABILITY_THRESHOLD`], and a dimension mismatch when its frames differ
+/// in size.
+pub fn derive_unknown_image(video: &[Frame], tau: u8) -> Result<VirtualReference, CoreError> {
+    if video.len() < STABILITY_THRESHOLD {
+        return Err(CoreError::VideoTooShort {
+            needed: STABILITY_THRESHOLD,
+            have: video.len(),
+        });
+    }
+    for frame in video {
+        video[0].check_same_dims(frame)?;
+    }
+    let frames: Vec<&Frame> = video.iter().collect();
+    let (image, valid) = stable_reference(&frames, tau, STABILITY_THRESHOLD);
     Ok(VirtualReference::Image { image, valid })
 }
 
@@ -211,8 +222,9 @@ pub fn derive_unknown_image(video: &[Frame], tau: u8) -> Result<VirtualReference
 /// the stability analysis inside each phase bucket ("pixels stay the same
 /// across every occurrence of a frame").
 ///
-/// `min_occurrences` is the per-phase stability threshold (the ≥10-frame
-/// rule divided by the period; at least 2).
+/// A phase keeps a pixel stable across `max(STABILITY_THRESHOLD /
+/// min_period, 2)` consecutive occurrences: the ≥10-frame rule spread over
+/// the shortest period searched, and never a single occurrence.
 ///
 /// # Errors
 ///
@@ -225,7 +237,6 @@ pub fn derive_unknown_video(
     min_period: usize,
     max_period: usize,
     tau: u8,
-    min_occurrences: usize,
 ) -> Result<VirtualReference, CoreError> {
     let period = loopdet::detect_period(video, min_period, max_period, 18.0)?
         .ok_or(CoreError::NoPeriodFound)?
@@ -233,149 +244,63 @@ pub fn derive_unknown_video(
     for frame in video {
         video[0].check_same_dims(frame)?;
     }
-    let (w, h) = video[0].dims();
-    let buckets = loopdet::phase_buckets(video.len(), period);
-    let min_occ = min_occurrences.max(2);
-
-    let mut phases = Vec::with_capacity(period);
-    for bucket in &buckets {
-        let mut image = Frame::new(w, h);
-        let mut valid = Mask::new(w, h);
-        if bucket.len() >= min_occ {
-            for y in 0..h {
-                for x in 0..w {
-                    // Stability across this phase's occurrences.
-                    let mut best_len = 0usize;
-                    let mut best_anchor = Rgb::BLACK;
-                    let mut anchor = video[bucket[0]].get(x, y);
-                    let mut run = 1usize;
-                    for &i in &bucket[1..] {
-                        let p = video[i].get(x, y);
-                        if p.matches(anchor, tau) {
-                            run += 1;
-                        } else {
-                            if run > best_len {
-                                best_len = run;
-                                best_anchor = anchor;
-                            }
-                            anchor = p;
-                            run = 1;
-                        }
-                    }
-                    if run > best_len {
-                        best_len = run;
-                        best_anchor = anchor;
-                    }
-                    if best_len >= min_occ {
-                        image.put(x, y, best_anchor);
-                        valid.set(x, y, true);
-                    }
-                }
-            }
-        }
-        phases.push((image, valid));
-    }
+    // `detect_period` has refused `min_period == 0`.
+    let min_run = (STABILITY_THRESHOLD / min_period).max(2);
+    let phases = loopdet::phase_buckets(video.len(), period)
+        .iter()
+        .map(|bucket| {
+            let frames: Vec<&Frame> = bucket.iter().map(|&i| &video[i]).collect();
+            stable_reference(&frames, tau, min_run)
+        })
+        .collect();
     Ok(VirtualReference::Video { phases, offset: 0 })
 }
 
-/// Fuses references derived from multiple calls that used the same virtual
-/// background (§V-B's stationary-user mitigation): pixels known in any call
-/// fill the gaps of the others; disagreements keep the first-seen value.
-///
-/// # Errors
-///
-/// Returns [`CoreError::EmptyCandidateSet`] on an empty input and imaging
-/// errors on dimension mismatches. Video references must share a period.
-pub fn merge_references(refs: &[VirtualReference]) -> Result<VirtualReference, CoreError> {
-    let first = refs.first().ok_or(CoreError::EmptyCandidateSet)?;
-    match first {
-        VirtualReference::Image { image, valid } => {
-            let mut image = image.clone();
-            let mut valid = valid.clone();
-            for r in &refs[1..] {
-                if let VirtualReference::Image {
-                    image: oi,
-                    valid: ov,
-                } = r
-                {
-                    image.check_same_dims(oi)?;
-                    for (x, y) in ov.iter_set() {
-                        if !valid.get(x, y) {
-                            image.put(x, y, oi.get(x, y));
-                            valid.set(x, y, true);
-                        }
-                    }
-                }
-            }
-            Ok(VirtualReference::Image { image, valid })
-        }
-        VirtualReference::Video { phases, offset } => {
-            let mut phases = phases.clone();
-            let offset = *offset;
-            for r in &refs[1..] {
-                if let VirtualReference::Video { phases: op, .. } = r {
-                    if op.len() != phases.len() {
-                        continue; // incompatible period: skip
-                    }
-                    for (dst, src) in phases.iter_mut().zip(op) {
-                        for (x, y) in src.1.iter_set() {
-                            if !dst.1.get(x, y) {
-                                dst.0.put(x, y, src.0.get(x, y));
-                                dst.1.set(x, y, true);
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(VirtualReference::Video { phases, offset })
-        }
-    }
-}
-
-/// Cross-call fusion with voting: like [`merge_references`], but a pixel's
-/// value must be corroborated.
+/// Cross-call fusion by voting (§V-B's stationary-user mitigation:
+/// "searching for the unknown virtual image in other call videos").
 ///
 /// A stationary caller's body pixels are wrongly derived as "virtual
-/// background" (they are stable!), so gap-filling alone cannot repair them —
-/// the wrong value is *valid*. Across calls, though, only true VB pixels
-/// agree: different callers/rooms put different colors behind each pixel.
-/// This fusion keeps a pixel when at least two calls agree on its value
-/// (within `tau`), and marks it invalid otherwise.
-///
-/// Only image references participate; video references fall back to
-/// [`merge_references`].
+/// background" (they are stable!), so gap-filling cannot repair them — the
+/// wrong value is *valid*. Across calls, though, only true VB pixels agree:
+/// different callers/rooms put different colors behind each pixel. A pixel
+/// is kept when two calls agree on its value within `tau` (the first such
+/// value, in call order), and is invalid otherwise. A single reference
+/// comes back unchanged.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::EmptyCandidateSet`] on empty input.
-pub fn merge_references_voting(
-    refs: &[VirtualReference],
-    tau: u8,
-) -> Result<VirtualReference, CoreError> {
-    let first = refs.first().ok_or(CoreError::EmptyCandidateSet)?;
-    let VirtualReference::Image {
-        image: first_img, ..
-    } = first
-    else {
-        return merge_references(refs);
-    };
-    if refs.len() < 2 {
-        return merge_references(refs);
+/// * [`CoreError::EmptyCandidateSet`] on empty input.
+/// * [`CoreError::VideoReferenceFusion`] when any reference is a video.
+/// * A dimension mismatch when a reference differs in size from the first.
+pub fn merge_references(refs: &[VirtualReference], tau: u8) -> Result<VirtualReference, CoreError> {
+    let images = refs
+        .iter()
+        .map(|r| match r {
+            VirtualReference::Image { image, valid } => Ok((image, valid)),
+            VirtualReference::Video { .. } => Err(CoreError::VideoReferenceFusion),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let &(first, _) = images.first().ok_or(CoreError::EmptyCandidateSet)?;
+    for &(image, valid) in &images {
+        first.check_same_dims(image)?;
+        first.check_mask_dims(valid)?;
     }
-    let (w, h) = first_img.dims();
+    if let [only] = refs {
+        return Ok(only.clone());
+    }
+    let (w, h) = first.dims();
     let mut image = Frame::new(w, h);
     let mut valid = Mask::new(w, h);
+    let mut observations: Vec<Rgb> = Vec::with_capacity(refs.len());
     for y in 0..h {
         for x in 0..w {
-            // Collect valid observations across calls.
-            let mut observations: Vec<Rgb> = Vec::with_capacity(refs.len());
-            for r in refs {
-                if let VirtualReference::Image { image: i, valid: v } = r {
-                    if i.dims() == (w, h) && v.get(x, y) {
-                        observations.push(i.get(x, y));
-                    }
-                }
-            }
+            observations.clear();
+            observations.extend(
+                images
+                    .iter()
+                    .filter(|(_, v)| v.get(x, y))
+                    .map(|(i, _)| i.get(x, y)),
+            );
             // A value corroborated by a second call wins.
             'search: for (i, &a) in observations.iter().enumerate() {
                 for &b in &observations[i + 1..] {
@@ -409,6 +334,7 @@ pub fn vb_mask(frame: &Frame, reference: &Frame, valid: &Mask, tau: u8) -> Resul
 mod tests {
     use super::*;
     use bb_imaging::draw;
+    use bb_video::VideoStream;
 
     fn vb_image() -> Frame {
         Frame::from_fn(24, 18, |x, y| Rgb::new((x * 9) as u8, (y * 11) as u8, 77))
@@ -446,9 +372,17 @@ mod tests {
             Err(CoreError::EmptyCandidateSet)
         ));
         assert!(matches!(
-            identify_known_video(video.frames(), &[], 0),
+            identify_known_video::<Frame>(video.frames(), &[], 0),
             Err(CoreError::EmptyCandidateSet)
         ));
+        // Candidates without a frame are skipped; if every one is empty,
+        // nothing was offered.
+        assert!(matches!(
+            identify_known_video::<Frame>(video.frames(), &[&[], &[]], 0),
+            Err(CoreError::EmptyCandidateSet)
+        ));
+        let (vi, _, _) = identify_known_video(video.frames(), &[&[], video.frames()], 0).unwrap();
+        assert_eq!(vi, 1);
     }
 
     #[test]
@@ -468,7 +402,8 @@ mod tests {
             Frame::filled(20, 16, Rgb::new((p * 40) as u8, 0, 128))
         })
         .unwrap();
-        let (vi, offset, _) = identify_known_video(call.frames(), &[decoy, vb_video], 2).unwrap();
+        let (vi, offset, _) =
+            identify_known_video(call.frames(), &[decoy.frames(), vb_video.frames()], 2).unwrap();
         assert_eq!(vi, 1);
         assert_eq!(offset, 2);
     }
@@ -506,7 +441,7 @@ mod tests {
         ));
         // Period detection may meet the odd frame before derivation does.
         assert!(matches!(
-            derive_unknown_video(&frames, 2, 10, 2, 3),
+            derive_unknown_video(&frames, 2, 10, 2),
             Err(CoreError::Imaging(_) | CoreError::Video(_))
         ));
     }
@@ -522,7 +457,7 @@ mod tests {
             f
         })
         .unwrap();
-        let r = derive_unknown_video(call.frames(), 2, 10, 2, 3).unwrap();
+        let r = derive_unknown_video(call.frames(), 2, 10, 2).unwrap();
         let VirtualReference::Video { phases, .. } = &r else {
             panic!("expected video reference");
         };
@@ -550,7 +485,7 @@ mod tests {
         })
         .unwrap();
         assert!(matches!(
-            derive_unknown_video(call.frames(), 2, 12, 1, 2),
+            derive_unknown_video(call.frames(), 2, 12, 1),
             Err(CoreError::NoPeriodFound)
         ));
     }
@@ -591,46 +526,75 @@ mod tests {
         }
     }
 
+    /// An image reference that knows `vb` where `known` holds.
+    fn partial(vb: &Frame, known: impl Fn(usize, usize) -> bool) -> VirtualReference {
+        let (w, h) = vb.dims();
+        let valid = Mask::from_fn(w, h, known);
+        let image = Frame::from_fn(w, h, |x, y| {
+            if valid.get(x, y) {
+                vb.get(x, y)
+            } else {
+                Rgb::BLACK
+            }
+        });
+        VirtualReference::Image { image, valid }
+    }
+
     #[test]
-    fn merge_fills_gaps_from_other_calls() {
-        let full = vb_image();
-        // Call A knows the left half, call B the right half.
-        let left = VirtualReference::Image {
-            image: {
-                let mut f = Frame::new(24, 18);
-                for y in 0..18 {
-                    for x in 0..12 {
-                        f.put(x, y, full.get(x, y));
-                    }
-                }
-                f
-            },
-            valid: Mask::from_fn(24, 18, |x, _| x < 12),
+    fn merge_keeps_only_values_two_calls_agree_on() {
+        let vb = vb_image();
+        // A and B both know the top half; only A knows the bottom-left, only
+        // B the bottom-right. C knows the left columns, but with another
+        // value, which nobody corroborates.
+        let a = partial(&vb, |x, y| y < 9 || x < 12);
+        let b = partial(&vb, |x, y| y < 9 || x >= 12);
+        let c = VirtualReference::Image {
+            image: Frame::filled(24, 18, Rgb::new(250, 0, 250)),
+            valid: Mask::from_fn(24, 18, |x, _| x < 4),
         };
-        let right = VirtualReference::Image {
-            image: {
-                let mut f = Frame::new(24, 18);
-                for y in 0..18 {
-                    for x in 12..24 {
-                        f.put(x, y, full.get(x, y));
-                    }
-                }
-                f
-            },
-            valid: Mask::from_fn(24, 18, |x, _| x >= 12),
+        let merged = merge_references(&[a, b, c], 2).unwrap();
+        assert_eq!(merged, partial(&vb, |_, y| y < 9));
+    }
+
+    #[test]
+    fn merge_of_one_reference_is_that_reference() {
+        let one = partial(&vb_image(), |x, _| x < 12);
+        assert_eq!(
+            merge_references(std::slice::from_ref(&one), 0).unwrap(),
+            one
+        );
+    }
+
+    #[test]
+    fn merge_refuses_a_reference_of_another_size() {
+        let vb = vb_image();
+        let small = partial(&Frame::new(12, 9), |_, _| true);
+        let refs = [partial(&vb, |_, _| true), partial(&vb, |_, _| true), small];
+        assert!(matches!(
+            merge_references(&refs, 2),
+            Err(CoreError::Imaging(_))
+        ));
+    }
+
+    #[test]
+    fn merge_refuses_video_references() {
+        let image = partial(&vb_image(), |_, _| true);
+        let video = VirtualReference::Video {
+            phases: vec![(vb_image(), Mask::full(24, 18))],
+            offset: 0,
         };
-        let merged = merge_references(&[left, right]).unwrap();
-        assert!((merged.validity() - 1.0).abs() < 1e-12);
-        let VirtualReference::Image { image, .. } = merged else {
-            panic!()
-        };
-        assert_eq!(image, full);
+        for refs in [vec![video.clone()], vec![image, video]] {
+            assert!(matches!(
+                merge_references(&refs, 2),
+                Err(CoreError::VideoReferenceFusion)
+            ));
+        }
     }
 
     #[test]
     fn merge_empty_is_error() {
         assert!(matches!(
-            merge_references(&[]),
+            merge_references(&[], 0),
             Err(CoreError::EmptyCandidateSet)
         ));
     }

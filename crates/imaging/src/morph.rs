@@ -6,7 +6,7 @@
 //! structuring element also power the matting error models in `bb-callsim`
 //! and cleanup passes in `bb-segment`.
 //!
-//! Dilation (and everything built on it: erosion, open/close, [`band`]) runs
+//! Dilation (and everything built on it: erosion, closing, [`band`]) runs
 //! word-parallel on the packed mask rows — the Euclidean disc decomposes into
 //! per-row-offset horizontal dilations, each a chain of shift-OR passes over
 //! 64-pixel words. The exact two-pass Euclidean distance transform
@@ -244,12 +244,6 @@ pub fn erode(mask: &Mask, radius: usize) -> Mask {
     out
 }
 
-/// Morphological opening: erosion then dilation. Removes speckle smaller
-/// than the disc.
-pub fn open(mask: &Mask, radius: usize) -> Mask {
-    dilate(&erode(mask, radius), radius)
-}
-
 /// Morphological closing: dilation then erosion. Fills holes smaller than
 /// the disc.
 pub fn close(mask: &Mask, radius: usize) -> Mask {
@@ -400,15 +394,6 @@ mod tests {
         // d1 ⊆ d2
         assert_eq!(d1.subtract(&d2).unwrap().count_set(), 0);
         assert!(d2.count_set() > d1.count_set());
-    }
-
-    #[test]
-    fn open_removes_speckle() {
-        let mut m = Mask::from_fn(12, 12, |x, y| (3..=9).contains(&x) && (3..=9).contains(&y));
-        m.set(0, 0, true); // speckle
-        let o = open(&m, 1);
-        assert!(!o.get(0, 0));
-        assert!(o.get(6, 6));
     }
 
     #[test]

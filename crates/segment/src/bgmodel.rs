@@ -3,7 +3,7 @@
 //! In a composited call the virtual background dominates each pixel's time
 //! series; the caller and leak patches are transient. A per-channel temporal
 //! median therefore reconstructs (approximately) the pure composited
-//! background, giving the person segmenter a reference to diff against.
+//! background. It is the fitted state of [`crate::PersonSegmenter`].
 //!
 //! The median is a bitwise select, one row at a time over the frames'
 //! packed RGB24 bytes, one byte lane per pixel channel: every lane's median

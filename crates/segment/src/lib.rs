@@ -10,15 +10,15 @@
 //! are color-detectable*. This crate meets that contract with classical
 //! machinery:
 //!
-//! 1. [`bgmodel`] — a per-pixel temporal median over the composited call.
-//!    In a virtual-background call, the static majority at each pixel is the
-//!    virtual background; the moving caller and transient leak patches are
-//!    outliers.
-//! 2. [`person`] — per-frame change detection against the model, cleaned
-//!    with morphology, keeping person-plausible connected components. Like
+//! 1. [`person`] — caller selection over the candidate foreground (what the
+//!    virtual-background and blending-blur masks left): a skin-color prior
+//!    and component scoring keep the person-shaped component(s). Like
 //!    DeepLabv3, this mask is deliberately *imperfect*: transient leaked
-//!    background sticks to the caller, which is exactly the error class the
-//!    paper's color refinement targets.
+//!    background fused to the caller survives, which is exactly the error
+//!    class the paper's color refinement targets.
+//! 2. [`bgmodel`] — a per-pixel temporal median over the composited call,
+//!    fitted at the session's lock and kept as [`PersonSegmenter`]'s state
+//!    (it is checkpointed, but caller selection does not read it).
 //!
 //! The §V-D statistical color refinement itself — VCM pixels whose color is
 //! rare within the caller's color distribution are flipped to background

@@ -1,30 +1,18 @@
-//! Per-frame person segmentation.
+//! Per-frame person segmentation, the way the paper uses DeepLabv3 (§V-D).
 //!
-//! Two entry points mirror how DeepLabv3 is used in the paper (§V-D):
-//!
-//! * [`PersonSegmenter::segment`] — standalone segmentation of one frame:
-//!   change detection against a temporal background model plus a skin-color
-//!   prior. Works whenever the caller moves (the cases that matter for
-//!   leakage, Fig 7/8).
-//! * [`PersonSegmenter::segment_candidates`] — the pipeline variant: given
-//!   the candidate foreground (everything the virtual-background and
-//!   blending-blur masks did *not* claim, per Fig 4's flow), select the
-//!   person-shaped component(s). It is [`skin_evidence`] (the per-pixel
-//!   skin prior) followed by [`select_caller`] (component scoring), which
-//!   the reconstruction session runs in separate passes so the prior is
-//!   evaluated once per frame.
+//! Given the candidate foreground (everything the virtual-background and
+//! blending-blur masks did *not* claim, per Fig 4's flow), select the
+//! person-shaped component(s): [`skin_evidence`] (the per-pixel skin prior)
+//! followed by [`select_caller`] (component scoring). The reconstruction
+//! session runs the two in separate passes so the prior is evaluated once
+//! per frame; [`PersonSegmenter::segment_candidates`] runs both.
 
 use crate::bgmodel::median_model;
 use bb_imaging::{components, morph, Frame, Mask};
 use bb_video::VideoStream;
 
-/// Per-channel L∞ threshold against the background model above which a
-/// pixel is "changed".
-const DIFF_TAU: u8 = 26;
 /// Radius of the morphological close that fills pinholes in the body.
 const CLOSE_RADIUS: usize = 2;
-/// Radius of the morphological open that removes speckle.
-const OPEN_RADIUS: usize = 1;
 /// Components smaller than this fraction of the frame are discarded.
 const MIN_COMPONENT_FRAC: f64 = 0.004;
 /// Minimum fraction of skin-colored pixels for a candidate component to
@@ -77,24 +65,31 @@ fn is_skin_hsv(p: bb_imaging::Rgb) -> bool {
     (hsv.h <= 50.0 || hsv.h >= 340.0) && (0.07..=0.72).contains(&hsv.s) && hsv.v >= 0.25
 }
 
-/// The classical person segmenter.
+/// The classical person segmenter: a fitted temporal background model,
+/// kept as session state, and caller selection over candidate foreground.
 ///
 /// # Example
 ///
 /// ```
 /// use bb_segment::PersonSegmenter;
-/// use bb_imaging::{Frame, Rgb, draw};
+/// use bb_imaging::{Frame, Mask, Rgb, draw};
 /// use bb_video::VideoStream;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let video = VideoStream::generate(16, 30.0, |i| {
 ///     let mut f = Frame::filled(48, 32, Rgb::grey(200));
-///     draw::fill_rect(&mut f, (i * 2) as i64, 10, 8, 16, Rgb::new(20, 40, 160));
+///     draw::fill_rect(&mut f, (i * 2) as i64, 10, 8, 22, Rgb::new(20, 40, 160));
 ///     f
 /// })?;
 /// let segmenter = PersonSegmenter::fit(&video);
-/// let mask = segmenter.segment(video.frame(3));
-/// assert!(mask.count_set() > 50);
+/// // The candidates: what the VB and blending-blur masks left, here the
+/// // caller's block plus one stray pixel.
+/// let candidates = Mask::from_fn(48, 32, |x, y| {
+///     (6..14).contains(&x) && y >= 10 || (x, y) == (40, 2)
+/// });
+/// let caller = segmenter.segment_candidates(video.frame(3), &candidates);
+/// assert!(caller.get(10, 20));
+/// assert!(!caller.get(40, 2));
 /// # Ok(())
 /// # }
 /// ```
@@ -121,37 +116,6 @@ impl PersonSegmenter {
         &self.model
     }
 
-    /// Standalone segmentation: change detection + cleanup + component
-    /// filtering.
-    ///
-    /// Frames of a different resolution yield an empty mask (the segmenter
-    /// is fitted to one geometry).
-    pub fn segment(&self, frame: &Frame) -> Mask {
-        let (w, h) = self.model.dims();
-        if frame.dims() != (w, h) {
-            return Mask::new(w, h);
-        }
-        // Change detection: a vectorisable compare loop fills 0/1 bytes per
-        // row, which the mask packs 8-per-multiply into its words.
-        let mut changed = Mask::new(w, h);
-        let mut bits = vec![0u8; w];
-        for y in 0..h {
-            let (a, b) = (frame.row(y), self.model.row(y));
-            for ((pa, pb), d) in a.iter().zip(b).zip(&mut bits) {
-                *d = u8::from(pa.linf(*pb) > DIFF_TAU);
-            }
-            changed.set_row_from_bytes(y, &bits);
-        }
-        let closed = morph::close(&changed, CLOSE_RADIUS);
-        let opened = morph::open(&closed, OPEN_RADIUS);
-        let min_area = ((w * h) as f64 * MIN_COMPONENT_FRAC) as usize;
-        components::remove_small_components(
-            &opened,
-            min_area.max(1),
-            components::Connectivity::Eight,
-        )
-    }
-
     /// Pipeline segmentation: selects the person-shaped component(s) from a
     /// candidate foreground mask. Evaluates the skin prior with
     /// [`skin_evidence`] and selects with [`select_caller`]; the session
@@ -160,11 +124,6 @@ impl PersonSegmenter {
     /// Mismatched dimensions yield an empty mask.
     pub fn segment_candidates(&self, frame: &Frame, candidates: &Mask) -> Mask {
         select_caller(frame, candidates, &skin_evidence(frame, candidates))
-    }
-
-    /// Segments every frame of a stream with [`PersonSegmenter::segment`].
-    pub fn segment_video(&self, video: &VideoStream) -> Vec<Mask> {
-        video.iter().map(|f| self.segment(f)).collect()
     }
 }
 
@@ -307,8 +266,7 @@ mod tests {
     use bb_imaging::{draw, Rgb};
 
     /// A synthetic "composited call": static virtual background and a
-    /// moving blue person block (moves fast enough for the median model to
-    /// capture the background).
+    /// moving person block.
     fn call_like_stream() -> VideoStream {
         VideoStream::generate(24, 30.0, |i| {
             let mut f = Frame::filled(40, 30, Rgb::new(90, 160, 210)); // "VB"
@@ -320,32 +278,10 @@ mod tests {
     }
 
     #[test]
-    fn segments_the_moving_person() {
-        let v = call_like_stream();
-        let seg = PersonSegmenter::fit(&v);
-        let m = seg.segment(v.frame(12));
-        assert!(
-            m.count_set() >= 120,
-            "person undersegmented: {}",
-            m.count_set()
-        );
-        assert!(m.get(17, 18)); // inside the block at i=12 (px=14..22)
-        assert!(!m.get(1, 1));
-    }
-
-    #[test]
-    fn static_background_yields_empty_mask() {
-        let v = VideoStream::generate(10, 30.0, |_| Frame::filled(20, 20, Rgb::grey(128))).unwrap();
-        let seg = PersonSegmenter::fit(&v);
-        assert!(seg.segment(v.frame(3)).is_empty());
-    }
-
-    #[test]
     fn wrong_resolution_yields_empty_mask() {
         let v = call_like_stream();
         let seg = PersonSegmenter::fit(&v);
         let other = Frame::filled(10, 10, Rgb::WHITE);
-        assert!(seg.segment(&other).is_empty());
         assert!(seg
             .segment_candidates(&other, &Mask::full(40, 30))
             .is_empty());
@@ -353,21 +289,11 @@ mod tests {
 
     #[test]
     fn speckle_is_removed() {
-        let v = VideoStream::generate(10, 30.0, |_| Frame::filled(30, 30, Rgb::grey(100))).unwrap();
-        let seg = PersonSegmenter::fit(&v);
-        let mut noisy = v.frame(0).clone();
-        noisy.put(5, 5, Rgb::WHITE);
-        noisy.put(20, 9, Rgb::BLACK);
-        assert!(seg.segment(&noisy).is_empty());
-    }
-
-    #[test]
-    fn segment_video_covers_all_frames() {
+        // Single-pixel candidates fall under the minimum component area.
         let v = call_like_stream();
         let seg = PersonSegmenter::fit(&v);
-        let masks = seg.segment_video(&v);
-        assert_eq!(masks.len(), v.len());
-        assert!(masks.iter().all(|m| m.dims() == (40, 30)));
+        let speckle = Mask::from_fn(40, 30, |x, y| (x, y) == (5, 5) || (x, y) == (20, 9));
+        assert!(seg.segment_candidates(v.frame(0), &speckle).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! effect, so a failure says which decision moved.
 
 use bb_core::pipeline::{Reconstruction, Reconstructor, ReconstructorConfig, VbSource};
-use bb_core::vbmask::VirtualReference;
+use bb_core::vbmask::{derive_unknown_image, merge_references, VirtualReference};
 use bb_imaging::{draw, Frame, Mask, Rgb};
 use bb_video::VideoStream;
 
@@ -291,6 +291,135 @@ fn known_video_identification_keeps_the_phase_offset() {
     assert_eq!(*offset, PHASE, "wrong phase offset");
     assert_eq!(&phases[0].0, vb.frame(0), "wrong video identified");
     assert_pinned(got, PHASE_DIGEST, "phase-offset");
+}
+
+/// The derived video's loop period, and the shortest period searched: the
+/// per-phase threshold is `max(10 / MIN_PERIOD, 2)` = 5 occurrences, where
+/// the detected period would give 10 / 4 = 2.
+const LOOP: usize = 4;
+const MIN_PERIOD: usize = 2;
+
+/// A looping VB video of period [`LOOP`] with two flickering occluders (a
+/// new color every frame, so no run forms under them). Over 28 frames each
+/// phase occurs 7 times; the VB is stable for the last 5 occurrences under
+/// the first band and for the last 4 under the second.
+fn phase_stability_call() -> VideoStream {
+    VideoStream::generate(7 * LOOP, 30.0, |i| {
+        let p = i % LOOP;
+        let mut f = Frame::from_fn(W, H, |x, y| {
+            Rgb::new((30 + p * 50) as u8, (x * 3 + y) as u8, 200)
+        });
+        let flicker = Rgb::new(30 + (i * 23 % 200) as u8, 30, 30);
+        for (band, covered) in [(STABLE_BAND, 2), (SHORT_BAND, 3)] {
+            if i < covered * LOOP {
+                draw::fill_rect(&mut f, band.start as i64, 0, band.len(), H, flicker);
+            }
+        }
+        f
+    })
+    .expect("call")
+}
+
+/// Pinned digest of [`phase_stability_call`]'s reconstruction.
+const PHASE_STABILITY_DIGEST: u64 = 0x7f50_bef5_8c69_70c5;
+
+/// `derive_unknown_video` keeps a phase's pixel when its longest stable run
+/// across the phase's occurrences reaches `max(STABILITY_THRESHOLD /
+/// min_period, 2)`, and not when it falls one short.
+#[test]
+fn unknown_video_derivation_keeps_runs_of_exactly_the_phase_threshold() {
+    let video = phase_stability_call();
+    let source = VbSource::UnknownVideo {
+        min_period: MIN_PERIOD,
+        max_period: 2 * LOOP,
+    };
+    let (got, reference) = run(source, &video);
+    let VirtualReference::Video { phases, offset } = &reference else {
+        panic!("expected a video reference");
+    };
+    assert_eq!((phases.len(), *offset), (LOOP, 0), "wrong loop");
+    for (p, (_, valid)) in phases.iter().enumerate() {
+        for y in 0..H {
+            assert!(
+                valid.get(STABLE_BAND.start, y),
+                "phase {p}: a threshold run was dropped"
+            );
+            assert!(
+                !valid.get(SHORT_BAND.start, y),
+                "phase {p}: a short run was kept"
+            );
+        }
+    }
+    assert_pinned(got, PHASE_STABILITY_DIGEST, "phase-stability");
+}
+
+/// The three fused calls' stationary callers, `(x, y, w, h)`, all inside
+/// [`FLICKER`]'s rows.
+const STILL_CALLERS: [(usize, usize, usize, usize); 3] =
+    [(6, 20, 12, 28), (26, 24, 12, 24), (46, 20, 12, 28)];
+const STILL_COLORS: [Rgb; 3] = [
+    Rgb::new(90, 160, 90),
+    Rgb::new(160, 90, 160),
+    Rgb::new(60, 60, 120),
+];
+/// Rows where the third call shows a new color every frame, so its
+/// derivation knows nothing there.
+const FLICKER: std::ops::Range<usize> = 16..48;
+
+/// Three 12-frame calls in front of one VB image, each with a caller who
+/// never moves; the third call also flickers over [`FLICKER`].
+fn still_calls(vb: &Frame) -> Vec<VideoStream> {
+    (0..3)
+        .map(|c| {
+            VideoStream::generate(FRAMES, 30.0, |i| {
+                let mut f = vb.clone();
+                if c == 2 {
+                    let flicker = Rgb::new(30 + (i * 23 % 200) as u8, 30, 30);
+                    draw::fill_rect(&mut f, 0, FLICKER.start as i64, W, FLICKER.len(), flicker);
+                }
+                let (x, y, w, h) = STILL_CALLERS[c];
+                draw::fill_rect(&mut f, x as i64, y as i64, w, h, STILL_COLORS[c]);
+                f
+            })
+            .expect("call")
+        })
+        .collect()
+}
+
+/// Pinned digest of the first still call's reconstruction against the
+/// fused reference.
+const FUSION_DIGEST: u64 = 0x7ba3_accb_7fad_5f2c;
+
+/// `merge_references` keeps a pixel's value when two calls agree on it,
+/// and drops a value only one call saw. Each call derives its own still
+/// caller as background. Under the flicker, where the third call knows
+/// nothing, the first two calls agree on the VB except where either one's
+/// caller stands; the third call's caller is outvoted by the other two.
+#[test]
+fn voting_fusion_keeps_values_two_calls_agree_on() {
+    let vb = Frame::from_fn(W, H, |x, y| Rgb::new((x * 3) as u8, (y * 4) as u8, 200));
+    let calls = still_calls(&vb);
+    let refs: Vec<VirtualReference> = calls
+        .iter()
+        .map(|c| derive_unknown_image(c.frames(), config().tau).expect("derive"))
+        .collect();
+    let fused = merge_references(&refs, config().tau).expect("fuse");
+    let VirtualReference::Image { image, valid } = &fused else {
+        panic!("expected an image reference");
+    };
+    let lone = |x: usize, y: usize| STILL_CALLERS[..2].iter().any(|&r| rect(r).get(x, y));
+    for y in 0..H {
+        for x in 0..W {
+            if lone(x, y) {
+                assert!(!valid.get(x, y), "({x}, {y}): one call's value was kept");
+            } else {
+                assert!(valid.get(x, y), "({x}, {y}): an agreed value was dropped");
+                assert_eq!(image.get(x, y), vb.get(x, y), "({x}, {y}): not the VB");
+            }
+        }
+    }
+    let (got, _) = run(VbSource::Exact(fused), &calls[0]);
+    assert_pinned(got, FUSION_DIGEST, "voting-fusion");
 }
 
 /// The refinement fixture's caller: apparel and a skin head, reaching the
