@@ -34,6 +34,8 @@ pub fn run(cfg: &ExpConfig) -> String {
 
     let mut known_video = Vec::new();
     let mut unknown_video = Vec::new();
+    // "clip: error" for each clip whose loop derivation failed.
+    let mut derivation_failures = Vec::new();
     let mut known_image = Vec::new();
     let mut precision_known_video = Vec::new();
 
@@ -70,7 +72,7 @@ pub fn run(cfg: &ExpConfig) -> String {
         .reconstruct(&call.video)
         {
             Ok(rec) => unknown_video.push(rec.rbrr()),
-            Err(_) => unknown_video.push(0.0),
+            Err(e) => derivation_failures.push(format!("{}: {e}", clip.id)),
         }
 
         // Baseline: the same clip behind a static image.
@@ -104,13 +106,23 @@ pub fn run(cfg: &ExpConfig) -> String {
         pct(mean(&known_image)),
     ]);
 
+    let failed = match derivation_failures.first() {
+        None => String::new(),
+        Some(first) => format!(
+            "; derivation failed on {} of {} clips, first {first}",
+            derivation_failures.len(),
+            clips.len()
+        ),
+    };
     let shape = format!(
         "shape: virtual videos leak like virtual images (known-video {} vs known-image {}) and \
-         loop derivation stays usable ({}); known-video precision {}",
+         loop derivation stays usable ({} over {} clips{failed}); known-video precision {}: {}",
         pct(mean(&known_video)),
         pct(mean(&known_image)),
         pct(mean(&unknown_video)),
+        unknown_video.len(),
         pct(mean(&precision_known_video)),
+        derivation_failures.is_empty(),
     );
 
     section(

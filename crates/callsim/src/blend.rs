@@ -8,6 +8,9 @@
 //! "creates small regions in the output frames (near the foreground–virtual
 //! background edges) such that pixel values in these regions are a mixture"
 //! — the BB component.
+//!
+//! [`BlendMode`] models the hard cut, alpha blending and Gaussian blending;
+//! every software profile uses one of the feathered two.
 
 use crate::CallSimError;
 use bb_imaging::{filter, Frame, Mask};
@@ -28,11 +31,6 @@ pub enum BlendMode {
     Gaussian {
         /// Feather and seam-blur sigma.
         sigma: f32,
-    },
-    /// Laplacian-pyramid blending with the given number of levels.
-    Laplacian {
-        /// Pyramid depth (≥ 1).
-        levels: usize,
     },
 }
 
@@ -81,9 +79,6 @@ pub fn composite(
             }
             out
         }
-        BlendMode::Laplacian { levels } => {
-            filter::laplacian_blend(frame, virtual_bg, fg_mask, levels)?
-        }
     };
     Ok(out)
 }
@@ -92,14 +87,13 @@ pub fn composite(
 /// mixture of foreground and virtual background (the BBⁱ component of §III).
 ///
 /// For `Hard` the band is empty; for the feathered modes it is the ring
-/// within `3·sigma` (or the pyramid support) of the mask boundary.
+/// within `3·sigma` of the mask boundary.
 pub fn blend_band(fg_mask: &Mask, mode: BlendMode) -> Mask {
     let radius = match mode {
         BlendMode::Hard => 0,
         BlendMode::AlphaBand { sigma } | BlendMode::Gaussian { sigma } => {
             (3.0 * sigma).ceil() as usize
         }
-        BlendMode::Laplacian { levels } => 1 << levels.min(6),
     };
     if radius == 0 {
         let (w, h) = fg_mask.dims();
@@ -162,14 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn laplacian_mode_composites() {
-        let (fg, vb, m) = fixtures();
-        let out = composite(&fg, &vb, &m, BlendMode::Laplacian { levels: 3 }).unwrap();
-        assert!(out.get(12, 12).r > 120, "interior lost foreground");
-        assert!(out.get(0, 0).b > 120, "exterior lost virtual background");
-    }
-
-    #[test]
     fn dimension_mismatch_rejected() {
         let (fg, _, m) = fixtures();
         let small = Frame::new(10, 10);
@@ -209,14 +195,6 @@ mod tests {
 mod band_tests {
     use super::*;
     use bb_imaging::Mask;
-
-    #[test]
-    fn laplacian_band_wider_with_more_levels() {
-        let m = Mask::from_fn(64, 64, |x, _| x < 32);
-        let b2 = blend_band(&m, BlendMode::Laplacian { levels: 2 });
-        let b4 = blend_band(&m, BlendMode::Laplacian { levels: 4 });
-        assert!(b4.count_set() > b2.count_set());
-    }
 
     #[test]
     fn gaussian_band_equals_alpha_band() {

@@ -19,8 +19,8 @@
 //!   blur).
 //! * [`matting`] — the imperfect foreground-mask stage with the §V-D error
 //!   model.
-//! * [`blend`] — the blending stage (§III: alpha-band, Gaussian, Laplacian
-//!   pyramid) that creates the BB region.
+//! * [`blend`] — the blending stage (§III: hard cut, alpha-band, Gaussian)
+//!   that creates the BB region.
 //! * [`profile`] — calibrated software profiles, addressed by
 //!   [`ProfilePreset`] (`zoom_like`, `skype_like`, `meet_like`,
 //!   `teams_like`, `perfect`).

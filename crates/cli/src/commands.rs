@@ -717,9 +717,13 @@ mod tests {
         bb_telemetry::json::parse(&trace_text).expect("trace is valid JSON");
         assert!(trace_text.contains("thread_name"));
         // Summarizing the report succeeds; diffing it against itself is a
-        // zero-regression pass.
+        // zero-regression pass. The call is small enough that an optimized
+        // build finishes every stage under the default 1 ms floor.
         assert_eq!(run(&["report", &report]).unwrap(), 0);
-        assert_eq!(run(&["report", "--diff", &report, &report]).unwrap(), 0);
+        assert_eq!(
+            run(&["report", "--diff", &report, &report, "--min-ms", "0"]).unwrap(),
+            0
+        );
         run(&["inspect", &call]).expect("inspect");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -793,6 +797,20 @@ mod tests {
             ])
             .unwrap(),
             3
+        );
+        // A baseline stage of 0 ns has no ratio: with no floor it is
+        // skipped, not reported as an infinite slowdown.
+        let stage_report = |idle_ns: u64| {
+            let t = Telemetry::enabled();
+            t.record_duration("reconstruct", std::time::Duration::from_millis(100));
+            t.record_duration("reconstruct/idle", std::time::Duration::from_nanos(idle_ns));
+            t.report()
+        };
+        let zero_base = write("zero_base.json", &stage_report(0));
+        let idle_new = write("idle_new.json", &stage_report(1_000));
+        assert_eq!(
+            run(&["report", "--diff", &idle_new, &zero_base, "--min-ms", "0"]).unwrap(),
+            0
         );
         // Unreadable inputs are hard errors (exit 2 at the binary level).
         assert!(run(&["report", "--diff", "/nonexistent.json", &baseline]).is_err());

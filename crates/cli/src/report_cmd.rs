@@ -247,7 +247,8 @@ fn diff(flags: &Flags) -> Result<i32, String> {
             continue;
         };
         let base_ns = base.total_ns;
-        if (base_ns as f64) < min_ms * 1e6 {
+        // A 0 ns baseline has no ratio to compare, whatever the floor.
+        if base_ns == 0 || (base_ns as f64) < min_ms * 1e6 {
             continue;
         }
         compared += 1;

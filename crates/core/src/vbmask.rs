@@ -228,16 +228,25 @@ pub fn derive_unknown_image(video: &[Frame], tau: u8) -> Result<VirtualReference
 ///
 /// # Errors
 ///
+/// * [`CoreError::VideoTooShort`] when the window holds fewer than
+///   `2 × max_period` frames: period detection needs two full loops.
 /// * [`CoreError::NoPeriodFound`] when the stream shows no periodicity in
 ///   `[min_period, max_period]`.
-/// * [`CoreError::VideoTooShort`] / propagated errors from detection.
-/// * A dimension mismatch when the frames differ in size.
+/// * Propagated errors from detection, and a dimension mismatch when the
+///   frames differ in size.
 pub fn derive_unknown_video(
     video: &[Frame],
     min_period: usize,
     max_period: usize,
     tau: u8,
 ) -> Result<VirtualReference, CoreError> {
+    let needed = max_period.saturating_mul(2);
+    if video.len() < needed {
+        return Err(CoreError::VideoTooShort {
+            needed,
+            have: video.len(),
+        });
+    }
     let period = loopdet::detect_period(video, min_period, max_period, 18.0)?
         .ok_or(CoreError::NoPeriodFound)?
         .frames;
@@ -428,6 +437,14 @@ mod tests {
         assert!(matches!(
             derive_unknown_image(video.frames(), 2),
             Err(CoreError::VideoTooShort { .. })
+        ));
+        // Period detection needs two full loops of the longest period.
+        assert!(matches!(
+            derive_unknown_video(video.frames(), 2, 10, 2),
+            Err(CoreError::VideoTooShort {
+                needed: 20,
+                have: 5
+            })
         ));
     }
 

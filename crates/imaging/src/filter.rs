@@ -1,4 +1,4 @@
-//! Image filters: box and Gaussian blur; Laplacian pyramid blending.
+//! Image filters: box and Gaussian blur; alpha blending through a soft matte.
 //!
 //! §III lists alpha blending, Gaussian blending and Laplacian-pyramid blending
 //! as the state-of-the-art techniques a video-call application may use to
@@ -303,8 +303,8 @@ impl RowRing {
 /// Round-to-nearest integer division for channel means. Truncating here
 /// (`(sum / n) as u8`) darkens every averaged pixel by up to 1 LSB — a
 /// systematic bias that leaks into the BBM detection thresholds. Public so
-/// every channel-averaging site in the workspace (blur kernels, pyramid
-/// levels, the matting estimator's region means) shares one rounding rule;
+/// every channel-averaging site in the workspace (blur kernels, the
+/// matting estimator's region means) shares one rounding rule;
 /// the box kernels apply it through [`Reciprocal`].
 #[inline]
 pub fn round_div(sum: u32, n: u32) -> u8 {
@@ -437,43 +437,6 @@ fn convolve_1d(frame: &Frame, kernel: &[f32], horizontal: bool) -> Frame {
     out
 }
 
-/// Downsamples by 2 with a 2×2 box average (one pyramid level).
-pub fn downsample(frame: &Frame) -> Frame {
-    let (w, h) = frame.dims();
-    let (nw, nh) = ((w / 2).max(1), (h / 2).max(1));
-    Frame::from_fn(nw, nh, |x, y| {
-        let (sx, sy) = (x * 2, y * 2);
-        let mut acc = [0u32; 3];
-        let mut n = 0u32;
-        for dy in 0..2 {
-            for dx in 0..2 {
-                if let Some(p) = frame.try_get(sx + dx, sy + dy) {
-                    acc[0] += p.r as u32;
-                    acc[1] += p.g as u32;
-                    acc[2] += p.b as u32;
-                    n += 1;
-                }
-            }
-        }
-        Rgb::new(
-            round_div(acc[0], n),
-            round_div(acc[1], n),
-            round_div(acc[2], n),
-        )
-    })
-}
-
-/// Upsamples to an explicit size with bilinear interpolation (the expand step
-/// of a Laplacian pyramid).
-pub fn upsample(frame: &Frame, width: usize, height: usize) -> Frame {
-    let (w, h) = frame.dims();
-    Frame::from_fn(width, height, |x, y| {
-        let fx = (x as f32 + 0.5) * w as f32 / width as f32 - 0.5;
-        let fy = (y as f32 + 0.5) * h as f32 / height as f32 - 0.5;
-        bilinear(frame, fx, fy)
-    })
-}
-
 /// Bilinear sample at a fractional coordinate, edge-clamped.
 pub fn bilinear(frame: &Frame, fx: f32, fy: f32) -> Rgb {
     let (w, h) = frame.dims();
@@ -553,97 +516,6 @@ pub fn soft_matte(mask: &Mask, sigma: f32) -> Result<Vec<f32>, ImagingError> {
     Ok(out)
 }
 
-/// Laplacian-pyramid blend of `fg` over `bg` guided by a binary mask, with
-/// `levels` pyramid levels (§III's third blending family).
-///
-/// # Errors
-///
-/// Returns [`ImagingError::DimensionMismatch`] on size mismatch and
-/// [`ImagingError::InvalidParameter`] when `levels == 0`.
-pub fn laplacian_blend(
-    fg: &Frame,
-    bg: &Frame,
-    mask: &Mask,
-    levels: usize,
-) -> Result<Frame, ImagingError> {
-    fg.check_same_dims(bg)?;
-    fg.check_mask_dims(mask)?;
-    if levels == 0 {
-        return Err(ImagingError::InvalidParameter(
-            "laplacian blend needs at least one level".into(),
-        ));
-    }
-
-    // Gaussian pyramids of both images and the matte.
-    let mut fg_pyr = vec![fg.clone()];
-    let mut bg_pyr = vec![bg.clone()];
-    let (w, h) = fg.dims();
-    let mut matte: Vec<Vec<f32>> = vec![mask.iter().map(|b| u8::from(b) as f32).collect()];
-    let mut sizes = vec![(w, h)];
-    for _ in 1..levels {
-        let (lw, lh) = *sizes.last().expect("sizes is non-empty");
-        if lw < 4 || lh < 4 {
-            break;
-        }
-        fg_pyr.push(downsample(fg_pyr.last().expect("pyramid non-empty")));
-        bg_pyr.push(downsample(bg_pyr.last().expect("pyramid non-empty")));
-        let (nw, nh) = fg_pyr.last().expect("pyramid non-empty").dims();
-        let prev = matte.last().expect("matte non-empty");
-        let mut small = vec![0.0f32; nw * nh];
-        for y in 0..nh {
-            for x in 0..nw {
-                let mut acc = 0.0;
-                let mut n = 0.0;
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        let sx = x * 2 + dx;
-                        let sy = y * 2 + dy;
-                        if sx < lw && sy < lh {
-                            acc += prev[sy * lw + sx];
-                            n += 1.0;
-                        }
-                    }
-                }
-                small[y * nw + x] = acc / n;
-            }
-        }
-        matte.push(small);
-        sizes.push((nw, nh));
-    }
-
-    // Blend the coarsest level directly, then propagate detail back up.
-    let top = fg_pyr.len() - 1;
-    let mut result = alpha_blend(&fg_pyr[top], &bg_pyr[top], &matte[top])?;
-    for level in (0..top).rev() {
-        let (lw, lh) = sizes[level];
-        let up = upsample(&result, lw, lh);
-        // Laplacian detail of each source at this level.
-        let fg_up = upsample(&fg_pyr[level + 1], lw, lh);
-        let bg_up = upsample(&bg_pyr[level + 1], lw, lh);
-        let mut next = Frame::new(lw, lh);
-        #[allow(clippy::needless_range_loop)] // i indexes three parallel buffers
-        for i in 0..lw * lh {
-            let a = matte[level][i].clamp(0.0, 1.0);
-            let f_orig = fg_pyr[level].pixels()[i];
-            let f_low = fg_up.pixels()[i];
-            let b_orig = bg_pyr[level].pixels()[i];
-            let b_low = bg_up.pixels()[i];
-            let u = up.pixels()[i];
-            let mix = |fo: u8, fl: u8, bo: u8, bl: u8, base: u8| -> u8 {
-                let lap = a * (fo as f32 - fl as f32) + (1.0 - a) * (bo as f32 - bl as f32);
-                (base as f32 + lap).round().clamp(0.0, 255.0) as u8
-            };
-            next.pixels_mut()[i] = Rgb::new(
-                mix(f_orig.r, f_low.r, b_orig.r, b_low.r, u.r),
-                mix(f_orig.g, f_low.g, b_orig.g, b_low.g, u.g),
-                mix(f_orig.b, f_low.b, b_orig.b, b_low.b, u.b),
-            );
-        }
-        result = next;
-    }
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -716,14 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn downsample_rounds_to_nearest() {
-        // 2×2 patch [1, 2, 2, 2]: mean 1.75 → 2 (truncation gave 1).
-        let mut f = Frame::filled(2, 2, Rgb::grey(2));
-        f.put(0, 0, Rgb::grey(1));
-        assert_eq!(downsample(&f).get(0, 0), Rgb::grey(2));
-    }
-
-    #[test]
     fn gaussian_kernel_is_normalised() {
         let k = gaussian_kernel(1.5).unwrap();
         let sum: f32 = k.iter().sum();
@@ -749,22 +613,6 @@ mod tests {
         for &p in b.pixels() {
             assert!(p.linf(Rgb::new(99, 99, 0)) <= 1);
         }
-    }
-
-    #[test]
-    fn downsample_halves_dims() {
-        let f = Frame::new(8, 6);
-        assert_eq!(downsample(&f).dims(), (4, 3));
-        let tiny = Frame::new(1, 1);
-        assert_eq!(downsample(&tiny).dims(), (1, 1));
-    }
-
-    #[test]
-    fn upsample_hits_target_dims() {
-        let f = Frame::filled(3, 3, Rgb::grey(77));
-        let u = upsample(&f, 7, 5);
-        assert_eq!(u.dims(), (7, 5));
-        assert!(u.pixels().iter().all(|&p| p == Rgb::grey(77)));
     }
 
     #[test]
@@ -797,27 +645,6 @@ mod tests {
         // Boundary is intermediate.
         let edge = a[10 * 20 + 6];
         assert!(edge > 0.05 && edge < 0.95, "edge {edge}");
-    }
-
-    #[test]
-    fn laplacian_blend_respects_mask_interior() {
-        let fg = Frame::filled(16, 16, Rgb::new(200, 0, 0));
-        let bg = Frame::filled(16, 16, Rgb::new(0, 0, 200));
-        let mask = Mask::from_fn(16, 16, |x, _| x < 8);
-        let out = laplacian_blend(&fg, &bg, &mask, 3).unwrap();
-        // Deep inside each region, colors match the source.
-        assert!(out.get(1, 8).abs_diff(Rgb::new(200, 0, 0)).r < 60);
-        assert!(out.get(14, 8).abs_diff(Rgb::new(0, 0, 200)).b < 60);
-        // Seam is a mixture.
-        let seam = out.get(8, 8);
-        assert!(seam.r > 10 && seam.b > 10);
-    }
-
-    #[test]
-    fn laplacian_blend_rejects_zero_levels() {
-        let f = Frame::new(4, 4);
-        let m = Mask::new(4, 4);
-        assert!(laplacian_blend(&f, &f, &m, 0).is_err());
     }
 
     #[test]

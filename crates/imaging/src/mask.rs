@@ -200,25 +200,6 @@ impl Mask {
         self.words[y * self.words_per_row + wi] = masked;
     }
 
-    /// Overwrites row `y` from a slice of 0/1 bytes, one byte per pixel.
-    ///
-    /// This is the fast lane for predicates evaluated over a whole row: the
-    /// caller fills a plain byte buffer (a loop compilers happily
-    /// vectorise, unlike a variable-distance shift-OR chain), and the bytes
-    /// are packed eight at a time with one multiply (`pack_bytes`). Bytes
-    /// must be 0 or 1; anything else corrupts the packing (enforced with a
-    /// debug assertion).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `y` is out of bounds or `bytes.len() != width`.
-    pub fn set_row_from_bytes(&mut self, y: usize, bytes: &[u8]) {
-        assert!(y < self.height && bytes.len() == self.width);
-        for (wi, chunk) in bytes.chunks(WORD_BITS).enumerate() {
-            self.set_row_word(y, wi, pack_bytes(chunk));
-        }
-    }
-
     /// The bits of columns `x0..=x1` within a row, word by word: yields
     /// `(word index, bit mask)` pairs covering the span.
     fn span_words(x0: usize, x1: usize) -> impl Iterator<Item = (usize, u64)> {
@@ -521,29 +502,6 @@ mod tests {
 
     fn checker(w: usize, h: usize) -> Mask {
         Mask::from_fn(w, h, |x, y| (x + y) % 2 == 0)
-    }
-
-    #[test]
-    fn set_row_from_bytes_matches_per_pixel_set() {
-        // Pseudorandom bytes across widths that exercise partial words and
-        // partial 8-byte groups, checked against the one-bit-at-a-time path.
-        let mut state = 0xfeed_beef_dead_2024u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 62) == 3 // set ~1 in 4
-        };
-        for w in [1usize, 7, 8, 9, 63, 64, 65, 100, 127, 128, 130] {
-            let bytes: Vec<u8> = (0..w).map(|_| u8::from(next())).collect();
-            let mut fast = Mask::new(w, 2);
-            fast.set_row_from_bytes(1, &bytes);
-            let mut slow = Mask::new(w, 2);
-            for (x, &b) in bytes.iter().enumerate() {
-                slow.set(x, 1, b == 1);
-            }
-            assert_eq!(fast, slow, "w={w}");
-        }
     }
 
     #[test]

@@ -9,25 +9,35 @@
 //!                    ▲                                     │
 //!                    └────── resume (next pushed frame) ───┘
 //!            Live/Evicted ──close──▶ Reconstruction (entry removed)
-//!            Live ──panic──▶ reaped (entry removed, WorkerPanic)
+//!            Live ──panic or failed finalize──▶ reaped (entry removed)
 //! ```
 //!
-//! **Accounting.** Every live session's
+//! An evicted session's checkpoint is always `session-<id>.bbsc` in the
+//! spill directory; a resume that cannot read or decode it fails with a
+//! typed error and leaves the session evicted.
+//!
+//! **Accounting.** The resident footprint is read, not tracked:
+//! [`ReconServer::live_bytes`] sums
 //! [`state_bytes()`](bb_core::session::ReconstructionSession::state_bytes)
-//! is tracked, and after every public operation the aggregate resident
-//! footprint is at most [`ServeConfig::budget_bytes`]: exceeding it evicts
-//! least-recently-active sessions to BBSC checkpoints in the spill
+//! over the live sessions, so it cannot drift from them. After every public
+//! operation it is at most [`ServeConfig::budget_bytes`]: exceeding it
+//! evicts least-recently-active sessions to BBSC checkpoints in the spill
 //! directory (atomic tmp + rename, like the CLI's checkpoints). Eviction
 //! prefers idle sessions but will spill the just-touched session itself if
 //! it alone exceeds the budget — the budget is a hard ceiling, not advice.
 //!
-//! **Scheduling.** [`ReconServer::push_many`] drives a batch of sessions
-//! through `bb_core::workers::run_stage`, one job per session. Each job
-//! wraps its session's frame processing in `catch_unwind`, so a panic in
-//! one session (or in a registered frame observer) is converted to
-//! [`CoreError::WorkerPanic`], reaps only that session, and leaves every
-//! sibling's bytes untouched — `run_stage`'s whole-stage error propagation
-//! never sees it.
+//! **Scheduling.** [`ReconServer::push_many`] first resumes every session
+//! it addresses; one whose checkpoint fails to resume gets that error as its
+//! result and the rest of the batch still runs. The round then takes its
+//! sessions out of the map, drives them through
+//! `bb_core::workers::run_stage` (one job per session), and puts them back
+//! when it settles. Each job wraps its session's frame processing in
+//! `catch_unwind`, so a panic in one session (or in a registered frame
+//! observer) is converted to [`CoreError::WorkerPanic`], reaps only that
+//! session, and leaves every sibling's bytes untouched — `run_stage`'s
+//! whole-stage error propagation never sees it. A panicked session and one
+//! whose finalize fails in [`ReconServer::close_session`] take the same
+//! failure path.
 
 use crate::wire::{self, Message, WireDecoder};
 use crate::ServeError;
@@ -102,19 +112,13 @@ pub struct ServeStats {
     pub peak_live_bytes: usize,
 }
 
-enum Slot {
-    Live(Box<ReconstructionSession>),
-    Evicted { path: PathBuf },
-}
-
 struct Entry {
-    slot: Slot,
+    /// `None` while evicted: the checkpoint is at `spill_path(id)`.
+    session: Option<Box<ReconstructionSession>>,
     width: usize,
     height: usize,
     /// Next expected wire sequence number == frames accepted so far.
     next_seq: u64,
-    /// Bytes this entry contributes to the aggregate (0 when evicted).
-    live_bytes: usize,
     /// Logical clock of the last touch, for LRU eviction.
     last_active: u64,
 }
@@ -126,7 +130,6 @@ pub struct ReconServer {
     config: ServeConfig,
     telemetry: Telemetry,
     sessions: BTreeMap<u64, Entry>,
-    live_total: usize,
     tick: u64,
     stats: ServeStats,
     observer: Option<FrameObserver>,
@@ -148,7 +151,6 @@ impl ReconServer {
             config,
             telemetry: Telemetry::disabled(),
             sessions: BTreeMap::new(),
-            live_total: 0,
             tick: 0,
             stats: ServeStats::default(),
             observer: None,
@@ -208,14 +210,19 @@ impl ReconServer {
     pub fn live_count(&self) -> usize {
         self.sessions
             .values()
-            .filter(|e| matches!(e.slot, Slot::Live(_)))
+            .filter(|e| e.session.is_some())
             .count()
     }
 
-    /// Aggregate resident footprint in bytes; at most the budget after
-    /// every public operation.
+    /// Aggregate resident footprint in bytes: the live sessions'
+    /// `state_bytes()` summed. At most the budget after every public
+    /// operation.
     pub fn live_bytes(&self) -> usize {
-        self.live_total
+        self.sessions
+            .values()
+            .filter_map(|e| e.session.as_ref())
+            .map(|s| s.state_bytes())
+            .sum()
     }
 
     /// Frames accepted for `id` so far.
@@ -244,18 +251,19 @@ impl ReconServer {
                 .set_meta("sessions/peak_live_bytes", self.stats.peak_live_bytes);
         }
         if self.telemetry.metrics().is_some() {
+            let live_bytes = self.live_bytes();
             self.telemetry
                 .set_gauge("serve/sessions_active", self.sessions.len() as f64);
             self.telemetry
                 .set_gauge("serve/sessions_live", self.live_count() as f64);
             self.telemetry
-                .set_gauge("serve/live_bytes", self.live_total as f64);
+                .set_gauge("serve/live_bytes", live_bytes as f64);
             self.telemetry
                 .set_gauge("serve/budget_bytes", self.config.budget_bytes as f64);
             if self.config.budget_bytes > 0 {
                 self.telemetry.set_gauge(
                     "serve/budget_pressure",
-                    self.live_total as f64 / self.config.budget_bytes as f64,
+                    live_bytes as f64 / self.config.budget_bytes as f64,
                 );
             }
         }
@@ -287,11 +295,10 @@ impl ReconServer {
         self.sessions.insert(
             id,
             Entry {
-                slot: Slot::Live(Box::new(session)),
+                session: Some(Box::new(session)),
                 width,
                 height,
                 next_seq: 0,
-                live_bytes: 0,
                 last_active: 0,
             },
         );
@@ -321,9 +328,8 @@ impl ReconServer {
             .sessions
             .get_mut(&id)
             .ok_or(ServeError::UnknownSession(id))?;
-        let session = match &entry.slot {
-            Slot::Evicted { .. } => return Ok(()),
-            Slot::Live(s) => s,
+        let Some(session) = &entry.session else {
+            return Ok(());
         };
         let bytes = session.checkpoint();
         let tmp = path.with_extension("bbsc.tmp");
@@ -331,9 +337,7 @@ impl ReconServer {
             .map_err(|e| ServeError::Io(format!("{}: {e}", tmp.display())))?;
         std::fs::rename(&tmp, &path)
             .map_err(|e| ServeError::Io(format!("{}: {e}", path.display())))?;
-        self.live_total -= entry.live_bytes;
-        entry.live_bytes = 0;
-        entry.slot = Slot::Evicted { path };
+        entry.session = None;
         self.stats.evicted += 1;
         if self.telemetry.is_enabled() {
             self.telemetry.add("sessions/evicted", 1);
@@ -349,26 +353,23 @@ impl ReconServer {
     }
 
     /// Brings `id` back into memory if it was evicted (transparent resume).
+    /// On failure the session stays evicted.
     fn make_live(&mut self, id: u64) -> Result<(), ServeError> {
+        let path = self.spill_path(id);
         let entry = self
             .sessions
             .get_mut(&id)
             .ok_or(ServeError::UnknownSession(id))?;
-        let path = match &entry.slot {
-            Slot::Live(_) => return Ok(()),
-            Slot::Evicted { path } => path.clone(),
-        };
+        if entry.session.is_some() {
+            return Ok(());
+        }
         let bytes =
             std::fs::read(&path).map_err(|e| ServeError::Io(format!("{}: {e}", path.display())))?;
         let session = self
             .prototype
             .resume_session(&bytes)
             .map_err(|source| ServeError::Session { id, source })?;
-        let live_bytes = session.state_bytes();
-        let entry = self.sessions.get_mut(&id).expect("entry checked above");
-        entry.slot = Slot::Live(Box::new(session));
-        entry.live_bytes = live_bytes;
-        self.live_total += live_bytes;
+        entry.session = Some(Box::new(session));
         std::fs::remove_file(&path).ok();
         self.stats.resumed += 1;
         if self.telemetry.is_enabled() {
@@ -384,20 +385,16 @@ impl ReconServer {
     /// within budget. `protect` is evicted only as the last resort (it
     /// alone exceeds the budget).
     fn enforce_budget(&mut self, protect: Option<u64>) -> Result<(), ServeError> {
-        while self.live_total > self.config.budget_bytes {
+        while self.live_bytes() > self.config.budget_bytes {
             let victim = self
                 .sessions
                 .iter()
-                .filter(|(_, e)| matches!(e.slot, Slot::Live(_)))
+                .filter(|(_, e)| e.session.is_some())
                 .filter(|(id, _)| Some(**id) != protect)
                 .min_by_key(|(_, e)| e.last_active)
                 .map(|(id, _)| *id)
                 .or_else(|| {
-                    protect.filter(|id| {
-                        self.sessions
-                            .get(id)
-                            .is_some_and(|e| matches!(e.slot, Slot::Live(_)))
-                    })
+                    protect.filter(|id| self.sessions.get(id).is_some_and(|e| e.session.is_some()))
                 });
             match victim {
                 Some(id) => self.evict_session(id)?,
@@ -407,32 +404,16 @@ impl ReconServer {
         Ok(())
     }
 
-    /// Records post-operation accounting for a session that just ran.
-    fn settle(&mut self, id: u64, session: Box<ReconstructionSession>, accepted: u64) {
-        let live_bytes = session.state_bytes();
-        let entry = self.sessions.get_mut(&id).expect("settle on open session");
-        self.live_total = self.live_total - entry.live_bytes + live_bytes;
-        entry.live_bytes = live_bytes;
-        entry.next_seq += accepted;
-        entry.slot = Slot::Live(session);
-        self.stats.frames_served += accepted;
-    }
-
     /// Samples the resident high-water mark. Called at API boundaries only
     /// (after budget enforcement), so the reported peak respects the budget
     /// invariant rather than transient mid-batch footprints.
     fn record_peak(&mut self) {
-        self.stats.peak_live_bytes = self.stats.peak_live_bytes.max(self.live_total);
+        self.stats.peak_live_bytes = self.stats.peak_live_bytes.max(self.live_bytes());
     }
 
-    /// Reaps a session whose processing panicked or whose finalize failed.
+    /// Counts a session that failed after leaving the map (its processing
+    /// panicked or its finalize failed) and was dropped there.
     fn reap(&mut self, id: u64) {
-        if let Some(entry) = self.sessions.remove(&id) {
-            self.live_total -= entry.live_bytes;
-            if let Slot::Evicted { path } = entry.slot {
-                std::fs::remove_file(path).ok();
-            }
-        }
         self.stats.failed += 1;
         if self.telemetry.is_enabled() {
             self.telemetry.add("sessions/failed", 1);
@@ -440,7 +421,6 @@ impl ReconServer {
         if self.telemetry.has_journal() {
             self.telemetry.event("serve/session/failed", Some(id), &[]);
         }
-        self.note_active_meta();
     }
 
     /// Pushes one frame into `id`, resuming it from its checkpoint first if
@@ -478,49 +458,51 @@ impl ReconServer {
 
     /// Drives a batch of sessions concurrently: one scheduler job per
     /// session, each pushing its frames in order. Evicted sessions are
-    /// resumed first; results come back in input order. A panic inside one
+    /// resumed first; results come back in input order. An unknown id, an
+    /// id listed twice, and a session whose checkpoint cannot be resumed
+    /// (it stays evicted) fail their own entry. A panic inside one
     /// session's processing (or observer) fails that session alone with
-    /// [`CoreError::WorkerPanic`] — siblings are unaffected.
+    /// [`CoreError::WorkerPanic`] and reaps it — siblings are unaffected.
     ///
     /// # Errors
     ///
     /// A top-level `Err` only for server-wide failures (spill I/O during
-    /// resume/eviction); per-session failures are inside the result list.
+    /// eviction); per-session failures are inside the result list.
     #[allow(clippy::type_complexity)]
     pub fn push_many(
         &mut self,
         batch: Vec<(u64, Vec<Frame>)>,
     ) -> Result<Vec<(u64, Result<Vec<FrameOutcome>, ServeError>)>, ServeError> {
-        // Resume + extract every addressed session; unknown ids fail their
-        // own slot without aborting the batch.
+        let resumed: Vec<Result<(), ServeError>> = batch
+            .iter()
+            .map(|&(id, _)| {
+                self.make_live(id)?;
+                self.touch(id);
+                Ok(())
+            })
+            .collect();
+
+        // The round holds its sessions itself: each leaves the map here and
+        // goes back in when the round settles.
         struct Cell {
             id: u64,
             work: Mutex<Option<(Box<ReconstructionSession>, Vec<Frame>)>>,
         }
-        let mut out: Vec<(u64, Result<Vec<FrameOutcome>, ServeError>)> =
-            Vec::with_capacity(batch.len());
+        let mut held: Vec<(u64, Result<Entry, ServeError>)> = Vec::with_capacity(batch.len());
         let mut cells: Vec<Cell> = Vec::with_capacity(batch.len());
-        for (id, frames) in batch {
-            if !self.sessions.contains_key(&id) {
-                out.push((id, Err(ServeError::UnknownSession(id))));
-                continue;
-            }
-            self.make_live(id)?;
-            self.touch(id);
-            let entry = self.sessions.get_mut(&id).expect("made live above");
-            let session = match std::mem::replace(
-                &mut entry.slot,
-                Slot::Evicted {
-                    path: PathBuf::new(),
-                },
-            ) {
-                Slot::Live(s) => s,
-                Slot::Evicted { .. } => unreachable!("make_live left the session evicted"),
-            };
-            cells.push(Cell {
-                id,
-                work: Mutex::new(Some((session, frames))),
+        for ((id, frames), resumed) in batch.into_iter().zip(resumed) {
+            let taken = resumed.and_then(|()| {
+                let mut entry = self.sessions.remove(&id).ok_or_else(|| {
+                    ServeError::Protocol(format!("session {id} is listed twice in one batch"))
+                })?;
+                let session = entry.session.take().expect("resumed above");
+                cells.push(Cell {
+                    id,
+                    work: Mutex::new(Some((session, frames))),
+                });
+                Ok(entry)
             });
+            held.push((id, taken));
         }
 
         let workers = if self.config.scheduler_workers == 0 {
@@ -590,10 +572,18 @@ impl ReconServer {
             .map_err(|e| ServeError::Session { id: 0, source: e })?
         };
 
-        let ids: Vec<u64> = cells.iter().map(|c| c.id).collect();
+        let mut results = results.into_iter();
+        let mut out = Vec::with_capacity(held.len());
         let mut protect = None;
-        for (i, (session, result, elapsed)) in results.into_iter().enumerate() {
-            let id = ids[i];
+        for (id, taken) in held {
+            let mut entry = match taken {
+                Ok(entry) => entry,
+                Err(e) => {
+                    out.push((id, Err(e)));
+                    continue;
+                }
+            };
+            let (session, result, elapsed) = results.next().expect("one result per cell");
             if self.telemetry.is_enabled() {
                 self.telemetry.record_duration("serve/push", elapsed);
             }
@@ -604,14 +594,11 @@ impl ReconServer {
                         Err(_) => 0,
                     };
                     if accepted > 0 && self.telemetry.is_enabled() {
-                        let entry = &self.sessions[&id];
                         self.telemetry.add(
                             "serve/pixels",
                             accepted * (entry.width * entry.height) as u64,
                         );
                     }
-                    self.settle(id, session, accepted);
-                    protect = Some(id);
                     if self.telemetry.has_journal() {
                         if let Ok(outcomes) = &result {
                             if let Some(last) = outcomes.last() {
@@ -626,12 +613,17 @@ impl ReconServer {
                                     &[
                                         ("frames", accepted as f64),
                                         ("canvas_fill", fill),
-                                        ("state_bytes", self.sessions[&id].live_bytes as f64),
+                                        ("state_bytes", session.state_bytes() as f64),
                                     ],
                                 );
                             }
                         }
                     }
+                    entry.next_seq += accepted;
+                    entry.session = Some(session);
+                    self.sessions.insert(id, entry);
+                    self.stats.frames_served += accepted;
+                    protect = Some(id);
                 }
                 // The session was consumed by a panic: reap it.
                 None => self.reap(id),
@@ -653,53 +645,42 @@ impl ReconServer {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownSession`]; [`ServeError::Session`] when
-    /// finalize fails (the session is removed either way).
+    /// [`ServeError::UnknownSession`]; a resume failure (the session stays
+    /// evicted); [`ServeError::Session`] when finalize fails (the session
+    /// is reaped).
     pub fn close_session(&mut self, id: u64) -> Result<Reconstruction, ServeError> {
         self.make_live(id)?;
-        self.touch(id);
-        let entry = self
-            .sessions
-            .remove(&id)
-            .ok_or(ServeError::UnknownSession(id))?;
-        self.live_total -= entry.live_bytes;
-        let session = match entry.slot {
-            Slot::Live(s) => *s,
-            Slot::Evicted { .. } => unreachable!("make_live left the session evicted"),
-        };
+        let entry = self.sessions.remove(&id).expect("made live above");
+        let session = entry.session.expect("made live above");
         let frames = session.frames_seen();
-        let recon = match session.finalize() {
-            Ok(r) => r,
-            Err(source) => {
-                self.stats.failed += 1;
+        let result = session.finalize();
+        match &result {
+            Ok(recon) => {
+                self.stats.closed += 1;
                 if self.telemetry.is_enabled() {
-                    self.telemetry.add("sessions/failed", 1);
+                    self.telemetry.add("sessions/closed", 1);
+                    // Per-session RBRR lands in a histogram (basis points
+                    // recorded as pseudo-nanoseconds), so the RunReport
+                    // carries recovery quantiles across the fleet, not just
+                    // a mean.
+                    let bps = (recon.rbrr() * 100.0).round().max(0.0) as u64;
+                    self.telemetry.record_duration(
+                        "serve/session/rbrr_bp",
+                        std::time::Duration::from_nanos(bps),
+                    );
                 }
-                self.note_active_meta();
-                return Err(ServeError::Session { id, source });
+                if self.telemetry.has_journal() {
+                    self.telemetry.event(
+                        "serve/session/closed",
+                        Some(id),
+                        &[("rbrr", recon.rbrr()), ("frames", frames as f64)],
+                    );
+                }
             }
-        };
-        self.stats.closed += 1;
-        if self.telemetry.is_enabled() {
-            self.telemetry.add("sessions/closed", 1);
-            // Per-session RBRR lands in a histogram (basis points recorded
-            // as pseudo-nanoseconds), so the RunReport carries recovery
-            // quantiles across the fleet, not just a mean.
-            let bps = (recon.rbrr() * 100.0).round().max(0.0) as u64;
-            self.telemetry.record_duration(
-                "serve/session/rbrr_bp",
-                std::time::Duration::from_nanos(bps),
-            );
-        }
-        if self.telemetry.has_journal() {
-            self.telemetry.event(
-                "serve/session/closed",
-                Some(id),
-                &[("rbrr", recon.rbrr()), ("frames", frames as f64)],
-            );
+            Err(_) => self.reap(id),
         }
         self.note_active_meta();
-        Ok(recon)
+        result.map_err(|source| ServeError::Session { id, source })
     }
 
     /// Serves a complete BBWS byte stream: opens, feeds, and closes every
@@ -986,6 +967,75 @@ mod tests {
                 "sibling {id} was corrupted by the panic"
             );
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupt_checkpoint_fails_only_its_own_session() {
+        let video = toy_call(20);
+        let (head, rest) = video.frames().split_at(3);
+        let dir = temp_spill("corrupt");
+        let mut server = ReconServer::new(prototype(), ServeConfig::new(&dir)).unwrap();
+        // A plain session fed the same frames: the oracle for session 1's
+        // output and for the bytes the server holds resident.
+        let mut twin = prototype().session();
+        twin.push_frames(head).unwrap();
+        for id in [1u64, 2] {
+            server.open_session(id, 48, 36).unwrap();
+            server.push_frames(id, head.to_vec()).unwrap();
+        }
+        assert_eq!(server.live_bytes(), 2 * twin.state_bytes());
+        server.evict_session(2).unwrap();
+        assert_eq!(server.live_bytes(), twin.state_bytes());
+        std::fs::write(dir.join("session-2.bbsc"), b"BBSC? not a checkpoint").unwrap();
+
+        let results = server
+            .push_many(vec![(1, rest.to_vec()), (2, rest.to_vec())])
+            .unwrap();
+        twin.push_frames(rest).unwrap();
+        assert!(
+            matches!(
+                results.as_slice(),
+                [(1, Ok(_)), (2, Err(ServeError::Session { id: 2, .. }))]
+            ),
+            "{results:?}"
+        );
+        assert_eq!(server.live_count(), 1, "session 2 stays evicted");
+        assert_eq!(server.live_bytes(), twin.state_bytes());
+        assert_eq!(server.frames_seen(1), Some(20));
+
+        let recon = server.close_session(1).unwrap();
+        assert_eq!(server.live_bytes(), 0);
+        assert_eq!(recon.background, twin.finalize().unwrap().background);
+        assert!(matches!(
+            server.close_session(2),
+            Err(ServeError::Session { id: 2, .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn push_many_answers_in_input_order() {
+        let video = toy_call(2);
+        let dir = temp_spill("order");
+        let mut server = ReconServer::new(prototype(), ServeConfig::new(&dir)).unwrap();
+        server.open_session(1, 48, 36).unwrap();
+        let frames = video.frames().to_vec();
+        let results = server
+            .push_many(vec![(1, frames.clone()), (7, frames.clone()), (1, frames)])
+            .unwrap();
+        assert!(
+            matches!(
+                results.as_slice(),
+                [
+                    (1, Ok(_)),
+                    (7, Err(ServeError::UnknownSession(7))),
+                    (1, Err(ServeError::Protocol(_)))
+                ]
+            ),
+            "{results:?}"
+        );
+        assert_eq!(server.frames_seen(1), Some(2));
         std::fs::remove_dir_all(&dir).ok();
     }
 
